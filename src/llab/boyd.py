@@ -46,7 +46,7 @@ class Configuration:
 
     def evaluate(self, u: WeightModel, w: WeightModel) -> float:
         """W(u(union I_j)) / W(u(union S_j)) for this family."""
-        uI = sum(u.weight_of_set(IntervalUnion((I,))) for I, _ in self.pairs)
+        uI = sum(u.mass(I.lo, I.hi) for I, _ in self.pairs)
         uS = sum(u.weight_of_set(S) for _, S in self.pairs)
         return w.primitive(uI) / w.primitive(uS)
 
@@ -120,21 +120,11 @@ def wbar(w: WeightModel, t: float) -> float:
 # -- configuration searches ------------------------------------------------
 
 
-def _interval_mass(u: WeightModel, lo: float, hi: float) -> float:
-    if u.domain_kind == "half_line":
-        return u._radial_primitive(hi) - u._radial_primitive(lo)
-    if lo >= 0.0:
-        return u._radial_primitive(hi) - u._radial_primitive(lo)
-    if hi <= 0.0:
-        return u._radial_primitive(-lo) - u._radial_primitive(-hi)
-    return u._radial_primitive(-lo) + u._radial_primitive(hi)
-
-
 def _family_value(
     u: WeightModel, w: WeightModel, pairs: Sequence[tuple[tuple[float, float], tuple[float, float]]]
 ) -> float:
-    uI = sum(_interval_mass(u, lo, hi) for (lo, hi), _ in pairs)
-    uS = sum(_interval_mass(u, lo, hi) for _, (lo, hi) in pairs)
+    uI = sum(u.mass(lo, hi) for (lo, hi), _ in pairs)
+    uS = sum(u.mass(lo, hi) for _, (lo, hi) in pairs)
     if uS <= 0.0 or uI <= 0.0:
         return 0.0
     return w.primitive(uI) / w.primitive(uS)
@@ -234,18 +224,20 @@ def _search(
                 if rv > best_val:
                     best_val, best_pairs = rv, _replicate(pair, count)
 
+    # rounding in the offset arithmetic can push S an ulp past I; the value
+    # returned is that of the clamped pairs, so the witness replays exactly
+    clamped = [
+        ((i_lo, i_hi), (max(s_lo, i_lo), min(s_hi, i_hi)))
+        for (i_lo, i_hi), (s_lo, s_hi) in best_pairs
+    ]
     config = Configuration(
         pairs=tuple(
-            (
-                Interval(i_lo, i_hi),
-                # rounding in the offset arithmetic can push S an ulp past I
-                IntervalUnion((Interval(max(s_lo, i_lo), min(s_hi, i_hi)),)),
-            )
-            for (i_lo, i_hi), (s_lo, s_hi) in best_pairs
+            (Interval(i_lo, i_hi), IntervalUnion((Interval(s_lo, s_hi),)))
+            for (i_lo, i_hi), (s_lo, s_hi) in clamped
         ),
         ratio=ratio if upper else 1.0 / t,
     )
-    return best_val, config
+    return value(clamped), config
 
 
 def _trivial_config() -> Configuration:
@@ -287,7 +279,7 @@ def default_lower_grid() -> tuple[float, ...]:
     return tuple(2.0**-k for k in range(10, 0, -1))
 
 
-def _monotonize(ts: Sequence[float], vals: Sequence[float]) -> list[float]:
+def _monotonize(vals: Sequence[float]) -> list[float]:
     # The true functions are non-decreasing, so lower bounds propagate upward.
     out: list[float] = []
     acc = 0.0
@@ -306,7 +298,7 @@ def wbar_u_samples(
 ) -> SubmultiplicativeSamples:
     ts = tuple(ts) if ts is not None else default_upper_grid()
     vals = [wbar_u(u, w, t, budget=budget, seed=seed)[0] for t in ts]
-    return SubmultiplicativeSamples(ts, tuple(_monotonize(ts, vals)), "lower_bound", budget)
+    return SubmultiplicativeSamples(ts, tuple(_monotonize(vals)), "lower_bound", budget)
 
 
 def underline_wu_samples(
@@ -318,7 +310,7 @@ def underline_wu_samples(
 ) -> SubmultiplicativeSamples:
     ts = tuple(ts) if ts is not None else default_lower_grid()
     vals = [underline_wu(u, w, t, budget=budget, seed=seed)[0] for t in ts]
-    return SubmultiplicativeSamples(ts, tuple(_monotonize(ts, vals)), "lower_bound", budget)
+    return SubmultiplicativeSamples(ts, tuple(_monotonize(vals)), "lower_bound", budget)
 
 
 def exact_samples(phi: Callable[[float], float], ts: Sequence[float]) -> SubmultiplicativeSamples:

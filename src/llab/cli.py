@@ -9,15 +9,15 @@ produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import os
 import sys
 from typing import Optional
 
 from . import boyd, construction, operators
 from .errors import ConfigurationError, PreconditionError, SingularInputError
-from .intervals import Interval, parse_union
+from .intervals import Interval, IntervalUnion, intersect, parse_union
 from .weights import (
     WeightModel,
     check_A1,
@@ -123,16 +123,12 @@ def cmd_extremal(args) -> int:
     for i in range(n):
         lam = floor + (1.0 - floor) * (i + 1) / n
         J = F.level_set(lam)
-        from .intervals import intersect
-
         for k, part in enumerate(J.parts):
-            inter = intersect(S, construction.IntervalUnion((part,)))
+            inter = intersect(S, IntervalUnion((part,)))
             err = abs(inter.measure - lam * part.length) / max(part.length, 1e-300)
             max_err = max(max_err, err)
             rows.append(f"{_fmt(lam)},{k},{_fmt(part.lo)},{_fmt(part.hi)},{_fmt(err)}")
     _write_csv(args.out, "lambda,k,lo,hi,measure_check", rows)
-    import math
-
     summary = {
         "s": s,
         "mean": F.mean_value(),
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--w", required=True)
     sp.add_argument("--family", default="indicators")
     sp.add_argument("--count", type=int, default=8)
-    sp.add_argument("--ratio", type=float, default=math_e())
+    sp.add_argument("--ratio", type=float, default=math.e)
     sp.add_argument("--target", choices=["strong", "weak"], default="strong")
     common(sp)
     sp.set_defaults(func=cmd_opnorm)
@@ -265,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verdict)
 
     return parser
-
-
-def math_e() -> float:
-    import math
-
-    return math.e
 
 
 def main(argv: Optional[list[str]] = None) -> int:

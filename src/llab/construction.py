@@ -222,18 +222,6 @@ def build_extremal(I: Interval, S: IntervalUnion) -> ExtremalFunction:
     return ExtremalFunction(I, S, leaves, lam0, blocks, outer, constant=False)
 
 
-def level_set(F: ExtremalFunction, lam: float) -> IntervalUnion:
-    return F.level_set(lam)
-
-
-def evaluate(F: ExtremalFunction, x: float) -> float:
-    return F.evaluate(x)
-
-
-def mean_value(F: ExtremalFunction) -> float:
-    return F.mean_value()
-
-
 class ExtremalSum:
     """Sum of extremal functions with pairwise disjoint base intervals."""
 
@@ -290,9 +278,7 @@ def test_function_norm_p(
     """p-th power of the Lorentz quasi-norm of the summed extremal function,
     by the layer-cake form; the flat part below 1/s is closed form and the
     remaining level-set integral is evaluated by adaptive quadrature."""
-    sup_mass = sum(
-        u.weight_of_set(IntervalUnion((F.base_interval,))) for F in total.summands
-    )
+    sup_mass = sum(u.mass(F.base_interval.lo, F.base_interval.hi) for F in total.summands)
     flat = s**-p * w.primitive(sup_mass)
 
     def integrand(lam: float) -> float:
@@ -321,9 +307,7 @@ def weak_type_lower_bound(
     total = ExtremalSum(summands)
     test_norm = test_function_norm_p(u, w, p, total, s) ** (1.0 / p)
     threshold = (1.0 + math.log(s)) / (2.0 * s)
-    superset_mass = w.primitive(
-        sum(u.weight_of_set(IntervalUnion((I,))) for I, _ in family.pairs)
-    )
+    superset_mass = w.primitive(sum(u.mass(I.lo, I.hi) for I, _ in family.pairs))
     subset_mass = w.primitive(sum(u.weight_of_set(S) for _, S in family.pairs))
     lower_bound = superset_mass ** (1.0 / p) * threshold / test_norm
     return WeakTypeCertificate(

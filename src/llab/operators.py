@@ -4,6 +4,7 @@ functions, plus empirical operator-norm probing on the weighted spaces."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -62,8 +63,6 @@ def maximal(f: StepFunction, x: float) -> float:
             return 0.0
         if y >= pts[-1]:
             return cum[-1]
-        import bisect
-
         i = bisect.bisect_right(pts, y) - 1
         mid = 0.5 * (pts[i] + y)
         return cum[i] + f.value_at(mid) * (y - pts[i])
@@ -72,7 +71,6 @@ def maximal(f: StepFunction, x: float) -> float:
     left = [a for a in cands if a <= x]
     right = [b for b in cands if b >= x]
     best = 0.0
-    Fx = integral_to(x)
     ints = {a: integral_to(a) for a in cands}
     for a in left:
         for b in right:
@@ -120,45 +118,22 @@ def _truncated(f: StepFunction, x: float, eps: float) -> float:
     return total
 
 
-def hilbert_maximal(f: StepFunction, x: float, refinement: int = 64) -> float:
+def hilbert_maximal(f: StepFunction, x: float) -> float:
     """sup over truncations of the Hilbert integral (with the 1/pi
-    normalization of the transform), so H*f >= |Hf| pointwise.
+    normalization of the transform), so H*f >= |Hf| pointwise.  Exact.
 
-    The truncated integral is closed form and piecewise smooth in the
-    truncation radius with kinks exactly at distances to endpoints; the
-    candidates are those distances refined by golden-section search.
+    The truncated integral T(eps) has derivative (f(x + eps) - f(x - eps))/eps,
+    whose sign is constant between consecutive distances from x to the
+    endpoints of f; so sup |T| is attained at one of those distances or as
+    eps -> 0+, where T equals pi Hf(x).
     """
-    for e in f.endpoints():
+    ends = f.endpoints()
+    for e in ends:
         if abs(x - e) < _ENDPOINT_EPS * max(1.0, abs(e)):
             raise SingularInputError(f"truncations are singular at endpoint {e}")
-    dists = sorted({abs(x - e) for e in f.endpoints()})
-    # below the smallest distance the hole is symmetric inside one plateau
     best = abs(hilbert(f, x)) * math.pi
-
-    def neg_abs(eps: float) -> float:
-        return -abs(_truncated(f, x, eps))
-
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    segments = list(zip(dists, dists[1:]))
-    for lo, hi in segments:
-        best = max(best, abs(_truncated(f, x, lo)), abs(_truncated(f, x, hi)))
-        a, b = lo, hi
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = neg_abs(c), neg_abs(d)
-        for _ in range(refinement):
-            if b - a < 1e-10 * max(1.0, hi):
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = neg_abs(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = neg_abs(d)
-        best = max(best, abs(_truncated(f, x, 0.5 * (a + b))))
-    if dists:
-        best = max(best, abs(_truncated(f, x, dists[-1])))
+    for eps in {abs(x - e) for e in ends}:
+        best = max(best, abs(_truncated(f, x, eps)))
     return best / math.pi
 
 
@@ -220,7 +195,7 @@ def apply_operator(op: str, f: StepFunction, u: WeightModel) -> StepFunction | D
     if op == "hilbert":
         return resample_step(lambda x: hilbert(f, _nudged(x, ends)), ends)
     if op == "hstar":
-        return resample_step(lambda x: hilbert_maximal(f, _nudged(x, ends), refinement=24), ends)
+        return resample_step(lambda x: hilbert_maximal(f, _nudged(x, ends)), ends)
     if op == "q":
         g = rearrange(f, u)
         qgrid = sorted(

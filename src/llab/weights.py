@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .intervals import Interval, IntervalUnion
+from .intervals import Interval, IntervalUnion, contains
 
 _WITNESS_TOL = 1e-9
 
@@ -88,24 +89,22 @@ class WeightModel:
         return tuple(seg.hi for seg in self.segments)
 
     @cached_property
-    def _cum(self) -> tuple[float, ...]:
-        """Primitive values at segment right endpoints."""
-        acc, out = 0.0, []
+    def _pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(lo, coef, exp, W(lo)) per segment, then one row for the tail."""
+        rows, acc = [], 0.0
         for seg in self.segments:
-            acc += _power_int(seg.coef, seg.exp, seg.lo, seg.hi)
-            out.append(acc)
-        return tuple(out)
+            mass = _power_int(seg.coef, seg.exp, seg.lo, seg.hi)
+            acc += mass
+            # W(lo) as W(hi) - mass, not the running sum before the segment:
+            # the two differ by an ulp on multi-segment weights, and seeded
+            # searches break near-ties on such ulps.
+            rows.append((seg.lo, seg.coef, seg.exp, acc - mass))
+        rows.append((self.top, self.tail_coef, self.tail_exp, acc))
+        return tuple(rows)
 
-    def _params_at(self, r: float) -> tuple[float, float, float, float]:
-        """(coef, exp, seg_lo, primitive_at_seg_lo) for radius r > 0."""
-        if r > self.top:
-            return self.tail_coef, self.tail_exp, self.top, self._cum[-1]
-        for seg, cum in zip(self.segments, self._cum):
-            if r <= seg.hi:
-                return seg.coef, seg.exp, seg.lo, cum - _power_int(
-                    seg.coef, seg.exp, seg.lo, seg.hi
-                )
-        raise AssertionError("unreachable")
+    def _piece(self, r: float) -> tuple[float, float, float, float]:
+        """The row of radius r > 0: the segment with lo < r <= hi, else the tail."""
+        return self._pieces[bisect_left(self.breakpoints, r)]
 
     # -- pointwise and primitive -------------------------------------------
 
@@ -120,7 +119,7 @@ class WeightModel:
             if seg.exp == 0.0:
                 return seg.coef
             return math.inf
-        coef, exp, _, _ = self._params_at(r)
+        _, coef, exp, _ = self._piece(r)
         return coef * r**exp
 
     def _radial_primitive(self, r: float) -> float:
@@ -128,7 +127,7 @@ class WeightModel:
             raise PreconditionError("radius must be nonnegative")
         if r == 0.0:
             return 0.0
-        coef, exp, lo, base = self._params_at(r)
+        lo, coef, exp, base = self._piece(r)
         return base + _power_int(coef, exp, lo, r)
 
     def primitive(self, t: float) -> float:
@@ -139,23 +138,22 @@ class WeightModel:
             raise PreconditionError("primitive needs t >= 0")
         return self._radial_primitive(t)
 
+    def mass(self, lo: float, hi: float) -> float:
+        """Integral of the weight over (lo, hi), lo <= hi."""
+        P = self._radial_primitive
+        if self.domain_kind == "half_line":
+            if lo < 0.0:
+                raise ConfigurationError("set escapes the half-line domain")
+            return P(hi) - P(lo)
+        if lo >= 0.0:
+            return P(hi) - P(lo)
+        if hi <= 0.0:
+            return P(-lo) - P(-hi)
+        return P(-lo) + P(hi)
+
     def weight_of_set(self, E: IntervalUnion) -> float:
         """Integral of the weight over E (closed form, additive over parts)."""
-        total = 0.0
-        for part in E.parts:
-            lo, hi = part.lo, part.hi
-            if self.domain_kind == "half_line":
-                if lo < 0.0:
-                    raise ConfigurationError("set escapes the half-line domain")
-                total += self._radial_primitive(hi) - self._radial_primitive(lo)
-            else:
-                if lo >= 0.0:
-                    total += self._radial_primitive(hi) - self._radial_primitive(lo)
-                elif hi <= 0.0:
-                    total += self._radial_primitive(-lo) - self._radial_primitive(-hi)
-                else:
-                    total += self._radial_primitive(-lo) + self._radial_primitive(hi)
-        return total
+        return sum((self.mass(p.lo, p.hi) for p in E.parts), 0.0)
 
     # -- tail-sensitive closed forms ---------------------------------------
 
@@ -176,12 +174,7 @@ class WeightModel:
     def bstar_integral(self, r: float) -> float:
         """Integral of W(t)/t over (0, r), in closed form per segment."""
         total = 0.0
-        pieces: list[tuple[float, float, float, float, float]] = []
-        for seg, cum in zip(self.segments, self._cum):
-            base = cum - _power_int(seg.coef, seg.exp, seg.lo, seg.hi)
-            pieces.append((seg.lo, seg.hi, seg.coef, seg.exp, base))
-        pieces.append((self.top, math.inf, self.tail_coef, self.tail_exp, self._cum[-1]))
-        for lo, hi, coef, exp, base in pieces:
+        for (lo, coef, exp, base), hi in zip(self._pieces, (*self.breakpoints, math.inf)):
             a, b = lo, min(hi, r)
             if b <= a:
                 break
@@ -448,12 +441,10 @@ def check_Ainf(
         probes = default_ainf_probes(u)
     if not probes:
         raise PreconditionError("A_inf needs at least one probe")
-    from .intervals import contains as iu_contains
-
     slopes: list[tuple[float, float]] = []  # (|I|, slope)
     cloud: list[tuple[float, float]] = []
     for I, E in probes:
-        if not iu_contains(IntervalUnion((I,)), E):
+        if not contains(IntervalUnion((I,)), E):
             raise PreconditionError("A_inf probe needs E within I")
         x, y = ainf_point(u, I, E)
         cloud.append((x, y))
@@ -476,8 +467,9 @@ def check_Ainf(
     if slopes:
         scales = [s for s, _ in slopes]
         top = max(scales)
+        bottom = min(scales)
         last = [v for s, v in slopes if s >= top / 10.0]
-        first = [v for s, v in slopes if s <= min(scales) * 10.0]
+        first = [v for s, v in slopes if s <= bottom * 10.0]
         m_last, m_first = min(last), min(first)
         if m_last < 0.25 and m_last < 0.5 * m_first:
             holds = False

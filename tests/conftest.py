@@ -35,3 +35,24 @@ def random_pair(rng, max_components=6):
     if not S or S.measure >= 0.999 * length:
         return random_pair(rng, max_components)
     return I, S
+
+
+def maximal_grid_oracle(f, x, n=4000):
+    """Best average of f over windows (a, b) with a <= x <= b drawn from a
+    uniform n-point grid one unit past the endpoints of f, plus the endpoints
+    and x itself.  All pairs at once: the overlap of each window with each
+    piece is taken in the same floating-point order as a pairwise loop."""
+    ends = f.endpoints()
+    lo, hi = min(ends) - 1.0, max(ends) + 1.0
+    grid = np.array(sorted(set(np.linspace(lo, hi, n)) | set(ends) | {x}))
+    a = grid[grid <= x][:, None]
+    b = grid[grid >= x][None, :]
+    total = np.zeros((a.size, b.size))
+    for region, v in f.pieces:
+        inside = np.zeros_like(total)
+        for p in region.parts:
+            inside += np.maximum(0.0, np.minimum(b, p.hi) - np.maximum(a, p.lo))
+        total += v * inside
+    width = b - a
+    wide = width >= 1e-12
+    return float((total[wide] / width[wide]).max(initial=0.0))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_pair
+from conftest import maximal_grid_oracle, random_pair
 from llab.boyd import (
     Configuration,
     SubmultiplicativeSamples,
@@ -289,25 +289,6 @@ def test_criterion_09_hilbert_exactness():
 # -- 10: maximal operator exactness ------------------------------------------
 
 
-def _maximal_grid_oracle(f, x, n=2000):
-    ends = f.endpoints()
-    lo, hi = min(ends) - 1.0, max(ends) + 1.0
-    grid = sorted(set(np.linspace(lo, hi, n)) | set(ends) | {x})
-    lefts = [g for g in grid if g <= x]
-    rights = [g for g in grid if g >= x]
-    best = 0.0
-    for a in lefts:
-        for b in rights:
-            if b - a < 1e-12:
-                continue
-            total = sum(
-                v * sum(max(0.0, min(b, p.hi) - max(a, p.lo)) for p in region.parts)
-                for region, v in f.pieces
-            )
-            best = max(best, total / (b - a))
-    return best
-
-
 def test_criterion_10_maximal_exactness():
     started = time.perf_counter()
     assert maximal(indicator((0.0, 1.0)), 2.0) == 0.5
@@ -316,7 +297,7 @@ def test_criterion_10_maximal_exactness():
         f = _random_step(rng, n_pieces=2)
         x = float(rng.uniform(-6.0, 6.0))
         exact = maximal(f, x)
-        oracle = _maximal_grid_oracle(f, x)
+        oracle = maximal_grid_oracle(f, x, n=2000)
         # the optimizing window has candidate endpoints, all of which are
         # in the oracle grid, so the two must agree to rounding
         assert exact >= oracle - 1e-12

@@ -175,3 +175,13 @@ def test_determinism_same_seed():
     a = wbar_u(u, w, 8.0, budget=1, seed=42)
     b = wbar_u(u, w, 8.0, budget=1, seed=42)
     assert a[0] == b[0] and a[1] == b[1]
+
+
+@pytest.mark.parametrize("t,seed", [(2.0**-5, 10), (2.0**-9, 15), (2.0**-6, 17)])
+def test_witness_replays_to_reported_value(t, seed):
+    # rounding in the offset arithmetic can push S an ulp past I; the
+    # configuration clamps it, and the reported value must be the clamped one
+    u = WeightModel.constant(domain_kind="line")
+    w = WeightModel.constant()
+    v, cfg = underline_wu(u, w, t, seed=seed)
+    assert 1.0 / cfg.evaluate(u, w) == pytest.approx(v, rel=1e-12, abs=0.0)

@@ -182,3 +182,10 @@ def test_csv_seventeen_digit_format(configs, capsys):
     # every float field round-trips exactly through its printed form
     row = body[1].split(",")
     assert float(row[1]) == float(format(float(row[1]), ".17g"))
+
+
+def test_half_line_u_in_search_is_config_error(configs, capsys):
+    # the search places intervals on both sides of 0, outside a half-line u
+    rc = main(["indices", "--u", configs["w1"], "--w", configs["w1"]])
+    assert rc == EXIT_CONFIG
+    assert "half-line" in capsys.readouterr().err

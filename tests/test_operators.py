@@ -9,6 +9,8 @@ Oracles:
     function locally constant near x the cutoff error vanishes once eps
     clears the distance to the nearest endpoint, which makes the
     eps-extrapolated value exact.
+  - maximal truncations: the closed-form truncated integral on a dense
+    geometric grid of truncation radii, with the most the grid can miss.
   - explicit values: H(chi_(-1,1))(2) = (1/pi) log 3, M(chi_(0,1))(2) = 1/2.
 """
 
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import maximal_grid_oracle
 from llab.errors import PreconditionError, SingularInputError
 from llab.intervals import singleton
 from llab.operators import (
@@ -49,30 +52,6 @@ def random_step(rng, n_pieces=3):
     return make_step(pieces)
 
 
-def maximal_grid_oracle(f, x, n=4000):
-    ends = f.endpoints()
-    lo = min(ends) - 1.0
-    hi = max(ends) + 1.0
-    grid = sorted(set(np.linspace(lo, hi, n)) | set(ends) | {x})
-    # prefix integrals of f on the grid
-    best = 0.0
-    lefts = [g for g in grid if g <= x]
-    rights = [g for g in grid if g >= x]
-    for a in lefts:
-        for b in rights:
-            if b - a < 1e-12:
-                continue
-            total = sum(
-                v
-                * sum(
-                    max(0.0, min(b, p.hi) - max(a, p.lo)) for p in region.parts
-                )
-                for region, v in f.pieces
-            )
-            best = max(best, total / (b - a))
-    return best
-
-
 def hilbert_pv_oracle(f, x):
     ends = f.endpoints()
     dists = sorted({abs(x - e) for e in ends if abs(x - e) > 1e-12})
@@ -87,6 +66,29 @@ def hilbert_pv_oracle(f, x):
         lambda s: integrand(s) / s, eps, R, points=pts or None, limit=500
     )
     return val / math.pi
+
+
+def truncation_sweep_oracle(f, x, n=200001):
+    """(max of |T(eps)|/pi over a dense geometric eps grid, the most the grid
+    can miss), T(eps) being the integral of f(y)/(x - y) over |x - y| > eps.
+
+    T is constant below the smallest and above the largest distance from x
+    to an endpoint of f, and between grid points it moves by at most
+    2 max|f| log(eps_{k+1}/eps_k), since T'(eps) = (f(x+eps) - f(x-eps))/eps.
+    """
+    parts = [(p.lo, p.hi, v) for region, v in f.pieces for p in region.parts]
+    lo, hi, val = (np.array(c, dtype=float) for c in zip(*parts))
+    dists = np.abs(x - np.concatenate([lo, hi]))
+    eps = np.geomspace(0.5 * dists.min(), 2.0 * dists.max(), n)[:, None]
+
+    def log_terms(a, b):
+        return np.log(np.abs(x - a)) - np.log(np.abs(x - b))
+
+    left = np.where(lo < x - eps, log_terms(lo, np.minimum(hi, x - eps)), 0.0)
+    right = np.where(hi > x + eps, log_terms(np.maximum(lo, x + eps), hi), 0.0)
+    T = ((left + right) * val).sum(axis=1)
+    miss = 2.0 * np.abs(val).max() * math.log(eps[1, 0] / eps[0, 0])
+    return float(np.abs(T).max()) / math.pi, miss / math.pi
 
 
 # -- closed-form anchors -----------------------------------------------------
@@ -155,6 +157,21 @@ def test_hstar_dominates_truncations_and_hits_h():
             continue
         hs = hilbert_maximal(f, x)
         assert hs >= abs(hilbert(f, x)) - 1e-9
+
+
+def test_hstar_against_truncation_sweep():
+    rng = np.random.default_rng(47)
+    checked = 0
+    while checked < 40:
+        f = random_step(rng, n_pieces=3 if checked % 2 else 8)
+        x = float(rng.uniform(-6.0, 6.0))
+        if min(abs(x - e) for e in f.endpoints()) < 1e-3:
+            continue
+        hs = hilbert_maximal(f, x)
+        sweep, miss = truncation_sweep_oracle(f, x)
+        # exact dominates every sampled truncation and the grid misses little
+        assert sweep - 1e-12 <= hs <= sweep + miss + 1e-12
+        checked += 1
 
 
 def test_conjugate_hardy_closed_form():

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -228,3 +228,100 @@ def test_power_primitive_scaling(a, frac):
     assert w.primitive(frac * r) == pytest.approx(
         frac ** (a + 1.0) * w.primitive(r), rel=1e-9
     )
+
+
+# -- mass and primitive on random multi-segment weights ----------------------
+
+
+@st.composite
+def multi_segment(draw, domain_kind):
+    """2-4 abutting segments, the second with exponent -1, and a power tail."""
+    n = draw(st.integers(2, 4))
+    exps = [draw(st.floats(-0.5, 2.0)), -1.0] + [
+        draw(st.one_of(st.just(-1.0), st.floats(-2.0, 2.0))) for _ in range(n - 2)
+    ]
+    segments, lo = [], 0.0
+    for exp in exps:
+        hi = lo + draw(st.floats(0.1, 3.0))
+        segments.append(Segment(lo, hi, draw(st.floats(0.1, 5.0)), exp))
+        lo = hi
+    return WeightModel(
+        segments=tuple(segments),
+        domain_kind=domain_kind,
+        tail_coef=draw(st.floats(0.1, 5.0)),
+        tail_exp=draw(st.one_of(st.just(-1.0), st.floats(-2.0, 2.0))),
+    )
+
+
+def any_weight_and_points(k):
+    """A weight of either domain kind and k sorted points inside its domain."""
+
+    @st.composite
+    def build(draw):
+        kind = draw(st.sampled_from(["half_line", "line"]))
+        w = draw(multi_segment(kind))
+        bottom = 0.0 if kind == "half_line" else -20.0
+        xs = sorted(draw(st.floats(bottom, 20.0)) for _ in range(k))
+        return w, xs
+
+    return build()
+
+
+@given(any_weight_and_points(3))
+@settings(max_examples=200, deadline=None)
+def test_mass_is_additive(case):
+    w, (a, b, c) = case
+    R = max(abs(a), abs(c))
+    scale = w.mass(-R if w.domain_kind == "line" else 0.0, R)
+    assert w.mass(a, b) + w.mass(b, c) == pytest.approx(
+        w.mass(a, c), rel=1e-12, abs=1e-12 * scale
+    )
+
+
+@given(multi_segment("line"), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+@settings(max_examples=200, deadline=None)
+def test_line_mass_is_symmetric(u, x, y):
+    a, b = min(x, y), max(x, y)
+    assert u.mass(-b, -a) == u.mass(a, b)
+
+
+@given(st.sampled_from(["half_line", "line"]).flatmap(multi_segment))
+@settings(max_examples=100, deadline=None)
+def test_breakpoints_belong_to_the_left_segment(w):
+    pieces = list(w.segments) + [Segment(w.top, math.inf, w.tail_coef, w.tail_exp)]
+    for left, right in zip(pieces, pieces[1:]):
+        b = left.hi
+        assert w.value(b) == left.coef * b**left.exp
+        above = math.nextafter(b, math.inf)
+        assert w.value(above) == right.coef * above**right.exp
+        if w.domain_kind == "line":
+            assert w.value(-b) == w.value(b)
+
+
+@given(multi_segment("half_line"), st.floats(1e-9, 20.0), st.floats(0.0, 20.0))
+@settings(max_examples=100, deadline=None)
+def test_half_line_mass_rejects_negative_lo(w, x, y):
+    with pytest.raises(ConfigurationError):
+        w.mass(-x, y)
+
+
+def quad_mass(w, a, b):
+    """scipy quad of w.value over (a, b), split at the kinks of w and at
+    +-2^j, so that every piece away from 0 spans at most a factor of 2."""
+    kinks = {0.0} | set(w.breakpoints) | {2.0**j for j in range(-60, 6)}
+    kinks |= {-k for k in kinks}
+    cuts = [a] + sorted(k for k in kinks if a < k < b) + [b]
+    return math.fsum(
+        quad(w.value, p, q, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+        for p, q in zip(cuts, cuts[1:])
+    )
+
+
+@given(any_weight_and_points(2))
+@settings(max_examples=100, deadline=None)
+def test_mass_and_primitive_match_quadrature(case):
+    w, (a, b) = case
+    assume(b > a)
+    assert w.mass(a, b) == pytest.approx(quad_mass(w, a, b), rel=1e-10)
+    if w.domain_kind == "half_line":
+        assert w.primitive(b) - w.primitive(a) == w.mass(a, b)
