@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import boyd, construction, operators
 from .errors import ConfigurationError, PreconditionError, SingularInputError
-from .intervals import Interval, IntervalUnion, intersect, parse_union
+from .intervals import Interval, IntervalUnion, endpoints, intersect, parse_union
 from .weights import (
     WeightModel,
     check_A1,
@@ -50,6 +50,16 @@ def _seed(args) -> int:
         except ValueError as exc:
             raise ConfigurationError(f"LLAB_SEED must be an integer, got {env!r}") from exc
     return args.seed
+
+
+def _interval_and_set(args) -> tuple[Interval, IntervalUnion]:
+    try:
+        I, S = Interval(*args.interval), parse_union(args.set)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed --interval or --set: {exc}") from exc
+    if not all(math.isfinite(e) for e in (I.lo, I.hi, *endpoints(S))):
+        raise ConfigurationError("--interval and --set need finite endpoints")
+    return I, S
 
 
 def _write_csv(path: Optional[str], header: str, rows: list[str]) -> None:
@@ -112,8 +122,7 @@ def cmd_indices(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    I = Interval(args.interval[0], args.interval[1])
-    S = parse_union(args.set)
+    I, S = _interval_and_set(args)
     F = construction.build_extremal(I, S)
     floor = F.floor
     s = 1.0 / floor
@@ -142,8 +151,9 @@ def cmd_extremal(args) -> int:
 def cmd_certify(args) -> int:
     u = _load_weight(args.u)
     w = _load_weight(args.w)
-    I = Interval(args.interval[0], args.interval[1])
-    S = parse_union(args.set)
+    I, S = _interval_and_set(args)
+    if not S:
+        raise PreconditionError("certificate needs a nonempty set")
     ratio = I.length / S.measure
     family = boyd.Configuration(pairs=((I, S),), ratio=ratio)
     cert = construction.weak_type_lower_bound(u, w, args.p, family)
@@ -160,7 +170,10 @@ def cmd_opnorm(args) -> int:
     elif args.family == "extremals":
         family = operators.extremal_family(s=float(args.ratio), count=1)
     elif args.family.startswith("random"):
-        n = int(args.family.split(":")[1]) if ":" in args.family else args.count
+        try:
+            n = int(args.family.split(":")[1]) if ":" in args.family else args.count
+        except ValueError as exc:
+            raise ConfigurationError(f"family random:N needs an integer N: {exc}") from exc
         family = operators.random_step_family(n, seed)
     else:
         raise ConfigurationError(f"unknown family {args.family!r}")

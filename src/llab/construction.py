@@ -272,7 +272,7 @@ class WeakTypeCertificate:
         }
 
 
-def test_function_norm_p(
+def extremal_norm_p(
     u: WeightModel, w: WeightModel, p: float, total: ExtremalSum, s: float
 ) -> float:
     """p-th power of the Lorentz quasi-norm of the summed extremal function,
@@ -305,7 +305,7 @@ def weak_type_lower_bound(
         raise PreconditionError("certificate machinery targets p > 1")
     summands = [build_extremal(I, S) for I, S in family.pairs]
     total = ExtremalSum(summands)
-    test_norm = test_function_norm_p(u, w, p, total, s) ** (1.0 / p)
+    test_norm = extremal_norm_p(u, w, p, total, s) ** (1.0 / p)
     threshold = (1.0 + math.log(s)) / (2.0 * s)
     superset_mass = w.primitive(sum(u.mass(I.lo, I.hi) for I, _ in family.pairs))
     subset_mass = w.primitive(sum(u.weight_of_set(S) for _, S in family.pairs))

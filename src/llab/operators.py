@@ -23,13 +23,10 @@ from .intervals import Interval, singleton
 from .rearrangement import (
     DecreasingStep,
     StepFunction,
-    decreasing_lp_norm,
-    decreasing_weak_norm,
     indicator,
     lorentz_norm,
     make_step,
     rearrange,
-    weak_lorentz_norm,
 )
 from .weights import WeightModel, check_Ainf, check_Bstar_inf
 
@@ -39,14 +36,15 @@ _ENDPOINT_EPS = 1e-9
 # -- pointwise operators ----------------------------------------------------
 
 
-def _prefix_integral(f: StepFunction) -> tuple[list[float], list[float]]:
-    """Sorted breakpoints of f plus cumulative integral of |f| at each."""
-    pts = f.endpoints()
-    cum = [0.0]
-    for lo, hi in zip(pts, pts[1:]):
-        mid = 0.5 * (lo + hi)
-        cum.append(cum[-1] + f.value_at(mid) * (hi - lo))
-    return pts, cum
+def _near_endpoint(ends: Sequence[float], x: float) -> Optional[float]:
+    """An endpoint e with |x - e| < _ENDPOINT_EPS * max(1, |e|), if any, from
+    the sorted endpoints.  When some endpoint is that near, so is the nearest
+    one on its side of x, so only the two neighbours of x are tried."""
+    k = bisect.bisect_left(ends, x)
+    for e in ends[max(k - 1, 0) : k + 1]:
+        if abs(x - e) < _ENDPOINT_EPS * max(1.0, abs(e)):
+            return e
+    return None
 
 
 def maximal(f: StepFunction, x: float) -> float:
@@ -56,66 +54,57 @@ def maximal(f: StepFunction, x: float) -> float:
     linear functions of each endpoint, so the supremum over intervals
     containing x is attained with both endpoints in breakpoints(f) + {x}.
     """
-    pts, cum = _prefix_integral(f)
-
-    def integral_to(y: float) -> float:
-        if y <= pts[0]:
-            return 0.0
-        if y >= pts[-1]:
-            return cum[-1]
-        i = bisect.bisect_right(pts, y) - 1
-        mid = 0.5 * (pts[i] + y)
-        return cum[i] + f.value_at(mid) * (y - pts[i])
-
-    cands = sorted(set(pts) | {x})
-    left = [a for a in cands if a <= x]
-    right = [b for b in cands if b >= x]
+    ends, _, F = f.table
+    i = bisect.bisect_right(ends, x)  # ends[:i] <= x < ends[i:]
+    Fx = F[i - 1] + f.value_at(x) * (x - ends[i - 1]) if i else 0.0
+    left = [*zip(ends[:i], F[:i]), (x, Fx)]
+    right = [(x, Fx), *zip(ends[i:], F[i:])]
     best = 0.0
-    ints = {a: integral_to(a) for a in cands}
-    for a in left:
-        for b in right:
-            if b <= a:
-                continue
-            avg = (ints[b] - ints[a]) / (b - a)
-            if avg > best:
-                best = avg
+    for a, Fa in left:
+        for b, Fb in right:
+            if b > a:
+                avg = (Fb - Fa) / (b - a)
+                if avg > best:
+                    best = avg
     return best
 
 
-def _log_term(x: float, a: float, b: float) -> float:
-    """Integral of 1/(x - y) over (a, b) with x outside [a, b]."""
-    return math.log(abs(x - a)) - math.log(abs(x - b))
+def _truncations(f: StepFunction, x: float) -> list[float]:
+    """T(d), the integral of f(y)/(x - y) over |x - y| > d (no 1/pi factor),
+    at every distance d from x to an endpoint of f, largest first.
+
+    T vanishes beyond the largest distance.  Between consecutive distances
+    f(x - r) and f(x + r) are constant, and T(near) - T(far) is their
+    difference times log(far/near).  Below the smallest distance f is
+    constant around x, so T stops changing: the last entry is pi Hf(x).
+    """
+    ends, values, _ = f.table
+    e = _near_endpoint(ends, x)
+    if e is not None:
+        raise SingularInputError(f"Hilbert transform is singular at endpoint {e}")
+    k = bisect.bisect_left(ends, x)
+    gap = (0.0, *values, 0.0)  # gap[j]: f between ends[j - 1] and ends[j]
+    # as r falls past |x - e_j|, f(x - r) (side 0) or f(x + r) (side 1)
+    # takes the value of the gap on x's side of e_j
+    events = sorted(
+        [(x - ends[j], 0, gap[j + 1]) for j in range(k)]
+        + [(ends[j] - x, 1, gap[j]) for j in range(k, len(ends))],
+        reverse=True,
+    )
+    side = [0.0, 0.0]
+    ts = [0.0]
+    far = events[0][0] if events else 0.0
+    for d, s, v in events:
+        if d < far:
+            ts.append(ts[-1] + (side[0] - side[1]) * math.log(far / d))
+            far = d
+        side[s] = v
+    return ts
 
 
 def hilbert(f: StepFunction, x: float) -> float:
-    """Principal-value Hilbert transform of a step function, closed form."""
-    for e in f.endpoints():
-        if abs(x - e) < _ENDPOINT_EPS * max(1.0, abs(e)):
-            raise SingularInputError(f"Hilbert transform is singular at endpoint {e}")
-    total = 0.0
-    for region, value in f.pieces:
-        for part in region.parts:
-            a, b = part.lo, part.hi
-            if a < x < b:
-                # principal value: the symmetric hole around x cancels
-                total += value * (math.log(x - a) - math.log(b - x))
-            else:
-                total += value * _log_term(x, a, b)
-    return total / math.pi
-
-
-def _truncated(f: StepFunction, x: float, eps: float) -> float:
-    """Integral of f(y)/(x - y) over |x - y| > eps (no 1/pi factor)."""
-    total = 0.0
-    for region, value in f.pieces:
-        for part in region.parts:
-            a, b = part.lo, part.hi
-            lo_cut, hi_cut = x - eps, x + eps
-            if a < lo_cut:
-                total += value * _log_term(x, a, min(b, lo_cut))
-            if b > hi_cut:
-                total += value * _log_term(x, max(a, hi_cut), b)
-    return total
+    """Principal-value Hilbert transform of a step function, exact."""
+    return _truncations(f, x)[-1] / math.pi
 
 
 def hilbert_maximal(f: StepFunction, x: float) -> float:
@@ -127,14 +116,7 @@ def hilbert_maximal(f: StepFunction, x: float) -> float:
     endpoints of f; so sup |T| is attained at one of those distances or as
     eps -> 0+, where T equals pi Hf(x).
     """
-    ends = f.endpoints()
-    for e in ends:
-        if abs(x - e) < _ENDPOINT_EPS * max(1.0, abs(e)):
-            raise SingularInputError(f"truncations are singular at endpoint {e}")
-    best = abs(hilbert(f, x)) * math.pi
-    for eps in {abs(x - e) for e in ends}:
-        best = max(best, abs(_truncated(f, x, eps)))
-    return best / math.pi
+    return max(abs(t) for t in _truncations(f, x)) / math.pi
 
 
 def conjugate_hardy(g: DecreasingStep, t: float) -> float:
@@ -181,10 +163,8 @@ def resample_step(
 
 
 def _nudged(x: float, endpoints: Sequence[float]) -> float:
-    for e in endpoints:
-        if abs(x - e) < _ENDPOINT_EPS * max(1.0, abs(e)):
-            return x + 2.0 * _ENDPOINT_EPS * max(1.0, abs(e))
-    return x
+    e = _near_endpoint(endpoints, x)
+    return x if e is None else x + 2.0 * _ENDPOINT_EPS * max(1.0, abs(e))
 
 
 def apply_operator(op: str, f: StepFunction, u: WeightModel) -> StepFunction | DecreasingStep:
@@ -248,18 +228,8 @@ def empirical_opnorm(
     for test_id, f in family:
         in_norm = lorentz_norm(f, u, w, p)
         image = apply_operator(op, f, u)
-        if isinstance(image, DecreasingStep):
-            out_norm = (
-                decreasing_weak_norm(image, w, p)
-                if target == "weak"
-                else decreasing_lp_norm(image, w, p)
-            )
-        else:
-            out_norm = (
-                weak_lorentz_norm(image, u, w, p)
-                if target == "weak"
-                else lorentz_norm(image, u, w, p)
-            )
+        g = image if isinstance(image, DecreasingStep) else rearrange(image, u)
+        out_norm = g.weak_norm(w, p) if target == "weak" else g.norm(w, p)
         ratios.append((test_id, out_norm / in_norm))
         details.append((test_id, in_norm, out_norm))
     return OperatorProbeReport(

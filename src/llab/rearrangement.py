@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ConfigurationError
@@ -39,19 +41,36 @@ class StepFunction:
     def support(self) -> IntervalUnion:
         return union(*(region for region, _ in self.pieces))
 
+    @cached_property
+    def table(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """Position-sorted view of f, built once: the sorted endpoints e_j, the
+        value of f on each gap (e_j, e_j+1) (0 between parts), and the
+        integral of f over (-inf, e_j) at each endpoint.
+
+        A part spans one gap unless parts overlap, which make_step's relative
+        disjointness check lets through by a sliver; then the first piece
+        holding a gap gives its value.
+        """
+        ends = sorted({e for region, _ in self.pieces for p in region.parts for e in (p.lo, p.hi)})
+        values = [0.0] * max(len(ends) - 1, 0)
+        for region, v in reversed(self.pieces):
+            for p in region.parts:
+                for j in range(bisect_left(ends, p.lo), bisect_left(ends, p.hi)):
+                    values[j] = v
+        F = [0.0] * len(ends)
+        for j, v in enumerate(values):
+            F[j + 1] = F[j] + v * (ends[j + 1] - ends[j])
+        return tuple(ends), tuple(values), tuple(F)
+
     def endpoints(self) -> list[float]:
-        out: set[float] = set()
-        for region, _ in self.pieces:
-            for part in region.parts:
-                out.add(part.lo)
-                out.add(part.hi)
-        return sorted(out)
+        return list(self.table[0])
 
     def value_at(self, x: float) -> float:
-        for region, value in self.pieces:
-            for part in region.parts:
-                if part.lo < x < part.hi:
-                    return value
+        """f(x); 0 at every endpoint and outside the support."""
+        ends, values, _ = self.table
+        j = bisect_left(ends, x)
+        if 0 < j < len(ends) and ends[j] != x:
+            return values[j - 1]
         return 0.0
 
     def scaled(self, c: float) -> "StepFunction":
@@ -138,6 +157,32 @@ class DecreasingStep:
                 return v
         return 0.0
 
+    def _primitives(self, w: WeightModel, p: float) -> list[float]:
+        """W at every breakpoint, after checking the norm's arguments."""
+        if w.domain_kind != "half_line":
+            raise ConfigurationError("Lorentz norms need w on the half-line")
+        if p <= 0.0:
+            raise ValueError("p must be positive")
+        return [w.primitive(t) for t in self.breakpoints]
+
+    def norm(self, w: WeightModel, p: float) -> float:
+        """L^p(w) norm (integral of g^p w)^(1/p), exact via the primitive.
+
+        Cross-checks the direct sum against the layer-cake form.
+        """
+        Ws = self._primitives(w, p)
+        direct = sum(v**p * (Ws[i + 1] - Ws[i]) for i, v in enumerate(self.values))
+        vs = (*self.values, 0.0)
+        layer = sum((vs[i] ** p - vs[i + 1] ** p) * Ws[i + 1] for i in range(len(self.values)))
+        if direct > 0.0 and abs(direct - layer) > _CROSSCHECK_RTOL * direct:
+            raise ConfigurationError(f"layer-cake cross-check failed: {direct!r} vs {layer!r}")
+        return direct ** (1.0 / p)
+
+    def weak_norm(self, w: WeightModel, p: float) -> float:
+        """sup_t g(t) W^{1/p}(t): attained among left limits at breakpoints."""
+        Ws = self._primitives(w, p)
+        return max((v * Ws[i + 1] ** (1.0 / p) for i, v in enumerate(self.values)), default=0.0)
+
 
 def distribution(f: StepFunction, u: WeightModel, s: float) -> float:
     """u-measure of the strict superlevel set {|f| > s}."""
@@ -167,55 +212,11 @@ def rearrange(f: StepFunction, u: WeightModel) -> DecreasingStep:
     return DecreasingStep(tuple(breakpoints), tuple(values))
 
 
-def _norm_terms(f: StepFunction, u: WeightModel, w: WeightModel, p: float):
-    g = rearrange(f, u)
-    Ws = [w.primitive(t) for t in g.breakpoints]
-    direct = sum(
-        v**p * (Ws[i + 1] - Ws[i]) for i, v in enumerate(g.values)
-    )
-    vs = list(g.values) + [0.0]
-    layer = sum(
-        (vs[i] ** p - vs[i + 1] ** p) * Ws[i + 1] for i in range(len(g.values))
-    )
-    return direct, layer, g, Ws
-
-
 def lorentz_norm(f: StepFunction, u: WeightModel, w: WeightModel, p: float) -> float:
-    """Quasi-norm (integral of (f*_u)^p w)^(1/p), exact via the primitive.
-
-    Internally cross-checks the direct sum against the layer-cake form.
-    """
-    if w.domain_kind != "half_line":
-        raise ConfigurationError("lorentz_norm needs w on the half-line")
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    direct, layer, _, _ = _norm_terms(f, u, w, p)
-    if direct > 0.0 and abs(direct - layer) > _CROSSCHECK_RTOL * direct:
-        raise ConfigurationError(
-            f"layer-cake cross-check failed: {direct!r} vs {layer!r}"
-        )
-    return direct ** (1.0 / p)
+    """Quasi-norm (integral of (f*_u)^p w)^(1/p), exact via the primitive."""
+    return rearrange(f, u).norm(w, p)
 
 
 def weak_lorentz_norm(f: StepFunction, u: WeightModel, w: WeightModel, p: float) -> float:
-    """sup_t f*_u(t) W^{1/p}(t): attained among left limits at breakpoints."""
-    if w.domain_kind != "half_line":
-        raise ConfigurationError("weak_lorentz_norm needs w on the half-line")
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    _, _, g, Ws = _norm_terms(f, u, w, p)
-    best = 0.0
-    for i, v in enumerate(g.values):
-        best = max(best, v * Ws[i + 1] ** (1.0 / p))
-    return best
-
-
-def decreasing_lp_norm(g: DecreasingStep, w: WeightModel, p: float) -> float:
-    """L^p(w) norm of a decreasing step on the half-line."""
-    Ws = [w.primitive(t) for t in g.breakpoints]
-    return sum(v**p * (Ws[i + 1] - Ws[i]) for i, v in enumerate(g.values)) ** (1.0 / p)
-
-
-def decreasing_weak_norm(g: DecreasingStep, w: WeightModel, p: float) -> float:
-    Ws = [w.primitive(t) for t in g.breakpoints]
-    return max((v * Ws[i + 1] ** (1.0 / p) for i, v in enumerate(g.values)), default=0.0)
+    """sup_t f*_u(t) W^{1/p}(t)."""
+    return rearrange(f, u).weak_norm(w, p)

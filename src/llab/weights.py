@@ -60,6 +60,10 @@ class WeightModel:
     def __post_init__(self) -> None:
         if self.domain_kind not in ("half_line", "line"):
             raise ConfigurationError(f"unknown domain kind {self.domain_kind!r}")
+        numbers = [self.tail_coef, self.tail_exp]
+        numbers += [x for seg in self.segments for x in (seg.lo, seg.hi, seg.coef, seg.exp)]
+        if not all(math.isfinite(x) for x in numbers):
+            raise ConfigurationError("weight parameters must be finite numbers")
         if not self.segments:
             raise ConfigurationError("weight needs at least one segment")
         prev = 0.0
@@ -232,14 +236,11 @@ class WeightModel:
                 Segment(float(s["from"]), float(s["to"]), float(s["coef"]), float(s["exp"]))
                 for s in obj["segments"]
             )
-            return WeightModel(
-                segments=segments,
-                domain_kind=obj["domain"],
-                tail_coef=float(obj["tail"]["coef"]),
-                tail_exp=float(obj["tail"]["exp"]),
-            )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            tail_coef, tail_exp = float(obj["tail"]["coef"]), float(obj["tail"]["exp"])
+            domain_kind = obj["domain"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed weight config: {exc}") from exc
+        return WeightModel(segments, domain_kind, tail_coef, tail_exp)
 
     @staticmethod
     def load(path: str) -> "WeightModel":

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from llab.intervals import Interval, normalize
+from llab.rearrangement import make_step
 from llab.weights import WeightModel
 
 
@@ -35,6 +37,23 @@ def random_pair(rng, max_components=6):
     if not S or S.measure >= 0.999 * length:
         return random_pair(rng, max_components)
     return I, S
+
+
+@st.composite
+def step_functions(draw, max_pieces=200):
+    """(f, parts): a step function on up to max_pieces consecutive cells of a
+    random partition, some cells left empty and the values drawn from a small
+    pool, so regions have several parts and parts abut; parts lists the
+    (lo, hi, value) of every part of every region."""
+    n = draw(st.integers(1, max_pieces))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.unique(rng.uniform(-50.0, 50.0, size=n + 1))
+    pool = 2.0 ** rng.uniform(-3.0, 3.0, size=draw(st.integers(1, 8)))
+    keep = rng.uniform(size=cuts.size - 1) >= draw(st.floats(0.0, 0.8))
+    cells = [(float(a), float(b)) for a, b, k in zip(cuts, cuts[1:], keep) if k]
+    f = make_step([(cell, float(rng.choice(pool))) for cell in cells])
+    parts = [(p.lo, p.hi, v) for region, v in f.pieces for p in region.parts]
+    return f, parts
 
 
 def maximal_grid_oracle(f, x, n=4000):

@@ -189,3 +189,36 @@ def test_half_line_u_in_search_is_config_error(configs, capsys):
     rc = main(["indices", "--u", configs["w1"], "--w", configs["w1"]])
     assert rc == EXIT_CONFIG
     assert "half-line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "--interval", "4", "0", "--set", "1,2"],
+        ["extremal", "--interval", "0", "4", "--set", "1"],
+        ["extremal", "--interval", "0", "4", "--set", "[1]"],
+        ["extremal", "--interval", "0", "inf", "--set", "1,2"],
+    ],
+)
+def test_malformed_interval_or_set_is_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_malformed_family_is_config_error(configs, capsys):
+    argv = ["opnorm", "--operator", "maximal", "--u", configs["u1"], "--w", configs["w1"]]
+    assert main(argv + ["--family", "random:x"]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_certify_empty_set_is_precondition(configs, capsys):
+    argv = ["certify", "--u", configs["u1"], "--w", configs["w1"], "--interval", "0", "4"]
+    assert main(argv + ["--set", ""]) == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_weight_is_config_error(tmp_path, capsys, bad):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(UNIT_HALF).replace('"coef": 1.0', f'"coef": {bad}', 1))
+    assert main(["classes", "--w", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""

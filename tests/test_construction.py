@@ -24,10 +24,10 @@ from llab.construction import (
     ExtremalSum,
     build_extremal,
     cover,
+    extremal_norm_p,
     weak_type_lower_bound,
     wbar_u_bound_from_weak,
 )
-from llab.construction import test_function_norm_p as extremal_norm_p
 from llab.errors import PreconditionError
 from llab.intervals import (
     Interval,

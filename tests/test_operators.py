@@ -18,9 +18,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import maximal_grid_oracle
+from conftest import maximal_grid_oracle, step_functions
 from llab.errors import PreconditionError, SingularInputError
 from llab.intervals import singleton
 from llab.operators import (
@@ -112,6 +114,17 @@ def test_hilbert_singular_endpoint():
     f = indicator((-1.0, 1.0))
     with pytest.raises(SingularInputError):
         hilbert(f, 1.0)
+
+
+@pytest.mark.parametrize("e", [1.0, -3.0, 1e6])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_singular_band_is_relative_to_the_endpoint(e, side):
+    f = make_step([((e - 2.0, e), 1.0), ((e, e + 0.5), 2.0)])
+    scale = max(1.0, abs(e))
+    for op in (hilbert, hilbert_maximal):
+        with pytest.raises(SingularInputError):
+            op(f, e + side * 0.5e-9 * scale)
+        assert math.isfinite(op(f, e + side * 2e-9 * scale))
 
 
 def test_maximal_explicit_values():
@@ -251,3 +264,40 @@ def test_hilbert_verdict_bad_weight():
     hv = hilbert_verdict(u, WeightModel.power(1.2), 2.0)
     assert hv.index_route == "not_bounded"
     assert hv.verdict == "not_bounded"
+
+
+# -- properties on large multi-part step functions --------------------------
+
+
+def log_terms(parts, x):
+    """v (log|x - a| - log|x - b|) per part (a, b) of value v, in numpy."""
+    lo, hi, val = (np.array(c, dtype=float) for c in zip(*parts))
+    return val * (np.log(np.abs(x - lo)) - np.log(np.abs(x - hi)))
+
+
+@given(step_functions(), st.floats(-60.0, 60.0))
+@settings(max_examples=100, deadline=None)
+def test_hilbert_matches_numpy_closed_form(case, x):
+    f, parts = case
+    assume(parts and min(abs(x - e) for e in f.endpoints()) > 1e-6)
+    terms = log_terms(parts, x)
+    # both sides round each of their n log terms; scale by their total size
+    slack = 1e-14 * float(np.sum(np.abs(terms)) + np.sum([v for _, _, v in parts]))
+    assert abs(hilbert(f, x) - float(terms.sum()) / math.pi) <= slack
+
+
+@given(step_functions(), st.floats(-60.0, 60.0))
+@settings(max_examples=50, deadline=None)
+def test_hstar_matches_truncations_at_endpoint_distances(case, x):
+    f, parts = case
+    assume(parts and min(abs(x - e) for e in f.endpoints()) > 1e-6)
+    lo, hi, val = (np.array(c, dtype=float) for c in zip(*parts))
+    eps = np.unique(np.abs(x - np.concatenate([lo, hi])))[:, None]
+    left = np.where(lo < x - eps, np.log(np.abs(x - lo)) - np.log(np.abs(np.minimum(hi, x - eps) - x)), 0.0)
+    right = np.where(hi > x + eps, np.log(np.abs(np.maximum(lo, x + eps) - x)) - np.log(np.abs(hi - x)), 0.0)
+    T = ((left + right) * val).sum(axis=1)
+    terms = log_terms(parts, x)
+    want = max(abs(float(terms.sum())), float(np.abs(T).max())) / math.pi
+    slack = 1e-14 * float(np.sum(np.abs(terms)) + val.sum())
+    assert hilbert_maximal(f, x) >= abs(hilbert(f, x))
+    assert abs(hilbert_maximal(f, x) - want) <= slack

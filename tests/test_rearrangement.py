@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import step_functions
 from llab.errors import ConfigurationError
 from llab.intervals import normalize, singleton
 from llab.rearrangement import (
@@ -66,6 +67,42 @@ def test_value_at():
     assert f.value_at(0.5) == 2.0
     assert f.value_at(2.5) == 1.0
     assert f.value_at(1.5) == 0.0
+
+
+def scan_value_at(parts, x):
+    """f(x) by a linear scan over every part, the open interval (lo, hi)."""
+    return next((v for lo, hi, v in parts if lo < x < hi), 0.0)
+
+
+@given(step_functions(), st.lists(st.floats(-60.0, 60.0), max_size=50))
+@settings(max_examples=100, deadline=None)
+def test_value_at_matches_linear_scan(case, xs):
+    f, parts = case
+    ends = f.endpoints()
+    probes = xs + [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+    probes += [np.nextafter(e, d) for e in ends for d in (-np.inf, np.inf)]
+    for x in probes:
+        assert f.value_at(float(x)) == scan_value_at(parts, float(x))
+
+
+@given(step_functions())
+@settings(max_examples=100, deadline=None)
+def test_value_at_zero_at_endpoints_and_in_gaps(case):
+    f, parts = case
+    ends = f.endpoints()
+    assert ends == sorted({e for lo, hi, _ in parts for e in (lo, hi)})
+    assert all(f.value_at(e) == 0.0 for e in ends)
+    for a, b in zip(ends, ends[1:]):
+        if not any(lo <= a and b <= hi for lo, hi, _ in parts):
+            assert f.value_at(0.5 * (a + b)) == 0.0
+    if ends:
+        assert f.value_at(ends[0] - 1.0) == f.value_at(ends[-1] + 1.0) == 0.0
+
+
+def test_value_at_on_overlapping_parts_takes_the_first_piece():
+    # make_step's disjointness check is relative, so a sliver of overlap passes
+    f = make_step([((0.0, 1.0 + 1e-13), 2.0), ((1.0, 2.0), 1.0)])
+    assert [f.value_at(x) for x in (0.5, 1.0 + 5e-14, 1.5)] == [2.0, 2.0, 1.0]
 
 
 def test_decreasing_step_validation():

@@ -114,11 +114,30 @@ def test_validation_errors():
         WeightModel.power(0.0, domain_kind="circle")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["hi", "coef", "exp", "tail_coef", "tail_exp"])
+def test_non_finite_parameters_rejected(field, bad):
+    seg = {"lo": 0.0, "hi": 1.0, "coef": 1.0, "exp": 0.5}
+    tail = {"tail_coef": 1.0, "tail_exp": 0.5}
+    if field in seg:
+        seg[field] = bad
+    else:
+        tail[field] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        WeightModel(segments=(Segment(**seg),), **tail)
+
+
 def test_json_round_trip():
     w = two_segment()
     assert WeightModel.from_json(w.to_json()) == w
     with pytest.raises(ConfigurationError):
         WeightModel.from_json('{"domain": "half_line"}')
+
+
+def test_json_non_number_rejected():
+    text = two_segment().to_json().replace('"coef": 0.5', '"coef": "half"')
+    with pytest.raises(ConfigurationError):
+        WeightModel.from_json(text)
 
 
 # -- class certifications ----------------------------------------------------
