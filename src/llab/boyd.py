@@ -130,15 +130,36 @@ def _family_value(
     return w.primitive(uI) / w.primitive(uS)
 
 
-def _placements(anchor: float, big: float, small: float):
-    """Candidate (I, S) raw pairs with |I| = big, |S| = small."""
-    yield (anchor, anchor + big), (anchor, anchor + small)
-    yield (anchor - big, anchor), (anchor - small, anchor)
+def _coarse_best(u: WeightModel, w: WeightModel, ratio: float, upper: bool):
+    """(value, pair) of the first best single pair (I, S) of the coarse grid,
+    scored in one array pass.  For each anchor a of u, each scale small of
+    the scale grid and big = small * ratio, in that loop order, it places
+    I = (a, a + big) with S at its left end, I = (a - big, a) with S at its
+    right end, and I centred on a with S centred in it.  The values are
+    _family_value's bit for bit (inverted for the lower search); as in a
+    scan with a strict `>`, a NaN is never best and the first of equal
+    maxima wins."""
+    a = np.array(_anchors(u))[:, None]
+    small = np.array(_scale_grid(w, u, ratio))
+    big = small * ratio
     half = (big - small) / 2.0
-    yield (anchor - big / 2.0, anchor + big / 2.0), (
-        anchor - big / 2.0 + half,
-        anchor + big / 2.0 - half,
-    )
+    left, right = a - big / 2.0, a + big / 2.0
+
+    def stacked(*cols):
+        return np.stack(np.broadcast_arrays(*cols), axis=-1).ravel()
+
+    i_lo, i_hi = stacked(a, a - big, left), stacked(a + big, a, right)
+    s_lo, s_hi = stacked(a, a - small, left + half), stacked(a + small, a, right - half)
+    uI, uS = u.mass_array(i_lo, i_hi), u.mass_array(s_lo, s_hi)
+    # _family_value's test, which a NaN mass passes; the others are scored
+    # at 1.0 and then zeroed, so that no 0/0 is computed
+    live = ~((uS <= 0.0) | (uI <= 0.0))
+    v = w.primitive_array(np.where(live, uI, 1.0)) / w.primitive_array(np.where(live, uS, 1.0))
+    v = np.where(live, v, 0.0)
+    if not upper:
+        v = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)
+    best = int(np.nanargmax(v))
+    return float(v[best]), ((float(i_lo[best]), float(i_hi[best])), (float(s_lo[best]), float(s_hi[best])))
 
 
 def _replicate(pair, count: int):
@@ -162,23 +183,12 @@ def _search(
     if budget <= 0:
         raise PreconditionError("search budget must be positive")
     ratio = t if upper else 1.0 / t
-    grid = _scale_grid(w, u, ratio)
-    anchors = _anchors(u)
 
     def value(pairs) -> float:
         v = _family_value(u, w, pairs)
         return v if upper else 1.0 / v if v > 0.0 else 0.0
 
-    best_val = -math.inf
-    best_pair = None
-    for anchor in anchors:
-        for small in grid:
-            big = small * ratio
-            for pair in _placements(anchor, big, small):
-                v = value([pair])
-                if v > best_val:
-                    best_val, best_pair = v, pair
-    assert best_pair is not None
+    best_val, best_pair = _coarse_best(u, w, ratio, upper)
     best_pairs = [best_pair]
 
     # Replicate the best single pair across disjoint translates.

@@ -158,7 +158,7 @@ def resample_step(
     for lo, hi in zip(grid, grid[1:]):
         v = abs(func(0.5 * (lo + hi)))
         if v > 0.0 and math.isfinite(v):
-            pieces.append((singleton(lo, hi), v))
+            pieces.append((Interval(lo, hi), v))
     return make_step(pieces)
 
 

@@ -4,7 +4,6 @@ strong/weak Lorentz quasi-norms, exact on step functions."""
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,9 +46,9 @@ class StepFunction:
         value of f on each gap (e_j, e_j+1) (0 between parts), and the
         integral of f over (-inf, e_j) at each endpoint.
 
-        A part spans one gap unless parts overlap, which make_step's relative
-        disjointness check lets through by a sliver; then the first piece
-        holding a gap gives its value.
+        A part spans one gap unless parts overlap, which make_step rejects but
+        a StepFunction built directly may hold; then the first piece holding a
+        gap gives its value.
         """
         ends = sorted({e for region, _ in self.pieces for p in region.parts for e in (p.lo, p.hi)})
         values = [0.0] * max(len(ends) - 1, 0)
@@ -115,11 +114,9 @@ def make_step(pieces: Sequence[tuple[IntervalUnion, float]]) -> StepFunction:
     merged = tuple(
         (union(*regions), value) for value, regions in sorted(by_value.items(), reverse=True)
     )
-    total = sum(region.measure for region, _ in merged)
-    if merged:
-        overall = union(*(region for region, _ in merged))
-        if not math.isclose(total, overall.measure, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError("step regions must be pairwise disjoint")
+    parts = sorted((p.lo, p.hi) for region, _ in merged for p in region.parts)
+    if any(hi > lo for (_, hi), (lo, _) in zip(parts, parts[1:])):
+        raise ValueError("step regions must be pairwise disjoint")
     return StepFunction(merged)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from llab.boyd import _anchors, _family_value, _scale_grid
 from llab.intervals import Interval, normalize
 from llab.rearrangement import make_step
 from llab.weights import WeightModel
@@ -75,3 +76,30 @@ def maximal_grid_oracle(f, x, n=4000):
     width = b - a
     wide = width >= 1e-12
     return float((total[wide] / width[wide]).max(initial=0.0))
+
+
+def _placements(anchor, big, small):
+    """Candidate (I, S) raw pairs with |I| = big, |S| = small."""
+    yield (anchor, anchor + big), (anchor, anchor + small)
+    yield (anchor - big, anchor), (anchor - small, anchor)
+    half = (big - small) / 2.0
+    yield (anchor - big / 2.0, anchor + big / 2.0), (
+        anchor - big / 2.0 + half,
+        anchor + big / 2.0 - half,
+    )
+
+
+def coarse_best_oracle(u, w, ratio, upper):
+    """(value, pair) of the coarse stage of the configuration search as a
+    scalar scan: every (anchor, scale, placement) in loop order, the first
+    strict maximum wins."""
+    best_val, best_pair = -float("inf"), None
+    for anchor in _anchors(u):
+        for small in _scale_grid(w, u, ratio):
+            big = small * ratio
+            for pair in _placements(anchor, big, small):
+                v = _family_value(u, w, [pair])
+                v = v if upper else 1.0 / v if v > 0.0 else 0.0
+                if v > best_val:
+                    best_val, best_pair = v, pair
+    return best_val, best_pair

@@ -16,8 +16,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import coarse_best_oracle
 from llab.boyd import (
     Configuration,
+    _coarse_best,
     boyd_indices,
     check_submultiplicative,
     compute_estimates,
@@ -33,7 +35,7 @@ from llab.boyd import (
 )
 from llab.errors import PreconditionError
 from llab.intervals import Interval, IntervalUnion, singleton
-from llab.weights import WeightModel
+from llab.weights import Segment, WeightModel
 
 
 def test_configuration_validation():
@@ -185,3 +187,35 @@ def test_witness_replays_to_reported_value(t, seed):
     w = WeightModel.constant()
     v, cfg = underline_wu(u, w, t, seed=seed)
     assert 1.0 / cfg.evaluate(u, w) == pytest.approx(v, rel=1e-12, abs=0.0)
+
+
+def search_shapes():
+    """The weight pairs the configuration search meets: u = 1 and u = |x|
+    against powers t^a, and a three-segment line u against a three-segment
+    w with an exp = -1 segment."""
+    u3 = WeightModel(
+        segments=(Segment(0.0, 0.8, 1.3, 0.9), Segment(0.8, 2.1, 0.7, 0.0), Segment(2.1, 3.5, 0.4, 1.2)),
+        domain_kind="line",
+        tail_coef=1.0,
+        tail_exp=0.45,
+    )
+    w3 = WeightModel(
+        segments=(Segment(0.0, 1.1, 1.0, 0.35), Segment(1.1, 2.4, 1.6, -1.0), Segment(2.4, 3.2, 0.6, 0.8)),
+        tail_coef=1.0,
+        tail_exp=0.3,
+    )
+    return {
+        "u=1,w=t^a": (WeightModel.constant(domain_kind="line"), WeightModel.power(0.43)),
+        "u=|x|,w=t^a": (WeightModel.power(1.0, domain_kind="line"), WeightModel.power(0.27)),
+        "u=|x|,w=t^b": (WeightModel.power(1.0, domain_kind="line"), WeightModel.power(0.71)),
+        "multi": (u3, w3),
+    }
+
+
+@pytest.mark.parametrize("t", [2.0**-8, 2.0**-1, 2.0, 2.0**7])
+@pytest.mark.parametrize("shape", sorted(search_shapes()))
+def test_coarse_stage_is_the_scalar_scan(shape, t):
+    u, w = search_shapes()[shape]
+    upper = t > 1.0
+    ratio = t if upper else 1.0 / t
+    assert _coarse_best(u, w, ratio, upper) == coarse_best_oracle(u, w, ratio, upper)

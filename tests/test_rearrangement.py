@@ -20,6 +20,7 @@ from llab.errors import ConfigurationError
 from llab.intervals import normalize, singleton
 from llab.rearrangement import (
     DecreasingStep,
+    StepFunction,
     distribution,
     indicator,
     lorentz_norm,
@@ -100,9 +101,18 @@ def test_value_at_zero_at_endpoints_and_in_gaps(case):
 
 
 def test_value_at_on_overlapping_parts_takes_the_first_piece():
-    # make_step's disjointness check is relative, so a sliver of overlap passes
-    f = make_step([((0.0, 1.0 + 1e-13), 2.0), ((1.0, 2.0), 1.0)])
+    # make_step rejects overlaps, a StepFunction built directly may hold one
+    f = StepFunction(((singleton(0.0, 1.0 + 1e-13), 2.0), (singleton(1.0, 2.0), 1.0)))
     assert [f.value_at(x) for x in (0.5, 1.0 + 5e-14, 1.5)] == [2.0, 2.0, 1.0]
+
+
+def test_make_step_rejects_a_sliver_of_overlap():
+    with pytest.raises(ValueError):
+        make_step([((0.0, 1.0 + 1e-13), 2.0), ((1.0, 2.0), 1.0)])
+    with pytest.raises(ValueError):
+        make_step([((0.0, 1.0), 2.0), ((2.0, 3.0), 2.0), ((3.0 - 1e-13, 4.0), 1.0)])
+    f = make_step([((0.0, 1.0), 2.0), ((1.0, 2.0), 1.0), ((2.0, 3.0), 3.0), ((3.0, 4.0), 1.0)])
+    assert [f.value_at(x) for x in (0.5, 1.5, 2.5, 3.5)] == [2.0, 1.0, 3.0, 1.0]
 
 
 def test_decreasing_step_validation():

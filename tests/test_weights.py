@@ -322,6 +322,8 @@ def test_breakpoints_belong_to_the_left_segment(w):
 def test_half_line_mass_rejects_negative_lo(w, x, y):
     with pytest.raises(ConfigurationError):
         w.mass(-x, y)
+    with pytest.raises(ConfigurationError):
+        w.mass_array(np.array([0.0, -x]), np.array([1.0, y]))
 
 
 def quad_mass(w, a, b):
@@ -344,3 +346,31 @@ def test_mass_and_primitive_match_quadrature(case):
     assert w.mass(a, b) == pytest.approx(quad_mass(w, a, b), rel=1e-10)
     if w.domain_kind == "half_line":
         assert w.primitive(b) - w.primitive(a) == w.mass(a, b)
+
+
+# -- the array kernel against the scalar one ----------------------------------
+
+
+@st.composite
+def weight_and_probe_points(draw):
+    """A weight of either domain kind and up to 12 points of its domain,
+    drawn among 0, the breakpoints (both signs on the line) and floats."""
+    kind = draw(st.sampled_from(["half_line", "line"]))
+    w = draw(multi_segment(kind))
+    special = [0.0, *w.breakpoints]
+    if kind == "line":
+        special += [-b for b in w.breakpoints]
+    bottom = 0.0 if kind == "half_line" else -20.0
+    point = st.one_of(st.sampled_from(special), st.floats(bottom, 20.0))
+    return w, draw(st.lists(point, min_size=1, max_size=12))
+
+
+@given(weight_and_probe_points())
+@settings(max_examples=300, deadline=None)
+def test_array_kernel_is_the_scalar_kernel(case):
+    # bit for bit: same rows, same libm calls, same order of operations
+    w, xs = case
+    lo, hi = (np.array(col) for col in zip(*[(a, b) for a in xs for b in xs if a <= b]))
+    assert w.mass_array(lo, hi).tolist() == [w.mass(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    if w.domain_kind == "half_line":
+        assert w.primitive_array(np.array(xs)).tolist() == [w.primitive(r) for r in xs]
