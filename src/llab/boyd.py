@@ -150,12 +150,14 @@ def _coarse_best(u: WeightModel, w: WeightModel, ratio: float, upper: bool):
 
     i_lo, i_hi = stacked(a, a - big, left), stacked(a + big, a, right)
     s_lo, s_hi = stacked(a, a - small, left + half), stacked(a + small, a, right - half)
-    uI, uS = u.mass_array(i_lo, i_hi), u.mass_array(s_lo, s_hi)
+    # one kernel pass for u over the ends of every I and S, one for W over
+    # every u(I) and u(S): the grid shares most radii, each is evaluated once
+    uI, uS = u.mass_array(np.stack([i_lo, s_lo]), np.stack([i_hi, s_hi]))
     # _family_value's test, which a NaN mass passes; the others are scored
     # at 1.0 and then zeroed, so that no 0/0 is computed
     live = ~((uS <= 0.0) | (uI <= 0.0))
-    v = w.primitive_array(np.where(live, uI, 1.0)) / w.primitive_array(np.where(live, uS, 1.0))
-    v = np.where(live, v, 0.0)
+    WI, WS = w.primitive_array(np.where(live, np.stack([uI, uS]), 1.0))
+    v = np.where(live, WI / WS, 0.0)
     if not upper:
         v = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)
     best = int(np.nanargmax(v))

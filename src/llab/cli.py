@@ -62,6 +62,17 @@ def _interval_and_set(args) -> tuple[Interval, IntervalUnion]:
     return I, S
 
 
+def _check_p(p: Optional[float]) -> None:
+    """--p must be a finite number (else a configuration error) and positive
+    (else a violated precondition, as the searches and norms state it)."""
+    if p is None:
+        return
+    if not math.isfinite(p):
+        raise ConfigurationError(f"--p must be a finite number, got {p!r}")
+    if p <= 0.0:
+        raise PreconditionError(f"p must be positive, got {p!r}")
+
+
 def _write_csv(path: Optional[str], header: str, rows: list[str]) -> None:
     body = header + "\n" + "".join(row + "\n" for row in rows)
     if path:
@@ -280,6 +291,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_p(getattr(args, "p", None))
         return args.func(args)
     except (ConfigurationError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -25,9 +25,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo < other.hi and other.lo < self.hi
-
 
 @dataclass(frozen=True)
 class IntervalUnion:

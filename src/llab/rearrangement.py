@@ -112,7 +112,8 @@ def make_step(pieces: Sequence[tuple[IntervalUnion, float]]) -> StepFunction:
         if region:
             by_value.setdefault(float(value), []).append(region)
     merged = tuple(
-        (union(*regions), value) for value, regions in sorted(by_value.items(), reverse=True)
+        (regions[0] if len(regions) == 1 and len(regions[0]) == 1 else union(*regions), value)
+        for value, regions in sorted(by_value.items(), reverse=True)
     )
     parts = sorted((p.lo, p.hi) for region, _ in merged for p in region.parts)
     if any(hi > lo for (_, hi), (lo, _) in zip(parts, parts[1:])):

@@ -17,14 +17,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .intervals import Interval, IntervalUnion, contains
-
-_WITNESS_TOL = 1e-9
+from .intervals import Interval, IntervalUnion
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,13 @@ class WeightModel:
     def _radial_primitive_array(self, r: np.ndarray) -> np.ndarray:
         """_radial_primitive of every radius in r, bit for bit: the same row
         rule (searchsorted side="left" is bisect_left), the same libm calls
-        and the same order of operations."""
+        and the same order of operations.  Each distinct radius is evaluated
+        once and the results gathered back, which is exact because equal
+        radii give equal values (0.0 and -0.0 both give 0.0)."""
         if np.any(r < 0.0):
             raise PreconditionError("radius must be nonnegative")
+        shape = r.shape
+        r, back = np.unique(r, return_inverse=True)
         bps, lo, coef, e1, lo_pow, base, is_log = self._columns
         k = np.searchsorted(bps, r, side="left")
         term = np.empty_like(r)
@@ -164,7 +167,7 @@ class WeightModel:
         kp, kq = k[~log_row], k[log_row]
         term[~log_row] = coef[kp] * (_libm(math.pow, r[~log_row], e1[kp]) - lo_pow[kp]) / e1[kp]
         term[log_row] = coef[kq] * _libm(math.log, r[log_row] / lo[kq])
-        return np.where(r == 0.0, 0.0, base[k] + term)
+        return np.where(r == 0.0, 0.0, base[k] + term)[back].reshape(shape)
 
     def primitive(self, t: float) -> float:
         """W(t), the integral of the weight over (0, t).  Half-line only."""
@@ -197,14 +200,17 @@ class WeightModel:
         return self._radial_primitive_array(t)
 
     def mass_array(self, lo, hi) -> np.ndarray:
-        """mass of every interval (lo[i], hi[i]) of two equal-shape arrays."""
+        """mass of every interval (lo[i], hi[i]) of two equal-shape arrays.
+        The radii of both ends go through the kernel in one pass: the raw
+        ends on the half-line, their absolute values on the line."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        P = self._radial_primitive_array
+        ends = np.stack([lo, hi])
         if self.domain_kind == "half_line":
             if np.any(lo < 0.0):
                 raise ConfigurationError("set escapes the half-line domain")
-            return P(hi) - P(lo)
-        a, b = P(np.abs(lo)), P(np.abs(hi))
+            a, b = self._radial_primitive_array(ends)
+            return b - a
+        a, b = self._radial_primitive_array(np.abs(ends))
         return np.where(lo >= 0.0, b - a, np.where(hi <= 0.0, a - b, a + b))
 
     def weight_of_set(self, E: IntervalUnion) -> float:
@@ -434,21 +440,27 @@ def _a1_probe_points(u: WeightModel) -> list[float]:
 
 
 def check_A1(u: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
+    """A1 ratios avg_J(u) / u(x) over every scale r, probe point x and window
+    J = (x - r, x + r), (x, x + r), (x - r, x), scored in one array pass in
+    that loop order.  As in a scan from 0 with a strict `>`, a NaN never
+    counts and the first of equal maxima is the witness."""
     scales = tuple(grid) if grid is not None else tuple(2.0**k for k in range(-12, 13))
     points = _a1_probe_points(u)
-    best_ratio, best_witness = 0.0, {}
-    per_scale: list[float] = []
-    for r in scales:
-        scale_max = 0.0
-        for x in points:
-            for lo, hi in ((x - r, x + r), (x, x + r), (x - r, x)):
-                ratio = a1_ratio(u, x, lo, hi)
-                if ratio > scale_max:
-                    scale_max = ratio
-                if ratio > best_ratio:
-                    best_ratio = ratio
-                    best_witness = {"x": x, "lo": lo, "hi": hi}
-        per_scale.append(scale_max)
+    r, x = np.array(scales)[:, None], np.array(points)[None, :]
+    lo = np.stack(np.broadcast_arrays(x - r, x, x - r), axis=-1)
+    hi = np.stack(np.broadcast_arrays(x + r, x + r, x), axis=-1)
+    if not scales or not np.all(lo < hi):
+        raise PreconditionError("A1 needs a nonempty grid with x - r < x < x + r at every probe point")
+    avg = u.mass_array(lo, hi) / (hi - lo)  # first, so a half-line u fails as the scan did
+    ux = np.array([u.value(p) for p in points])[:, None]
+    ratio = np.divide(avg, ux, out=np.full_like(avg, math.inf), where=ux != 0.0)  # as a1_ratio
+    ratio = np.where(ratio > 0.0, ratio, 0.0)
+    best = int(np.argmax(ratio))
+    best_ratio, best_witness = float(ratio.flat[best]), {}
+    if best_ratio > 0.0:
+        point = points[np.unravel_index(best, ratio.shape)[1]]
+        best_witness = {"x": point, "lo": float(lo.flat[best]), "hi": float(hi.flat[best])}
+    per_scale = ratio.max(axis=(1, 2)).tolist()
     holds = math.isfinite(best_ratio) and not _tail_growth(scales, per_scale, factor=1.1)
     return ClassVerdict(
         class_name="A1",
@@ -459,71 +471,102 @@ def check_A1(u: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVer
     )
 
 
+def _ainf_probe_table(u: WeightModel, seed: int = 0, randoms_per_scale: int = 32) -> np.ndarray:
+    """Rows (I.lo, I.hi, E.lo, E.hi) of the default A_inf probes.  Per scale
+    L: at every anchor of u three placements of I, in each three lengths of
+    E, each at the left end, the right end and the centre of I; then
+    seeded random placements, each drawing (start, frac, lo)."""
+    rng = np.random.default_rng(seed)
+    L = np.array([2.0**k for k in range(-10, 11)])[:, None]
+    a = np.array([0.0] + [b for b in u.breakpoints if math.isfinite(b)])[None, :]
+    # axes: scale, anchor, placement of I, length of E, placement of E
+    start = np.stack(np.broadcast_arrays(a, a - L / 2.0, a - L), axis=-1)[..., None, None]
+    L5 = L[:, :, None, None, None]
+    i_hi = start + L5
+    e_len = np.array([0.5, 0.125, 0.015625])[:, None] * L5
+    lo = np.concatenate(np.broadcast_arrays(start, i_hi - e_len, start + (L5 - e_len) / 2.0), axis=-1)
+    fixed = np.stack(np.broadcast_arrays(start, i_hi, lo, lo + e_len), axis=-1).reshape(L.size, -1, 4)
+    draws = rng.random((L.size, randoms_per_scale, 3))
+    start = (draws[..., 0] - 0.5) * 4.0 * L
+    frac = _libm(math.pow, np.full(start.size, 2.0), (-8.0 * draws[..., 1]).ravel()).reshape(start.shape)
+    e_len = np.maximum(frac * L, 1e-12 * L)
+    lo = start + draws[..., 2] * (L - e_len)
+    randoms = np.stack([start, start + L, lo, lo + e_len], axis=-1)
+    return np.concatenate([fixed, randoms], axis=1).reshape(-1, 4)
+
+
 def default_ainf_probes(
     u: WeightModel, seed: int = 0, randoms_per_scale: int = 32
 ) -> list[tuple[Interval, IntervalUnion]]:
     """Edge, center, and seeded random placements of E inside I per scale."""
-    rng = np.random.default_rng(seed)
-    probes: list[tuple[Interval, IntervalUnion]] = []
-    scales = [2.0**k for k in range(-10, 11)]
-    anchors = [0.0] + [b for b in u.breakpoints if math.isfinite(b)]
-    for L in scales:
-        for a in anchors:
-            for start in (a, a - L / 2.0, a - L):
-                I = Interval(start, start + L)
-                for frac in (0.5, 0.125, 0.015625):
-                    e_len = frac * L
-                    for lo in (I.lo, I.hi - e_len, I.lo + (L - e_len) / 2.0):
-                        probes.append((I, IntervalUnion((Interval(lo, lo + e_len),))))
-        for _ in range(randoms_per_scale):
-            start = (rng.random() - 0.5) * 4.0 * L
-            I = Interval(start, start + L)
-            frac = 2.0 ** (-8.0 * rng.random())
-            e_len = max(frac * L, 1e-12 * L)
-            lo = I.lo + rng.random() * (L - e_len)
-            probes.append((I, IntervalUnion((Interval(lo, lo + e_len),))))
-    return probes
+    return [
+        (Interval(i_lo, i_hi), IntervalUnion((Interval(e_lo, e_hi),)))
+        for i_lo, i_hi, e_lo, e_hi in _ainf_probe_table(u, seed, randoms_per_scale).tolist()
+    ]
 
 
 def check_Ainf(
     u: WeightModel,
     probes: Optional[Sequence[tuple[Interval, IntervalUnion]]] = None,
 ) -> ClassVerdict:
-    """Fit C_u and alpha with |E|/|I| <= C_u (u(E)/u(I))^alpha over the probes."""
+    """Fit C_u and alpha with |E|/|I| <= C_u (u(E)/u(I))^alpha over the probes
+    (default: the rows of _ainf_probe_table, never built as objects).
+
+    u(I) and every part of every E go through one mass_array pass.  The
+    parts of a given E are summed with Python's `sum`, as weight_of_set and
+    IntervalUnion.measure do (from 3.12 `sum` compensates, so a plain
+    array sum could differ in the last bit).  The slopes
+    log(|E|/|I|) / log(u(E)/u(I)) and the constants take libm's log and pow.
+    A NaN is never the best constant, and the first of equal maxima is the
+    witness."""
     if probes is None:
-        probes = default_ainf_probes(u)
-    if not probes:
-        raise PreconditionError("A_inf needs at least one probe")
-    slopes: list[tuple[float, float]] = []  # (|I|, slope)
-    cloud: list[tuple[float, float]] = []
-    for I, E in probes:
-        if not contains(IntervalUnion((I,)), E):
-            raise PreconditionError("A_inf probe needs E within I")
-        x, y = ainf_point(u, I, E)
-        cloud.append((x, y))
-        if 0.0 < x < 0.999 and 0.0 < y:
-            slopes.append((I.length, math.log(y) / math.log(x)))
-    if not slopes:
-        alpha = 1.0
+        table = _ainf_probe_table(u)
+        i_lo, i_hi, e_lo, e_hi = table.T
+        owner = np.arange(i_lo.size)
     else:
-        alpha = min(1.0, min(s for _, s in slopes))
+        if not probes:
+            raise PreconditionError("A_inf needs at least one probe")
+        i_lo, i_hi = np.array([(I.lo, I.hi) for I, _ in probes]).T
+        e_lo, e_hi = np.array([(p.lo, p.hi) for _, E in probes for p in E.parts]).reshape(-1, 2).T
+        owner = np.repeat(np.arange(len(probes)), [len(E) for _, E in probes])
+    if not np.all((i_lo[owner] <= e_lo) & (e_hi <= i_hi[owner])):
+        raise PreconditionError("A_inf probe needs E within I")
+    n = i_lo.size
+    mass = u.mass_array(np.concatenate([i_lo, e_lo]), np.concatenate([i_hi, e_hi]))
+    uI, uE = mass[:n], mass[n:]
+    if np.any(uI == 0.0):
+        raise PreconditionError("A_inf probe needs u(I) > 0")
+    if probes is None:
+        measure = e_hi - e_lo
+    else:
+        parts = iter(uE.tolist())
+        uE = np.array([sum(islice(parts, len(E)), 0.0) for _, E in probes])
+        measure = np.array([E.measure for _, E in probes])
+    length = i_hi - i_lo
+    x, y = uE / uI, measure / length
+    sloped = (0.0 < x) & (x < 0.999) & (0.0 < y)
+    slopes = _libm(math.log, y[sloped]) / _libm(math.log, x[sloped])
+    alpha = min(1.0, float(slopes.min())) if slopes.size else 1.0
     alpha = max(alpha, 1e-6)
+    scored = ~(x <= 0.0)  # as `if x <= 0.0: continue`, which a NaN passes
+    c = np.full(n, -math.inf)
+    c[scored] = y[scored] / _libm(math.pow, x[scored], np.full(int(scored.sum()), alpha))
+    c = np.where(c > 1.0, c, -math.inf)  # C_u starts at 1; a NaN never wins
+    best = int(np.argmax(c))
     c_u, witness = 1.0, {}
-    for (I, E), (x, y) in zip(probes, cloud):
-        if x <= 0.0:
-            continue
-        c = y / x**alpha
-        if c > c_u:
-            c_u = c
+    if c[best] > 1.0:
+        c_u = float(c[best])
+        if probes is None:
+            row = table[best].tolist()
+            witness = {"I": row[:2], "E": [row[2:]]}
+        else:
+            I, E = probes[best]
             witness = {"I": [I.lo, I.hi], "E": [[p.lo, p.hi] for p in E.parts]}
     holds = True
-    if slopes:
-        scales = [s for s, _ in slopes]
-        top = max(scales)
-        bottom = min(scales)
-        last = [v for s, v in slopes if s >= top / 10.0]
-        first = [v for s, v in slopes if s <= bottom * 10.0]
-        m_last, m_first = min(last), min(first)
+    if slopes.size:
+        scales = length[sloped]
+        last, first = slopes[scales >= scales.max() / 10.0], slopes[scales <= scales.min() * 10.0]
+        m_last, m_first = last.min(), first.min()
         if m_last < 0.25 and m_last < 0.5 * m_first:
             holds = False
     return ClassVerdict(
@@ -531,6 +574,6 @@ def check_Ainf(
         holds=holds,
         constant=c_u,
         witness=witness,
-        probe_scales=tuple(sorted({I.length for I, _ in probes})),
+        probe_scales=tuple(np.unique(length).tolist()),
         exponent=alpha,
     )

@@ -1,13 +1,24 @@
 """Shared fixtures: canonical weights and seeded instance generators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from llab.boyd import _anchors, _family_value, _scale_grid
-from llab.intervals import Interval, normalize
+from llab.errors import PreconditionError
+from llab.intervals import Interval, IntervalUnion, contains, normalize
 from llab.rearrangement import make_step
-from llab.weights import WeightModel
+from llab.weights import (
+    ClassVerdict,
+    Segment,
+    WeightModel,
+    _a1_probe_points,
+    _tail_growth,
+    a1_ratio,
+    ainf_point,
+)
 
 
 @pytest.fixture
@@ -103,3 +114,104 @@ def coarse_best_oracle(u, w, ratio, upper):
                 if v > best_val:
                     best_val, best_pair = v, pair
     return best_val, best_pair
+
+
+def search_shapes():
+    """The weight pairs the configuration search meets: u = 1 and u = |x|
+    against powers t^a, and a three-segment line u against a three-segment
+    w with an exp = -1 segment."""
+    u3 = WeightModel(
+        segments=(Segment(0.0, 0.8, 1.3, 0.9), Segment(0.8, 2.1, 0.7, 0.0), Segment(2.1, 3.5, 0.4, 1.2)),
+        domain_kind="line",
+        tail_coef=1.0,
+        tail_exp=0.45,
+    )
+    w3 = WeightModel(
+        segments=(Segment(0.0, 1.1, 1.0, 0.35), Segment(1.1, 2.4, 1.6, -1.0), Segment(2.4, 3.2, 0.6, 0.8)),
+        tail_coef=1.0,
+        tail_exp=0.3,
+    )
+    return {
+        "u=1,w=t^a": (WeightModel.constant(domain_kind="line"), WeightModel.power(0.43)),
+        "u=|x|,w=t^a": (WeightModel.power(1.0, domain_kind="line"), WeightModel.power(0.27)),
+        "u=|x|,w=t^b": (WeightModel.power(1.0, domain_kind="line"), WeightModel.power(0.71)),
+        "multi": (u3, w3),
+    }
+
+
+def check_A1_oracle(u, grid=None):
+    """check_A1 as a scalar scan: every scale, point and window in loop
+    order, a strict `>` from 0.0."""
+    scales = tuple(grid) if grid is not None else tuple(2.0**k for k in range(-12, 13))
+    points = _a1_probe_points(u)
+    best_ratio, best_witness = 0.0, {}
+    per_scale = []
+    for r in scales:
+        scale_max = 0.0
+        for x in points:
+            for lo, hi in ((x - r, x + r), (x, x + r), (x - r, x)):
+                ratio = a1_ratio(u, x, lo, hi)
+                if ratio > scale_max:
+                    scale_max = ratio
+                if ratio > best_ratio:
+                    best_ratio = ratio
+                    best_witness = {"x": x, "lo": lo, "hi": hi}
+        per_scale.append(scale_max)
+    holds = math.isfinite(best_ratio) and not _tail_growth(scales, per_scale, factor=1.1)
+    return ClassVerdict("A1", holds, best_ratio, best_witness, scales)
+
+
+def ainf_probes_oracle(u, seed=0, randoms_per_scale=32):
+    """default_ainf_probes as the loop that builds one probe at a time."""
+    rng = np.random.default_rng(seed)
+    probes = []
+    anchors = [0.0] + [b for b in u.breakpoints if math.isfinite(b)]
+    for L in [2.0**k for k in range(-10, 11)]:
+        for a in anchors:
+            for start in (a, a - L / 2.0, a - L):
+                I = Interval(start, start + L)
+                for frac in (0.5, 0.125, 0.015625):
+                    e_len = frac * L
+                    for lo in (I.lo, I.hi - e_len, I.lo + (L - e_len) / 2.0):
+                        probes.append((I, IntervalUnion((Interval(lo, lo + e_len),))))
+        for _ in range(randoms_per_scale):
+            start = (rng.random() - 0.5) * 4.0 * L
+            I = Interval(start, start + L)
+            frac = 2.0 ** (-8.0 * rng.random())
+            e_len = max(frac * L, 1e-12 * L)
+            lo = I.lo + rng.random() * (L - e_len)
+            probes.append((I, IntervalUnion((Interval(lo, lo + e_len),))))
+    return probes
+
+
+def check_Ainf_oracle(u, probes=None):
+    """check_Ainf as a scalar loop over the probes: containment through
+    `contains`, one ainf_point per probe, a strict `>` from C_u = 1."""
+    if probes is None:
+        probes = ainf_probes_oracle(u)
+    slopes, cloud = [], []
+    for I, E in probes:
+        if not contains(IntervalUnion((I,)), E):
+            raise PreconditionError("A_inf probe needs E within I")
+        x, y = ainf_point(u, I, E)
+        cloud.append((x, y))
+        if 0.0 < x < 0.999 and 0.0 < y:
+            slopes.append((I.length, math.log(y) / math.log(x)))
+    alpha = max(min(1.0, min(s for _, s in slopes)) if slopes else 1.0, 1e-6)
+    c_u, witness = 1.0, {}
+    for (I, E), (x, y) in zip(probes, cloud):
+        if x <= 0.0:
+            continue
+        c = y / x**alpha
+        if c > c_u:
+            c_u = c
+            witness = {"I": [I.lo, I.hi], "E": [[p.lo, p.hi] for p in E.parts]}
+    holds = True
+    if slopes:
+        top, bottom = max(s for s, _ in slopes), min(s for s, _ in slopes)
+        m_last = min(v for s, v in slopes if s >= top / 10.0)
+        m_first = min(v for s, v in slopes if s <= bottom * 10.0)
+        if m_last < 0.25 and m_last < 0.5 * m_first:
+            holds = False
+    scales = tuple(sorted({I.length for I, _ in probes}))
+    return ClassVerdict("AInf", holds, c_u, witness, scales, exponent=alpha)

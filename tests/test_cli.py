@@ -222,3 +222,19 @@ def test_non_finite_weight_is_config_error(tmp_path, capsys, bad):
     path.write_text(json.dumps(UNIT_HALF).replace('"coef": 1.0', f'"coef": {bad}', 1))
     assert main(["classes", "--w", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("p", ["inf", "nan", "-inf"])
+def test_non_finite_p_is_config_error(configs, capsys, p):
+    # --p inf used to print a "bounded" maximal verdict, --p nan a NaN index
+    rc = main(["indices", "--u", configs["uabs"], "--w", configs["w1"], f"--p={p}"])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--p must be a finite number" in captured.err
+
+
+@pytest.mark.parametrize("p", ["-1", "0"])
+def test_classes_rejects_non_positive_p(configs, capsys, p):
+    rc = main(["classes", "--w", configs["w1"], "--u", configs["uabs"], f"--p={p}"])
+    assert rc == EXIT_PRECONDITION
+    assert capsys.readouterr().out == ""
