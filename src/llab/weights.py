@@ -505,6 +505,12 @@ def default_ainf_probes(
     ]
 
 
+def _sum_parts(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per probe, Python's `sum` from 0.0 of its next `count` values."""
+    parts = iter(values.tolist())
+    return np.array([sum(islice(parts, k), 0.0) for k in counts.tolist()])
+
+
 def check_Ainf(
     u: WeightModel,
     probes: Optional[Sequence[tuple[Interval, IntervalUnion]]] = None,
@@ -512,36 +518,32 @@ def check_Ainf(
     """Fit C_u and alpha with |E|/|I| <= C_u (u(E)/u(I))^alpha over the probes
     (default: the rows of _ainf_probe_table, never built as objects).
 
-    u(I) and every part of every E go through one mass_array pass.  The
-    parts of a given E are summed with Python's `sum`, as weight_of_set and
-    IntervalUnion.measure do (from 3.12 `sum` compensates, so a plain
-    array sum could differ in the last bit).  The slopes
-    log(|E|/|I|) / log(u(E)/u(I)) and the constants take libm's log and pow.
-    A NaN is never the best constant, and the first of equal maxima is the
-    witness."""
+    u(I) and every part of every E go through one mass_array pass.  Where
+    some E has other than one part, the parts of each E are summed in order
+    with Python's `sum`, as weight_of_set and IntervalUnion.measure do (from
+    3.12 `sum` compensates, so a plain array sum could differ in the last
+    bit).  The slopes log(|E|/|I|) / log(u(E)/u(I)) and the constants take
+    libm's log and pow.  A NaN is never the best constant, and the first of
+    equal maxima is the witness."""
     if probes is None:
-        table = _ainf_probe_table(u)
-        i_lo, i_hi, e_lo, e_hi = table.T
-        owner = np.arange(i_lo.size)
+        i_lo, i_hi, e_lo, e_hi = _ainf_probe_table(u).T
+        counts = np.ones(i_lo.size, dtype=int)
     else:
         if not probes:
             raise PreconditionError("A_inf needs at least one probe")
         i_lo, i_hi = np.array([(I.lo, I.hi) for I, _ in probes]).T
         e_lo, e_hi = np.array([(p.lo, p.hi) for _, E in probes for p in E.parts]).reshape(-1, 2).T
-        owner = np.repeat(np.arange(len(probes)), [len(E) for _, E in probes])
+        counts = np.array([len(E) for _, E in probes])
+    n = i_lo.size
+    owner = np.repeat(np.arange(n), counts)
     if not np.all((i_lo[owner] <= e_lo) & (e_hi <= i_hi[owner])):
         raise PreconditionError("A_inf probe needs E within I")
-    n = i_lo.size
     mass = u.mass_array(np.concatenate([i_lo, e_lo]), np.concatenate([i_hi, e_hi]))
-    uI, uE = mass[:n], mass[n:]
+    uI, uE, measure = mass[:n], mass[n:], e_hi - e_lo
     if np.any(uI == 0.0):
         raise PreconditionError("A_inf probe needs u(I) > 0")
-    if probes is None:
-        measure = e_hi - e_lo
-    else:
-        parts = iter(uE.tolist())
-        uE = np.array([sum(islice(parts, len(E)), 0.0) for _, E in probes])
-        measure = np.array([E.measure for _, E in probes])
+    if np.any(counts != 1):
+        uE, measure = _sum_parts(uE, counts), _sum_parts(measure, counts)
     length = i_hi - i_lo
     x, y = uE / uI, measure / length
     sloped = (0.0 < x) & (x < 0.999) & (0.0 < y)
@@ -556,12 +558,11 @@ def check_Ainf(
     c_u, witness = 1.0, {}
     if c[best] > 1.0:
         c_u = float(c[best])
-        if probes is None:
-            row = table[best].tolist()
-            witness = {"I": row[:2], "E": [row[2:]]}
-        else:
-            I, E = probes[best]
-            witness = {"I": [I.lo, I.hi], "E": [[p.lo, p.hi] for p in E.parts]}
+        parts = owner == best
+        witness = {
+            "I": [float(i_lo[best]), float(i_hi[best])],
+            "E": np.stack([e_lo[parts], e_hi[parts]], axis=-1).tolist(),
+        }
     holds = True
     if slopes.size:
         scales = length[sloped]
