@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .intervals import Interval, IntervalUnion, contains
+from .intervals import Interval, IntervalUnion
 from .weights import WeightModel
 
 _CONFIG_RTOL = 1e-9
@@ -39,7 +39,7 @@ class Configuration:
             if a.hi > b.lo:
                 raise PreconditionError("configuration intervals must be disjoint")
         for I, S in self.pairs:
-            if not contains(IntervalUnion((I,)), S):
+            if not all(I.lo <= p.lo and p.hi <= I.hi for p in S):
                 raise PreconditionError("configuration needs S_j within I_j")
             if abs(I.length - self.ratio * S.measure) > _CONFIG_RTOL * I.length:
                 raise PreconditionError("configuration ratio violated")
@@ -164,15 +164,6 @@ def _coarse_best(u: WeightModel, w: WeightModel, ratio: float, upper: bool):
     return float(v[best]), ((float(i_lo[best]), float(i_hi[best])), (float(s_lo[best]), float(s_hi[best])))
 
 
-def _replicate(pair, count: int):
-    (i_lo, i_hi), (s_lo, s_hi) = pair
-    span = 2.0 * (i_hi - i_lo)
-    return [
-        ((i_lo + j * span, i_hi + j * span), (s_lo + j * span, s_hi + j * span))
-        for j in range(count)
-    ]
-
-
 def _search(
     u: WeightModel,
     w: WeightModel,
@@ -190,15 +181,24 @@ def _search(
         v = _family_value(u, w, pairs)
         return v if upper else 1.0 / v if v > 0.0 else 0.0
 
-    best_val, best_pair = _coarse_best(u, w, ratio, upper)
-    best_pairs = [best_pair]
+    def replicated(val: float, pair):
+        """(value, pairs): the best of the pair, scored val, and its 2, 4, 8
+        and 16 disjoint translates."""
+        (i_lo, i_hi), (s_lo, s_hi) = pair
+        span = 2.0 * (i_hi - i_lo)
+        best = val, [pair]
+        for count in (2, 4, 8, 16):
+            pairs = [
+                ((i_lo + j * span, i_hi + j * span), (s_lo + j * span, s_hi + j * span))
+                for j in range(count)
+            ]
+            v = value(pairs)
+            if v > best[0]:
+                best = v, pairs
+        return best
 
-    # Replicate the best single pair across disjoint translates.
-    for count in (2, 4, 8, 16):
-        pairs = _replicate(best_pair, count)
-        v = value(pairs)
-        if v > best_val:
-            best_val, best_pairs = v, pairs
+    coarse_val, best_pair = _coarse_best(u, w, ratio, upper)
+    best_val, best_pairs = replicated(coarse_val, best_pair)
 
     # Seeded random restarts around the best single pair, coordinate descent.
     tkey = int(round(4096.0 * math.log2(t))) & 0x7FFFFFFF
@@ -230,11 +230,7 @@ def _search(
             if not improved:
                 break
         if v > best_val:
-            best_val, best_pairs = v, [pair]
-            for count in (2, 4, 8, 16):
-                rv = value(_replicate(pair, count))
-                if rv > best_val:
-                    best_val, best_pairs = rv, _replicate(pair, count)
+            best_val, best_pairs = replicated(v, pair)
 
     # rounding in the offset arithmetic can push S an ulp past I; the value
     # returned is that of the clamped pairs, so the witness replays exactly

@@ -96,7 +96,7 @@ def cmd_classes(args) -> int:
     if u is not None:
         out["A1"] = json.loads(check_A1(u).to_json())
         out["AInf"] = json.loads(check_Ainf(u).to_json())
-    print(json.dumps(out, sort_keys=True))
+    print(json.dumps(out, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -133,6 +133,8 @@ def cmd_indices(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    if args.lambdas <= 0:
+        raise ConfigurationError(f"--lambdas must be positive, got {args.lambdas}")
     I, S = _interval_and_set(args)
     F = construction.build_extremal(I, S)
     floor = F.floor
@@ -179,7 +181,9 @@ def cmd_opnorm(args) -> int:
     if args.family == "indicators":
         family = operators.indicator_family(args.count, seed)
     elif args.family == "extremals":
-        family = operators.extremal_family(s=float(args.ratio), count=1)
+        if not math.isfinite(args.ratio):
+            raise ConfigurationError(f"--ratio must be a finite number, got {args.ratio!r}")
+        family = operators.extremal_family(s=args.ratio, count=1)
     elif args.family.startswith("random"):
         try:
             n = int(args.family.split(":")[1]) if ":" in args.family else args.count
@@ -233,12 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_p=True):
+    def weights_and_seed(sp):
+        sp.add_argument("--u", required=True)
+        sp.add_argument("--w", required=True)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=1)
-        sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        if with_p:
-            sp.add_argument("--p", type=float, default=2.0)
+        sp.add_argument("--p", type=float, default=2.0)
 
     sp = sub.add_parser("classes", help="weight-class certifications")
     sp.add_argument("--w", required=True)
@@ -247,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classes)
 
     sp = sub.add_parser("indices", help="Boyd index estimation")
-    sp.add_argument("--u", required=True)
-    sp.add_argument("--w", required=True)
-    common(sp)
+    weights_and_seed(sp)
+    sp.add_argument("--budget", type=int, default=1)
+    sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     sp.set_defaults(func=cmd_indices)
 
     sp = sub.add_parser("extremal", help="extremal function level-set report")
@@ -260,28 +263,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_extremal)
 
     sp = sub.add_parser("certify", help="weak-type operator-norm lower bound")
-    sp.add_argument("--u", required=True)
-    sp.add_argument("--w", required=True)
     sp.add_argument("--interval", type=float, nargs=2, required=True)
     sp.add_argument("--set", required=True)
-    common(sp)
+    weights_and_seed(sp)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("opnorm", help="empirical operator-norm probing")
     sp.add_argument("--operator", choices=["maximal", "hilbert", "hstar", "q"], required=True)
-    sp.add_argument("--u", required=True)
-    sp.add_argument("--w", required=True)
     sp.add_argument("--family", default="indicators")
     sp.add_argument("--count", type=int, default=8)
     sp.add_argument("--ratio", type=float, default=math.e)
     sp.add_argument("--target", choices=["strong", "weak"], default="strong")
-    common(sp)
+    weights_and_seed(sp)
+    sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     sp.set_defaults(func=cmd_opnorm)
 
     sp = sub.add_parser("verdict", help="combined boundedness verdicts")
-    sp.add_argument("--u", required=True)
-    sp.add_argument("--w", required=True)
-    common(sp)
+    weights_and_seed(sp)
+    sp.add_argument("--budget", type=int, default=1)
     sp.set_defaults(func=cmd_verdict)
 
     return parser

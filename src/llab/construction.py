@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .boyd import Configuration
 from .errors import PreconditionError
-from .intervals import Interval, IntervalUnion, contains, normalize, union
+from .intervals import Interval, IntervalUnion, normalize, union
 from .weights import WeightModel
 
 _REL_TOL = 1e-9
@@ -31,7 +31,7 @@ def cover(I: Interval, S: IntervalUnion, t: float) -> list[Interval]:
     """Disjoint intervals I_n covering S inside I with t |S ∩ I_n| = |I_n|."""
     if not S:
         raise PreconditionError("cover needs a nonempty set")
-    if not contains(IntervalUnion((I,)), S):
+    if not all(I.lo <= p.lo and p.hi <= I.hi for p in S):
         raise PreconditionError("cover needs S within I")
     limit = I.length / S.measure
     if t < 1.0 - 1e-12 or t > limit * (1.0 + 1e-12):
@@ -171,15 +171,12 @@ class ExtremalFunction:
             return 1.0
         return self.floor * (1.0 + math.log(1.0 / self.floor))
 
-    def integral(self) -> float:
-        return self.mean_value() * self.base_interval.length
-
 
 def build_extremal(I: Interval, S: IntervalUnion) -> ExtremalFunction:
     """Construct the extremal function for S = union of intervals inside I."""
     if not S:
         raise PreconditionError("extremal function needs a nonempty set")
-    if not contains(IntervalUnion((I,)), S):
+    if not all(I.lo <= p.lo and p.hi <= I.hi for p in S):
         raise PreconditionError("extremal function needs S within I")
     if S.measure >= I.length * (1.0 - 1e-15):
         return ExtremalFunction(I, IntervalUnion((I,)), (), None, (), None, constant=True)
@@ -237,9 +234,6 @@ class ExtremalSum:
 
     def evaluate(self, x: float) -> float:
         return sum(F.evaluate(x) for F in self.summands)
-
-    def support(self) -> IntervalUnion:
-        return normalize([F.base_interval for F in self.summands])
 
 
 # -- weak-type certificate --------------------------------------------------

@@ -36,10 +36,6 @@ class StepFunction:
         if len(set(values)) != len(values):
             raise ValueError("equal-value pieces must be merged (use make_step)")
 
-    @property
-    def support(self) -> IntervalUnion:
-        return union(*(region for region, _ in self.pieces))
-
     @cached_property
     def table(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
         """Position-sorted view of f, built once: the sorted endpoints e_j, the

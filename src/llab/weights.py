@@ -99,32 +99,34 @@ class WeightModel:
         return tuple(seg.hi for seg in self.segments)
 
     @cached_property
-    def _pieces(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(lo, coef, exp, W(lo)) per segment, then one row for the tail."""
+    def _pieces(self) -> tuple[tuple[float, float, float, float, float, float], ...]:
+        """(lo, coef, exp, e1 = exp + 1, lo^e1, W(lo)) per segment, then one row
+        for the tail: the only place any closed form of the weight reads its
+        parameters from.  lo^e1 is Python's `**`, and 0 at lo = 0."""
         rows, acc = [], 0.0
         for seg in self.segments:
-            mass = _power_int(seg.coef, seg.exp, seg.lo, seg.hi)
+            e1 = seg.exp + 1.0
+            lo_pow = 0.0 if seg.lo == 0.0 else seg.lo**e1
+            if e1 == 0.0:
+                mass = seg.coef * math.log(seg.hi / seg.lo)
+            else:
+                mass = seg.coef * (seg.hi**e1 - lo_pow) / e1
             acc += mass
             # W(lo) as W(hi) - mass, not the running sum before the segment:
             # the two differ by an ulp on multi-segment weights, and seeded
             # searches break near-ties on such ulps.
-            rows.append((seg.lo, seg.coef, seg.exp, acc - mass))
-        rows.append((self.top, self.tail_coef, self.tail_exp, acc))
+            rows.append((seg.lo, seg.coef, seg.exp, e1, lo_pow, acc - mass))
+        e1 = self.tail_exp + 1.0
+        rows.append((self.top, self.tail_coef, self.tail_exp, e1, self.top**e1, acc))
         return tuple(rows)
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, ...]:
-        """The piece table as numpy columns for the array path: breakpoints,
-        then per row lo, coef, exp + 1, lo^(exp+1) (Python's `**`, 0 at
-        lo = 0), W(lo) and the log-row mask (exp = -1)."""
-        rows = self._pieces
-        lo_pow = [0.0 if lo == 0.0 else lo ** (exp + 1.0) for lo, _, exp, _ in rows]
-        lo, coef, exp, base = (np.array(col) for col in zip(*rows))
-        return np.array(self.breakpoints), lo, coef, exp + 1.0, np.array(lo_pow), base, exp == -1.0
-
-    def _piece(self, r: float) -> tuple[float, float, float, float]:
-        """The row of radius r > 0: the segment with lo < r <= hi, else the tail."""
-        return self._pieces[bisect_left(self.breakpoints, r)]
+        """The piece table transposed into numpy columns for the array path:
+        breakpoints, then lo, coef, e1, lo^e1, W(lo) and the log-row mask
+        (e1 = 0)."""
+        lo, coef, _, e1, lo_pow, base = (np.array(col) for col in zip(*self._pieces))
+        return np.array(self.breakpoints), lo, coef, e1, lo_pow, base, e1 == 0.0
 
     # -- pointwise and primitive -------------------------------------------
 
@@ -132,14 +134,9 @@ class WeightModel:
         r = abs(x) if self.domain_kind == "line" else x
         if r < 0.0 or (r == 0.0 and self.domain_kind == "half_line"):
             raise ConfigurationError(f"point {x} outside the weight domain")
-        if r == 0.0:
-            seg = self.segments[0]
-            if seg.exp > 0.0:
-                return 0.0
-            if seg.exp == 0.0:
-                return seg.coef
+        _, coef, exp, *_ = self._pieces[bisect_left(self.breakpoints, r)]
+        if r == 0.0 and exp < 0.0:
             return math.inf
-        _, coef, exp, _ = self._piece(r)
         return coef * r**exp
 
     def _radial_primitive(self, r: float) -> float:
@@ -147,8 +144,11 @@ class WeightModel:
             raise PreconditionError("radius must be nonnegative")
         if r == 0.0:
             return 0.0
-        lo, coef, exp, base = self._piece(r)
-        return base + _power_int(coef, exp, lo, r)
+        # the row with lo < r <= hi (bisect_left), else the tail
+        lo, coef, _, e1, lo_pow, base = self._pieces[bisect_left(self.breakpoints, r)]
+        if e1 == 0.0:
+            return base + coef * math.log(r / lo)
+        return base + coef * (r**e1 - lo_pow) / e1
 
     def _radial_primitive_array(self, r: np.ndarray) -> np.ndarray:
         """_radial_primitive of every radius in r, bit for bit: the same row
@@ -224,39 +224,31 @@ class WeightModel:
         if self.tail_exp - p >= -1.0:
             return math.inf
         total = 0.0
-        for seg in self.segments:
-            a, b = max(seg.lo, r), seg.hi
-            if a < b:
-                total += _power_int(seg.coef, seg.exp - p, a, b)
-        a = max(self.top, r)
-        e = self.tail_exp - p  # < -1
-        total += self.tail_coef * a ** (e + 1.0) / (-(e + 1.0))
+        for (lo, coef, exp, *_), hi in zip(self._pieces, (*self.breakpoints, math.inf)):
+            a = max(lo, r)
+            if a < hi:
+                total += _power_int(coef, exp - p, a, hi)
         return total
 
     def bstar_integral(self, r: float) -> float:
         """Integral of W(t)/t over (0, r), in closed form per segment."""
         total = 0.0
-        for (lo, coef, exp, base), hi in zip(self._pieces, (*self.breakpoints, math.inf)):
-            a, b = lo, min(hi, r)
-            if b <= a:
+        for (lo, coef, _, e1, lo_pow, base), hi in zip(self._pieces, (*self.breakpoints, math.inf)):
+            b = min(hi, r)
+            if b <= lo:
                 break
-            if exp == -1.0:
+            if e1 == 0.0:
                 # W(t) = base + coef*log(t/lo) on this piece
-                total += base * math.log(b / a) + 0.5 * coef * (
-                    math.log(b / lo) ** 2 - math.log(a / lo) ** 2
-                )
+                total += base * math.log(b / lo) + 0.5 * coef * math.log(b / lo) ** 2
             else:
-                e1 = exp + 1.0
-                lo_pow = 0.0 if lo == 0.0 else lo**e1
                 k = base - coef * lo_pow / e1  # W(t) = k + coef*t^e1/e1
-                if a == 0.0:
+                if lo == 0.0:
                     if k != 0.0:
                         return math.inf
                     log_term = 0.0
                 else:
-                    log_term = k * math.log(b / a)
-                a_pow = 0.0 if a == 0.0 else a**e1
-                total += log_term + coef * (b**e1 - a_pow) / (e1 * e1)
+                    log_term = k * math.log(b / lo)
+                total += log_term + coef * (b**e1 - lo_pow) / (e1 * e1)
         return total
 
     # -- construction helpers ----------------------------------------------
@@ -319,15 +311,19 @@ class ClassVerdict:
     exponent: Optional[float] = None
 
     def to_json(self) -> str:
+        """A non-finite constant is written as null with "diverges": true, so
+        the JSON stays standard."""
         payload = {
             "class": self.class_name,
             "holds": self.holds,
-            "constant": self.constant,
+            "constant": self.constant if math.isfinite(self.constant) else None,
             "witness": self.witness,
         }
+        if payload["constant"] is None:
+            payload["diverges"] = True
         if self.exponent is not None:
             payload["exponent"] = self.exponent
-        return json.dumps(payload)
+        return json.dumps(payload, allow_nan=False)
 
 
 def default_grid() -> tuple[float, ...]:
@@ -380,56 +376,37 @@ def ainf_point(u: WeightModel, I: Interval, E: IntervalUnion) -> tuple[float, fl
 # -- checkers ---------------------------------------------------------------
 
 
-def check_delta2(w: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
+def _grid_verdict(name: str, grid: Optional[Sequence[float]], ratio, **witness) -> ClassVerdict:
+    """The verdict of one scale class: ratio(r) at every r of the grid (default
+    grid if None), the first of equal maxima as the witness {"r": r, **witness},
+    and `holds` from a finite maximum without a growth trend."""
     grid = tuple(grid) if grid is not None else default_grid()
-    if not grid or any(r <= 0 for r in grid):
-        raise PreconditionError("delta2 grid must be nonempty and positive")
-    ratios = [delta2_ratio(w, r) for r in grid]
+    if not grid or not all(r > 0 for r in grid):  # NaN fails too
+        raise PreconditionError(f"{name} grid must be nonempty and positive")
+    ratios = [ratio(r) for r in grid]
     best = int(np.argmax(ratios))
     holds = math.isfinite(max(ratios)) and not _tail_growth(grid, ratios)
     return ClassVerdict(
-        class_name="Delta2",
+        class_name=name,
         holds=holds,
         constant=ratios[best],
-        witness={"r": grid[best]},
+        witness={"r": grid[best], **witness},
         probe_scales=grid,
     )
+
+
+def check_delta2(w: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
+    return _grid_verdict("Delta2", grid, lambda r: delta2_ratio(w, r))
 
 
 def check_Bp(w: WeightModel, p: float, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
-    grid = tuple(grid) if grid is not None else default_grid()
-    if w.tail_exp - p >= -1.0:
-        return ClassVerdict(
-            class_name="Bp",
-            holds=False,
-            constant=math.inf,
-            witness={"r": "tail", "p": p},
-            probe_scales=grid,
-        )
-    ratios = [bp_ratio(w, p, r) for r in grid]
-    best = int(np.argmax(ratios))
-    holds = math.isfinite(max(ratios)) and not _tail_growth(grid, ratios)
-    return ClassVerdict(
-        class_name="Bp",
-        holds=holds,
-        constant=ratios[best],
-        witness={"r": grid[best], "p": p},
-        probe_scales=grid,
-    )
+    if w.tail_exp - p >= -1.0:  # the tail integral diverges at every scale
+        return _grid_verdict("Bp", grid, lambda r: math.inf, r="tail", p=p)
+    return _grid_verdict("Bp", grid, lambda r: bp_ratio(w, p, r), p=p)
 
 
 def check_Bstar_inf(w: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
-    grid = tuple(grid) if grid is not None else default_grid()
-    ratios = [bstar_ratio(w, r) for r in grid]
-    best = int(np.argmax(ratios))
-    holds = math.isfinite(max(ratios)) and not _tail_growth(grid, ratios)
-    return ClassVerdict(
-        class_name="BstarInf",
-        holds=holds,
-        constant=ratios[best],
-        witness={"r": grid[best]},
-        probe_scales=grid,
-    )
+    return _grid_verdict("BstarInf", grid, lambda r: bstar_ratio(w, r))
 
 
 def _a1_probe_points(u: WeightModel) -> list[float]:

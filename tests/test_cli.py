@@ -238,3 +238,50 @@ def test_classes_rejects_non_positive_p(configs, capsys, p):
     rc = main(["classes", "--w", configs["w1"], "--u", configs["uabs"], f"--p={p}"])
     assert rc == EXIT_PRECONDITION
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--interval", "0", "4", "--set", "1,2", "--out"],
+        ["certify", "--interval", "0", "4", "--set", "1,2", "--budget", "2"],
+        ["opnorm", "--operator", "maximal", "--budget", "2"],
+        ["verdict", "--out"],
+    ],
+)
+def test_options_that_nothing_reads_are_rejected(configs, capsys, argv):
+    # certify --out used to print to stdout and write no file
+    if argv[-1] == "--out":
+        argv = argv + [str(configs["dir"] / "out.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--u", configs["u1"], "--w", configs["w1"]])
+    assert exc.value.code == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_opnorm_non_finite_ratio_is_config_error(configs, capsys, ratio):
+    argv = ["opnorm", "--operator", "maximal", "--u", configs["u1"], "--w", configs["w1"]]
+    assert main(argv + ["--family", "extremals", f"--ratio={ratio}"]) == EXIT_CONFIG
+    assert "--ratio must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_extremal_non_positive_lambdas_is_config_error(capsys, n):
+    # used to print an empty table and exit 0
+    assert main(["extremal", "--interval", "0", "4", "--set", "1,2", f"--lambdas={n}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--lambdas must be positive" in captured.err
+
+
+def test_classes_divergent_constant_is_standard_json(configs, capsys):
+    # w = 1 is outside B_p for p <= 1: its tail integral diverges
+    assert main(["classes", "--w", configs["w1"], "--p", "0.5"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["Bp"]["constant"] is None and out["Bp"]["diverges"] is True
+    assert out["Bp"]["witness"] == {"p": 0.5, "r": "tail"}
+    assert "diverges" not in out["Delta2"] and out["Delta2"]["constant"] == 2.0

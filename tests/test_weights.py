@@ -449,6 +449,18 @@ def test_a1_degenerate_grid_is_a_precondition(grid):
         check_A1(WeightModel.power(1.0, domain_kind="line"), grid=grid)
 
 
+@pytest.mark.parametrize("grid", [(0.0, 1.0), (-1.0,), (), (math.nan,)])
+def test_bp_degenerate_grid_is_a_precondition(grid):
+    # w = t is outside B_2 by its tail alone; the grid is still checked first
+    with pytest.raises(PreconditionError):
+        check_Bp(WeightModel.power(1.0), 2.0, grid=grid)
+
+
+def test_bstar_empty_grid_is_a_precondition():
+    with pytest.raises(PreconditionError):
+        check_Bstar_inf(WeightModel.power(0.5), grid=[])
+
+
 def test_ainf_probe_with_null_u_mass_is_a_precondition():
     # u(I) underflows to 0 for u = |x|^3 on (0, 1e-110)
     u = WeightModel.power(3.0, domain_kind="line")
