@@ -16,7 +16,12 @@ import sys
 from typing import Optional
 
 from . import boyd, construction, operators
-from .errors import ConfigurationError, PreconditionError, SingularInputError
+from .errors import (
+    ConfigurationError,
+    InternalCheckError,
+    PreconditionError,
+    SingularInputError,
+)
 from .intervals import Interval, IntervalUnion, endpoints, intersect, parse_union
 from .weights import (
     WeightModel,
@@ -29,6 +34,7 @@ from .weights import (
 
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt(x: float) -> str:
@@ -73,6 +79,17 @@ def _check_p(p: Optional[float]) -> None:
         raise PreconditionError(f"p must be positive, got {p!r}")
 
 
+def _print_json(obj) -> None:
+    """Print obj as one line of standard JSON with sorted keys.  A non-finite
+    number (NaN or an infinity) is a violated precondition, so stdout never
+    carries NaN or Infinity."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise PreconditionError(f"result is not finite: {exc}") from exc
+    print(text)
+
+
 def _write_csv(path: Optional[str], header: str, rows: list[str]) -> None:
     body = header + "\n" + "".join(row + "\n" for row in rows)
     if path:
@@ -96,7 +113,7 @@ def cmd_classes(args) -> int:
     if u is not None:
         out["A1"] = json.loads(check_A1(u).to_json())
         out["AInf"] = json.loads(check_Ainf(u).to_json())
-    print(json.dumps(out, sort_keys=True, allow_nan=False))
+    _print_json(out)
     return 0
 
 
@@ -128,7 +145,7 @@ def cmd_indices(args) -> int:
         "margin": mv.margin,
         "maximal": mv.verdict,
     }
-    print(json.dumps(summary, sort_keys=True))
+    _print_json(summary)
     return 0
 
 
@@ -157,7 +174,7 @@ def cmd_extremal(args) -> int:
         "mean_formula": (1.0 + math.log(s)) / s,
         "max_identity_error": max_err,
     }
-    print(json.dumps(summary, sort_keys=True))
+    _print_json(summary)
     return 0
 
 
@@ -170,7 +187,7 @@ def cmd_certify(args) -> int:
     ratio = I.length / S.measure
     family = boyd.Configuration(pairs=((I, S),), ratio=ratio)
     cert = construction.weak_type_lower_bound(u, w, args.p, family)
-    print(json.dumps(cert.as_dict(), sort_keys=True))
+    _print_json(cert.as_dict())
     return 0
 
 
@@ -198,16 +215,13 @@ def cmd_opnorm(args) -> int:
         for tid, in_n, out_n in report.details
     ]
     _write_csv(args.out, "test_id,input_norm,output_norm,ratio", rows)
-    print(
-        json.dumps(
-            {
-                "operator": report.operator,
-                "target": report.norm_kind,
-                "max_ratio": report.max_ratio,
-                "approximate": report.approximate,
-            },
-            sort_keys=True,
-        )
+    _print_json(
+        {
+            "operator": report.operator,
+            "target": report.norm_kind,
+            "max_ratio": report.max_ratio,
+            "approximate": report.approximate,
+        }
     )
     return 0
 
@@ -224,7 +238,7 @@ def cmd_verdict(args) -> int:
         "maximal": hv.maximal.as_dict(),
         "hilbert": hv.as_dict(),
     }
-    print(json.dumps(out, sort_keys=True))
+    _print_json(out)
     return 0
 
 
@@ -298,6 +312,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (PreconditionError, SingularInputError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,11 +10,13 @@ integrals) are answered exactly from that tree.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Iterable, Optional, Sequence
 
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .boyd import Configuration
 from .errors import PreconditionError
@@ -111,6 +113,22 @@ class _Leaf:
         gap = self.i_len - self.s_len
         return self.s_len / (theta * gap + self.s_len)
 
+    def crossings(self, knots: Sequence[float]) -> list[float]:
+        """The levels at which an end of the level interval crosses a knot
+        x: the left end is at x when theta = (b - x)/(b - a), the right end
+        when theta = (x - c)/(d - c), and then lam = |S|/(|S| + theta gap)."""
+        gap = self.i_len - self.s_len
+        out = []
+        for x in knots:
+            if self.a < x < self.b:
+                theta = (self.b - x) / (self.b - self.a)
+            elif self.c < x < self.d:
+                theta = (x - self.c) / (self.d - self.c)
+            else:
+                continue
+            out.append(self.s_len / (self.s_len + theta * gap))
+        return out
+
 
 class ExtremalFunction:
     """The level-set-proportional function for S inside I.  Use
@@ -163,6 +181,20 @@ class ExtremalFunction:
                 return max(self.floor, max(leaf.value_at(x) for leaf in self._leaves))
         assert self._outer is not None
         return max(self.floor, self._lam0 * self._outer.evaluate(x))
+
+    def kinks(self, knots: Sequence[float]) -> list[float]:
+        """The levels at which u({f >= lam}) may fail to be smooth, for a u
+        smooth between the given knots: the floor, the touching level lam0
+        with the kinks of the outer function scaled down by it, and the
+        levels above lam0 at which a leaf's level interval crosses a knot."""
+        if self._constant:
+            return []
+        top = self.floor if self._lam0 is None else self._lam0  # the leaves serve [top, 1]
+        out = [self.floor, top]
+        out += [lam for leaf in self._leaves for lam in leaf.crossings(knots) if lam >= top]
+        if self._outer is not None:
+            out += [top * lam for lam in self._outer.kinks(knots)]
+        return out
 
     def mean_value(self) -> float:
         """Mean of f over I: (1 + log s)/s with s = |I|/|S|, from the exact
@@ -235,8 +267,142 @@ class ExtremalSum:
     def evaluate(self, x: float) -> float:
         return sum(F.evaluate(x) for F in self.summands)
 
+    def level_mass(self, u: WeightModel, lam: float) -> float:
+        """u({sum >= lam}), summed over the summands' level sets."""
+        return sum(u.weight_of_set(F.level_set(lam)) for F in self.summands)
+
 
 # -- weak-type certificate --------------------------------------------------
+
+
+_GL_ORDERS = (8, 16)  # the order-16 sum is the value, |Q8 - Q16| its error
+_GL_RTOL = 1e-14  # a piece is halved while its error exceeds this share of the total
+_GL_DEPTH = 40  # at most this many halvings of one piece
+_GL_HALVINGS = 200  # and of all pieces together
+_ROUNDING = 2.0**-44  # rounding allowance, relative to the absolute node sum
+
+
+@cache
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the n-point Gauss–Legendre rule on [-1, 1]."""
+    nodes, weights = leggauss(n)
+    return tuple(nodes.tolist()), tuple(weights.tolist())
+
+
+def layer_cake(
+    p: float,
+    mass_at_level: Callable[[float], float],
+    kinks: Iterable[float],
+    lo: float,
+    hi: float,
+) -> tuple[float, float]:
+    """(value, error) of the layer-cake integral of p lam^(p-1)
+    mass_at_level(lam) over (lo, hi), 0 < lo < hi, for a mass_at_level that
+    is smooth between the kinks.
+
+    The cuts are lo, hi and the kinks between them; a kink within 2^-50
+    relative of the cut before it or of hi is dropped, as the sliver it
+    would make is inside the rounding allowance.  Each piece is integrated
+    in t = log lam, where a power-law mass gives an exponential, by
+    Gauss–Legendre of orders 8 and 16.  The piece of largest |Q8 - Q16| is
+    halved while that error exceeds 1e-14 of the running total, which
+    grades the mesh toward a singular end; a piece is halved at most 40
+    times and all pieces at most 200 times, so a noisy integrand costs a
+    bounded number of calls and shows in the error.  The value is the sum
+    of the order-16 sums of the pieces; the error is the sum of their
+    |Q8 - Q16| plus 2^-44 of their absolute node sums, for the rounding of
+    the nodes, the integrand and the sums (each taken with math.fsum)."""
+    cuts = [lo]
+    for k in sorted(kinks):
+        if cuts[-1] * (1.0 + 2.0**-50) < k < hi * (1.0 - 2.0**-50):
+            cuts.append(k)
+    cuts.append(hi)
+    logs = [math.log(c) for c in cuts]
+
+    def piece(a: float, b: float, depth: int) -> tuple:
+        """(-|Q8 - Q16|, a, b, depth, Q16, absolute node sum) on (a, b) in log lam."""
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        sums = []
+        for n in _GL_ORDERS:
+            nodes, weights = _gauss_legendre(n)
+            terms = []
+            for x, wt in zip(nodes, weights):
+                lam = math.exp(mid + half * x)
+                terms.append(wt * half * p * lam**p * mass_at_level(lam))
+            sums.append(terms)
+        q_low, q_high = math.fsum(sums[0]), math.fsum(sums[1])
+        return -abs(q_low - q_high), a, b, depth, q_high, math.fsum(map(abs, sums[1]))
+
+    heap = [piece(a, b, 0) for a, b in zip(logs, logs[1:])]
+    heapq.heapify(heap)  # the largest error first; ties go to the lower end
+    total, done = math.fsum(q for *_, q, _ in heap), []
+    for _ in range(_GL_HALVINGS):
+        while heap and heap[0][3] == _GL_DEPTH:
+            done.append(heapq.heappop(heap))
+        if not heap or -heap[0][0] <= _GL_RTOL * abs(total):
+            break
+        _, a, b, depth, q, _ = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        for child in (piece(a, mid, depth + 1), piece(mid, b, depth + 1)):
+            total += child[4]
+            heapq.heappush(heap, child)
+        total -= q
+    pieces = sorted(done + heap, key=lambda piece: piece[1])
+    value = math.fsum(q for *_, q, _ in pieces)
+    error = math.fsum(-neg_err for neg_err, *_ in pieces) + _ROUNDING * math.fsum(size for *_, size in pieces)
+    return value, error
+
+
+def _level_kinks(u: WeightModel, w: WeightModel, total: ExtremalSum, lo: float, hi: float) -> list[float]:
+    """The levels in (lo, hi) at which W(u({F >= lam})) may fail to be smooth:
+    (a) each summand's floor, and where u is not constant on its interval
+    the touching levels and (b) the levels at which a level interval
+    crosses a knot of u; (c) the levels at which the total u-mass, which
+    decreases in lam, crosses a knot of w, each found by bisection down to
+    adjacent floats."""
+    levels = []
+    for F in total.summands:
+        I = F.base_interval
+        levels += [F.floor] if u.is_constant_on(I.lo, I.hi) else F.kinks(u.knots)
+    if not w.knots:
+        return levels
+    top, bottom = total.level_mass(u, hi), total.level_mass(u, lo)
+    for t in w.knots:
+        if not top < t < bottom:
+            continue
+        a, b = lo, hi  # mass(a) > t >= mass(b)
+        mid = a + 0.5 * (b - a)
+        while a < mid < b:
+            if total.level_mass(u, mid) > t:
+                a = mid
+            else:
+                b = mid
+            mid = a + 0.5 * (b - a)
+        levels.append(b)
+    return levels
+
+
+def extremal_norm_p_and_error(
+    u: WeightModel, w: WeightModel, p: float, total: ExtremalSum, s: float
+) -> tuple[float, float]:
+    """(value, error) of the p-th power of the Lorentz quasi-norm of the
+    summed extremal function, by the layer-cake form: the flat part below
+    1/s in closed form, the level-set integral over (1/s, 1) by
+    :func:`layer_cake`, cut at the kinks of :func:`_level_kinks`."""
+    sup_mass = sum(u.mass(F.base_interval.lo, F.base_interval.hi) for F in total.summands)
+    flat = s**-p * w.primitive(sup_mass)
+    lo = 1.0 / s
+    middle, error = layer_cake(
+        p, lambda lam: w.primitive(total.level_mass(u, lam)), _level_kinks(u, w, total, lo, 1.0), lo, 1.0
+    )
+    return flat + middle, error + _ROUNDING * flat
+
+
+def extremal_norm_p(
+    u: WeightModel, w: WeightModel, p: float, total: ExtremalSum, s: float
+) -> float:
+    """The value of :func:`extremal_norm_p_and_error`."""
+    return extremal_norm_p_and_error(u, w, p, total, s)[0]
 
 
 @dataclass(frozen=True)
@@ -246,8 +412,9 @@ class WeakTypeCertificate:
     family: Configuration
     threshold: float
     test_norm: float
+    quadrature_error: float  # absolute error bound on test_norm^p
     superset_mass: float
-    lower_bound: float
+    lower_bound: float  # from the upper end (test_norm^p + quadrature_error)^(1/p)
     log_bound_constant: float  # test_norm^p / ((1 + log s) W(u(union S)))
 
     def as_dict(self) -> dict:
@@ -256,6 +423,7 @@ class WeakTypeCertificate:
             "s": self.s,
             "threshold": self.threshold,
             "test_norm": self.test_norm,
+            "quadrature_error": self.quadrature_error,
             "superset_mass": self.superset_mass,
             "lower_bound": self.lower_bound,
             "log_bound_constant": self.log_bound_constant,
@@ -266,23 +434,6 @@ class WeakTypeCertificate:
         }
 
 
-def extremal_norm_p(
-    u: WeightModel, w: WeightModel, p: float, total: ExtremalSum, s: float
-) -> float:
-    """p-th power of the Lorentz quasi-norm of the summed extremal function,
-    by the layer-cake form; the flat part below 1/s is closed form and the
-    remaining level-set integral is evaluated by adaptive quadrature."""
-    sup_mass = sum(u.mass(F.base_interval.lo, F.base_interval.hi) for F in total.summands)
-    flat = s**-p * w.primitive(sup_mass)
-
-    def integrand(lam: float) -> float:
-        mass = sum(u.weight_of_set(F.level_set(lam)) for F in total.summands)
-        return p * lam ** (p - 1.0) * w.primitive(mass)
-
-    middle, _ = quad(integrand, 1.0 / s, 1.0, limit=200, epsabs=1e-12, epsrel=1e-11)
-    return flat + middle
-
-
 def weak_type_lower_bound(
     u: WeightModel, w: WeightModel, p: float, family: Configuration
 ) -> WeakTypeCertificate:
@@ -290,7 +441,8 @@ def weak_type_lower_bound(
 
     The mean of each summand over its interval is (1 + log s)/s, so the whole
     union of the I_j sits inside {Mf > (1 + log s)/(2s)}; comparing the weak
-    norm of that superlevel set with the test-function norm gives the bound.
+    norm of that superlevel set with the test-function norm gives the bound,
+    taken at the upper end of the test norm's quadrature bracket.
     """
     s = family.ratio
     if s <= 1.0:
@@ -299,17 +451,19 @@ def weak_type_lower_bound(
         raise PreconditionError("certificate machinery targets p > 1")
     summands = [build_extremal(I, S) for I, S in family.pairs]
     total = ExtremalSum(summands)
-    test_norm = extremal_norm_p(u, w, p, total, s) ** (1.0 / p)
+    norm_p, error = extremal_norm_p_and_error(u, w, p, total, s)
+    test_norm = norm_p ** (1.0 / p)
     threshold = (1.0 + math.log(s)) / (2.0 * s)
     superset_mass = w.primitive(sum(u.mass(I.lo, I.hi) for I, _ in family.pairs))
     subset_mass = w.primitive(sum(u.weight_of_set(S) for _, S in family.pairs))
-    lower_bound = superset_mass ** (1.0 / p) * threshold / test_norm
+    lower_bound = superset_mass ** (1.0 / p) * threshold / (norm_p + error) ** (1.0 / p)
     return WeakTypeCertificate(
         p=p,
         s=s,
         family=family,
         threshold=threshold,
         test_norm=test_norm,
+        quadrature_error=error,
         superset_mass=superset_mass,
         lower_bound=lower_bound,
         log_bound_constant=test_norm**p / ((1.0 + math.log(s)) * subset_mass),

@@ -11,3 +11,7 @@ class PreconditionError(ValueError):
 
 class SingularInputError(ValueError):
     """A pointwise evaluation was requested at a singular point."""
+
+
+class InternalCheckError(RuntimeError):
+    """A result failed one of the library's own consistency checks."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InternalCheckError
 from .intervals import Interval, IntervalUnion, normalize, union
 from .weights import WeightModel
 
@@ -169,7 +169,7 @@ class DecreasingStep:
         vs = (*self.values, 0.0)
         layer = sum((vs[i] ** p - vs[i + 1] ** p) * Ws[i + 1] for i in range(len(self.values)))
         if direct > 0.0 and abs(direct - layer) > _CROSSCHECK_RTOL * direct:
-            raise ConfigurationError(f"layer-cake cross-check failed: {direct!r} vs {layer!r}")
+            raise InternalCheckError(f"layer-cake cross-check failed: {direct!r} vs {layer!r}")
         return direct ** (1.0 / p)
 
     def weak_norm(self, w: WeightModel, p: float) -> float:

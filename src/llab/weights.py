@@ -121,6 +121,27 @@ class WeightModel:
         return tuple(rows)
 
     @cached_property
+    def knots(self) -> tuple[float, ...]:
+        """The points of the domain, in increasing order, at which the weight
+        is not smooth: each breakpoint whose adjoining rows of the piece
+        table differ in coef or exp (mirrored on the line), and on the line
+        0 too unless the first row is constant (exp = 0)."""
+        rows = self._pieces
+        radii = [b[0] for a, b in zip(rows, rows[1:]) if a[1:3] != b[1:3]]
+        if self.domain_kind == "half_line":
+            return tuple(radii)
+        zero = [0.0] if rows[0][2] != 0.0 else []
+        return tuple([-r for r in reversed(radii)] + zero + radii)
+
+    def is_constant_on(self, lo: float, hi: float) -> bool:
+        """True if the weight is constant on (lo, hi): no knot inside, and the
+        row that holds the interior radii has exp = 0."""
+        if any(lo < x < hi for x in self.knots):
+            return False
+        r = max(abs(lo), abs(hi))
+        return self._pieces[bisect_left(self.breakpoints, r)][2] == 0.0
+
+    @cached_property
     def _columns(self) -> tuple[np.ndarray, ...]:
         """The piece table transposed into numpy columns for the array path:
         breakpoints, then lo, coef, e1, lo^e1, W(lo) and the log-row mask
@@ -376,13 +397,19 @@ def ainf_point(u: WeightModel, I: Interval, E: IntervalUnion) -> tuple[float, fl
 # -- checkers ---------------------------------------------------------------
 
 
-def _grid_verdict(name: str, grid: Optional[Sequence[float]], ratio, **witness) -> ClassVerdict:
-    """The verdict of one scale class: ratio(r) at every r of the grid (default
-    grid if None), the first of equal maxima as the witness {"r": r, **witness},
-    and `holds` from a finite maximum without a growth trend."""
+def _grid_verdict(
+    name: str, w: WeightModel, grid: Optional[Sequence[float]], ratio, **witness
+) -> ClassVerdict:
+    """The verdict of one scale class of w: ratio(r) at every r of the grid
+    (default grid if None), the first of equal maxima as the witness
+    {"r": r, **witness}, and `holds` from a finite maximum without a growth
+    trend.  Every ratio divides by W(r), so W must not underflow to 0 at
+    any grid scale; W increases, so the smallest scale decides."""
     grid = tuple(grid) if grid is not None else default_grid()
     if not grid or not all(r > 0 for r in grid):  # NaN fails too
         raise PreconditionError(f"{name} grid must be nonempty and positive")
+    if w.primitive(min(grid)) == 0.0:
+        raise PreconditionError(f"{name} needs W(r) > 0 on its grid, but W({min(grid)!r}) = 0")
     ratios = [ratio(r) for r in grid]
     best = int(np.argmax(ratios))
     holds = math.isfinite(max(ratios)) and not _tail_growth(grid, ratios)
@@ -396,17 +423,17 @@ def _grid_verdict(name: str, grid: Optional[Sequence[float]], ratio, **witness) 
 
 
 def check_delta2(w: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
-    return _grid_verdict("Delta2", grid, lambda r: delta2_ratio(w, r))
+    return _grid_verdict("Delta2", w, grid, lambda r: delta2_ratio(w, r))
 
 
 def check_Bp(w: WeightModel, p: float, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
     if w.tail_exp - p >= -1.0:  # the tail integral diverges at every scale
-        return _grid_verdict("Bp", grid, lambda r: math.inf, r="tail", p=p)
-    return _grid_verdict("Bp", grid, lambda r: bp_ratio(w, p, r), p=p)
+        return _grid_verdict("Bp", w, grid, lambda r: math.inf, r="tail", p=p)
+    return _grid_verdict("Bp", w, grid, lambda r: bp_ratio(w, p, r), p=p)
 
 
 def check_Bstar_inf(w: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
-    return _grid_verdict("BstarInf", grid, lambda r: bstar_ratio(w, r))
+    return _grid_verdict("BstarInf", w, grid, lambda r: bstar_ratio(w, r))
 
 
 def _a1_probe_points(u: WeightModel) -> list[float]:

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from llab.cli import EXIT_CONFIG, EXIT_PRECONDITION, main
+import llab
+from llab import construction, rearrangement
+from llab.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_PRECONDITION, main
 
 UNIT_HALF = {
     "domain": "half_line",
@@ -285,3 +291,80 @@ def test_classes_divergent_constant_is_standard_json(configs, capsys):
     assert out["Bp"]["constant"] is None and out["Bp"]["diverges"] is True
     assert out["Bp"]["witness"] == {"p": 0.5, "r": "tail"}
     assert "diverges" not in out["Delta2"] and out["Delta2"]["constant"] == 2.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_classes_steep_weight_is_precondition(tmp_path, capsys):
+    # W(2^-20) = 2^-4020/201 underflows to 0 for w = t^200; the scale ratios
+    # divided by it and the CLI ended in a ZeroDivisionError traceback
+    steep = {
+        "domain": "half_line",
+        "segments": [{"from": 0.0, "to": 1.0, "coef": 1.0, "exp": 200.0}],
+        "tail": {"coef": 1.0, "exp": 200.0},
+    }
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(steep))
+    assert main(["classes", "--w", str(path)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(2.0**-20) in captured.err
+
+
+def _canonical_argv(configs):
+    uw = ["--u", configs["uabs"], "--w", configs["w1"]]
+    return {
+        "classes": ["classes", "--w", configs["w1"], "--u", configs["uabs"], "--p", "2"],
+        "indices": ["indices", *uw, "--p", "2"],
+        "extremal": ["extremal", "--interval", "0", "8", "--set", "1,2;4,5", "--lambdas", "4"],
+        "certify": ["certify", *uw, "--interval", "0", repr(math.e), "--set", "0,1", "--p", "2"],
+        "opnorm": ["opnorm", "--operator", "maximal", *uw, "--count", "3", "--p", "2"],
+        "verdict": ["verdict", *uw, "--p", "2"],
+    }
+
+
+@pytest.mark.parametrize("command", ["classes", "indices", "extremal", "certify", "opnorm", "verdict"])
+def test_every_subcommand_prints_standard_json(configs, capsys, command):
+    assert main(_canonical_argv(configs)[command]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert isinstance(json.loads(last, parse_constant=_reject_constant), dict)
+
+
+def test_non_finite_result_is_precondition(configs, capsys, monkeypatch):
+    class Broken:
+        def as_dict(self):
+            return {"lower_bound": math.nan}
+
+    monkeypatch.setattr(construction, "weak_type_lower_bound", lambda *args: Broken())
+    assert main(_canonical_argv(configs)["certify"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+def test_certify_reports_quadrature_error(configs, capsys):
+    assert main(_canonical_argv(configs)["certify"]) == 0
+    cert = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert 0.0 < cert["quadrature_error"] < 1e-12 * cert["test_norm"] ** 2
+    upper = cert["test_norm"] ** 2 + cert["quadrature_error"]
+    bound = math.sqrt(cert["superset_mass"]) * cert["threshold"] / math.sqrt(upper)
+    assert cert["lower_bound"] == pytest.approx(bound, rel=1e-15)
+    assert cert["lower_bound"] < math.sqrt(cert["superset_mass"]) * cert["threshold"] / cert["test_norm"]
+
+
+def test_internal_check_is_exit_4(configs, capsys, monkeypatch):
+    # the layer-cake cross-check of DecreasingStep.norm used to exit 2, as if
+    # the user's configuration were at fault
+    monkeypatch.setattr(rearrangement, "_CROSSCHECK_RTOL", -1.0)
+    assert main(_canonical_argv(configs)["opnorm"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "internal check failed" in captured.err and "cross-check" in captured.err
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(llab.__file__).resolve().parents[1])
+    code = "import sys, llab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert out.stdout.strip() == "[]"

@@ -11,20 +11,30 @@ Oracles:
   - certificate: for u = w = 1, p = 2, I = (0, e), S = (0, 1), the chain
     evaluates in closed form: the test function has norm^2 = 2 - 1/e, the
     threshold is 1/e, and the lower bound is (2e-1)^{-1/2}.
+  - layer-cake kernel: closed forms; scipy's quad split at the same kinks;
+    and the bracket that monotonicity of the level-set mass proves,
+    sum g(lam_{i+1}) d(lam^p) <= integral <= sum g(lam_i) d(lam^p).
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from conftest import random_pair
+from llab import construction
 from llab.boyd import Configuration
 from llab.construction import (
     ExtremalSum,
+    _level_kinks,
     build_extremal,
     cover,
     extremal_norm_p,
+    extremal_norm_p_and_error,
+    layer_cake,
     weak_type_lower_bound,
     wbar_u_bound_from_weak,
 )
@@ -39,7 +49,7 @@ from llab.intervals import (
     singleton,
     union,
 )
-from llab.weights import WeightModel
+from llab.weights import Segment, WeightModel
 
 
 def check_cover(I, S, t):
@@ -230,3 +240,182 @@ def test_certificate_scales_with_weight():
         u, WeightModel.constant(coef=2.0), 2.0, _unit_family(4.0)
     )
     assert cert2.lower_bound == pytest.approx(cert1.lower_bound, rel=1e-9)
+
+
+# -- layer-cake kernel ---------------------------------------------------------
+
+
+def _counted(f):
+    calls = [0]
+
+    def g(lam):
+        calls[0] += 1
+        return f(lam)
+
+    return g, calls
+
+
+def test_layer_cake_power_law_is_one_piece():
+    # p lam^(p-1) lam^-3 with p = 2 is 2 lam^-2, an exponential in log lam
+    g, calls = _counted(lambda lam: lam**-3.0)
+    value, error = layer_cake(2.0, g, [], 0.1, 1.0)
+    assert abs(value - 18.0) <= error < 1e-12 * 18.0
+    assert calls[0] == 24
+
+
+def test_layer_cake_grades_toward_a_singular_end():
+    # sqrt(1 - lam) has an unbounded derivative at hi = 1
+    exact = 2.0 / 3.0 * 0.75**1.5
+    g, calls = _counted(lambda lam: math.sqrt(1.0 - lam))
+    value, error = layer_cake(1.0, g, [], 0.25, 1.0)
+    assert abs(value - exact) <= error < 1e-12 * exact
+    assert calls[0] > 24
+
+
+def test_layer_cake_cuts_at_kinks():
+    # a kink at 0.6 given is one more piece; not given, halving finds it at
+    # many times the cost, and the error still bounds the miss
+    f = lambda lam: abs(lam - 0.6) + 1.0  # noqa: E731
+    exact = 0.35**2 / 2.0 + 0.4**2 / 2.0 + 0.75
+    g, calls = _counted(f)
+    value, error = layer_cake(1.0, g, [0.6, 2.0], 0.25, 1.0)
+    assert abs(value - exact) <= error < 1e-12 and calls[0] == 48
+    g, calls = _counted(f)
+    value, error = layer_cake(1.0, g, [], 0.25, 1.0)
+    assert abs(value - exact) <= error < 1e-12 and calls[0] > 10 * 48
+
+
+def _quad_calls(u, w, p, fam):
+    """Integrand calls of the adaptive quadrature at its old tolerances."""
+    total = ExtremalSum([build_extremal(I, S) for I, S in fam.pairs])
+    calls = [0]
+
+    def integrand(lam):
+        calls[0] += 1
+        return p * lam ** (p - 1.0) * w.primitive(total.level_mass(u, lam))
+
+    quad(integrand, 1.0 / fam.ratio, 1.0, limit=200, epsabs=1e-12, epsrel=1e-11)
+    return calls[0]
+
+
+def _kernel_calls(u, w, p, fam, monkeypatch):
+    calls = []
+    kernel = construction.layer_cake
+
+    def counting(p, mass_at_level, kinks, lo, hi):
+        g, n = _counted(mass_at_level)
+        calls.append(n)
+        return kernel(p, g, kinks, lo, hi)
+
+    monkeypatch.setattr(construction, "layer_cake", counting)
+    cert = weak_type_lower_bound(u, w, p, fam)
+    monkeypatch.undo()
+    return cert, calls[0][0]
+
+
+def _family(I, parts):
+    I, S = Interval(*I), normalize(parts)
+    return Configuration(pairs=((I, S),), ratio=I.length / S.measure)
+
+
+@pytest.mark.parametrize(
+    "I, parts",
+    [
+        ((0.0, math.e), [(0.0, 1.0)]),
+        ((0.0, 8.0), [(1.0, 2.0), (3.0, 4.0)]),
+        ((0.0, 12.0), [(1.0, 2.0), (3.0, 4.0), (6.0, 7.0)]),
+        ((-4.0, 4.0), [(-2.0, -1.0), (0.5, 1.5)]),
+    ],
+)
+def test_certificate_calls_against_quad(I, parts, monkeypatch):
+    u, w = WeightModel.power(1.0, domain_kind="line"), WeightModel.power(0.5)
+    fam = _family(I, parts)
+    cert, calls = _kernel_calls(u, w, 2.0, fam, monkeypatch)
+    if len(parts) == 1:
+        assert calls <= 24  # quad: 21
+    else:
+        assert calls < _quad_calls(u, w, 2.0, fam)
+    assert 0.0 < cert.quadrature_error < 1e-12 * cert.test_norm**2
+
+
+def test_certificate_for_constant_u_is_one_piece(monkeypatch):
+    # u = 1: the mass |S|/lam is one analytic piece, whatever the touching levels
+    u, w = WeightModel.constant(domain_kind="line"), WeightModel.power(0.43)
+    fam = _family((0.0, 11.0), [(0.5, 1.7), (3.0, 3.9), (6.2, 7.0), (9.1, 10.0)])
+    _, calls = _kernel_calls(u, w, 2.0, fam, monkeypatch)
+    assert calls == 24
+
+
+_U3_TAIL = (Segment(0.8, 2.1, 0.7, 0.0), Segment(2.1, 3.5, 0.4, 1.2))
+_W3 = WeightModel(
+    segments=(Segment(0.0, 1.1, 1.0, 0.35), Segment(1.1, 2.4, 1.6, -1.0), Segment(2.4, 3.2, 0.6, 0.8)),
+    tail_coef=1.0,
+    tail_exp=0.3,
+)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """(u, w, p, family): u constant, |x| or three segments on the line (the
+    first exponent may be negative), w a power or three segments with an
+    exp = -1 segment, and a family of one or two pairs at a common ratio
+    with 1-4 components of S in all."""
+    u_kind = draw(st.sampled_from(["constant", "abs", "three"]))
+    if u_kind == "constant":
+        u = WeightModel.constant(domain_kind="line")
+    elif u_kind == "abs":
+        u = WeightModel.power(1.0, domain_kind="line")
+    else:
+        head = Segment(0.0, 0.8, 1.3, draw(st.floats(-0.7, 1.0)))
+        u = WeightModel((head, *_U3_TAIL), domain_kind="line", tail_coef=1.0, tail_exp=0.45)
+    w = draw(st.sampled_from([None, _W3])) or WeightModel.power(draw(st.floats(-0.5, 1.5)))
+    p = draw(st.floats(1.2, 3.0))
+    s = draw(st.floats(1.5, 8.0))
+    counts = draw(st.sampled_from([(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start, pairs = float(rng.uniform(-4.0, 1.0)), []
+    for k in counts:
+        lengths = rng.uniform(0.2, 1.5, size=k)
+        gaps = rng.uniform(0.1, 2.0, size=k - 1)
+        m, room = float(lengths.sum()), 0.9 * s * float(lengths.sum())
+        if m + gaps.sum() > room:
+            gaps *= (room - m) / gaps.sum()
+        L = s * m
+        lo = start + float(rng.uniform(0.0, L - m - gaps.sum()))
+        parts = []
+        for length, gap in zip(lengths, [*gaps, 0.0]):
+            parts.append((lo, lo + float(length)))
+            lo += float(length + gap)
+        pairs.append((Interval(start, start + L), normalize(parts)))
+        start += L + float(rng.uniform(0.1, 2.0))
+    return u, w, p, Configuration(pairs=tuple(pairs), ratio=s)
+
+
+@given(certificate_inputs())
+@settings(max_examples=50, deadline=None)
+def test_extremal_norm_against_quad_and_monotone_bracket(inputs):
+    u, w, p, fam = inputs
+    total = ExtremalSum([build_extremal(I, S) for I, S in fam.pairs])
+    s = fam.ratio
+    value, error = extremal_norm_p_and_error(u, w, p, total, s)
+    assert extremal_norm_p(u, w, p, total, s) == value
+
+    def g(lam):
+        return w.primitive(total.level_mass(u, lam))
+
+    lo = 1.0 / s
+    flat = s**-p * w.primitive(sum(u.mass(I.lo, I.hi) for I, _ in fam.pairs))
+    kinks = sorted({k for k in _level_kinks(u, w, total, lo, 1.0) if lo < k < 1.0})
+    middle, estimate = quad(
+        lambda lam: p * lam ** (p - 1.0) * g(lam), lo, 1.0, points=kinks or None, limit=400, epsabs=0.0, epsrel=1e-13
+    )
+    assert abs(value - (flat + middle)) <= max(1e-12 * abs(value), estimate + error)
+
+    # g decreases in lam, so each slice of the layer cake lies between its
+    # end values times d(lam^p)
+    levels = np.linspace(lo, 1.0, 2001).tolist()
+    gs = [g(lam) for lam in levels]
+    steps = [b**p - a**p for a, b in zip(levels, levels[1:])]
+    below = flat + math.fsum(gb * d for gb, d in zip(gs[1:], steps))
+    above = flat + math.fsum(ga * d for ga, d in zip(gs, steps))
+    assert below <= value <= above
