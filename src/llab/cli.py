@@ -312,6 +312,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (PreconditionError, SingularInputError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except OverflowError as exc:
+        print(f"precondition violated: floating-point overflow: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

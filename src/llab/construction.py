@@ -210,12 +210,14 @@ def build_extremal(I: Interval, S: IntervalUnion) -> ExtremalFunction:
         raise PreconditionError("extremal function needs a nonempty set")
     if not all(I.lo <= p.lo and p.hi <= I.hi for p in S):
         raise PreconditionError("extremal function needs S within I")
+    floor = S.measure / I.length
+    if not floor > 0.0:
+        raise PreconditionError(f"extremal function needs |S|/|I| > 0, got {S.measure!r}/{I.length!r}")
     if S.measure >= I.length * (1.0 - 1e-15):
         return ExtremalFunction(I, IntervalUnion((I,)), (), None, (), None, constant=True)
 
     comps = S.parts
     leaves = tuple(_Leaf(I.lo, c.lo, c.hi, I.hi) for c in comps)
-    floor = S.measure / I.length
     if len(comps) == 1:
         return ExtremalFunction(I, S, leaves, None, (), None, constant=False)
 
@@ -225,6 +227,8 @@ def build_extremal(I: Interval, S: IntervalUnion) -> ExtremalFunction:
         gap = right.b - left.c
         P = (left.d - left.c) * left.s_len / (left.i_len - left.s_len)
         Q = (right.b - right.a) * right.s_len / (right.i_len - right.s_len)
+        if not P + Q > 0.0:  # products of two lengths underflow below about 1e-154
+            raise PreconditionError(f"extremal construction underflows at |I| = {I.length!r}")
         xi = 1.0 + gap / (P + Q)
         lam0 = max(lam0, 1.0 / xi)
 
@@ -456,6 +460,10 @@ def weak_type_lower_bound(
     threshold = (1.0 + math.log(s)) / (2.0 * s)
     superset_mass = w.primitive(sum(u.mass(I.lo, I.hi) for I, _ in family.pairs))
     subset_mass = w.primitive(sum(u.weight_of_set(S) for _, S in family.pairs))
+    if not subset_mass > 0.0:
+        raise PreconditionError(f"certificate needs W(u(S)) > 0, got {subset_mass!r}")
+    if not norm_p + error > 0.0:  # f >= 1 on S, so only an underflow gives 0
+        raise PreconditionError(f"test-function norm underflows to {norm_p!r} at p = {p!r}")
     lower_bound = superset_mass ** (1.0 / p) * threshold / (norm_p + error) ** (1.0 / p)
     return WeakTypeCertificate(
         p=p,

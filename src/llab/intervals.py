@@ -107,31 +107,6 @@ def intersect(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
     return normalize(out)
 
 
-def difference(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
-    """Points of u not in v (up to boundary points)."""
-    out: list[tuple[float, float]] = []
-    for a in u.parts:
-        cursor = a.lo
-        for b in v.parts:
-            if b.hi <= cursor:
-                continue
-            if b.lo >= a.hi:
-                break
-            if b.lo > cursor:
-                out.append((cursor, b.lo))
-            cursor = max(cursor, b.hi)
-            if cursor >= a.hi:
-                break
-        if cursor < a.hi:
-            out.append((cursor, a.hi))
-    return normalize(out)
-
-
-def contains(u: IntervalUnion, v: IntervalUnion) -> bool:
-    """True iff v is a subset of u up to a null set."""
-    return difference(v, u).measure == 0.0
-
-
 def singleton(lo: float, hi: float) -> IntervalUnion:
     return normalize([(lo, hi)])
 

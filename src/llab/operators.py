@@ -53,20 +53,20 @@ def maximal(f: StepFunction, x: float) -> float:
     For a step function the average over (a, b) is a ratio of piecewise
     linear functions of each endpoint, so the supremum over intervals
     containing x is attained with both endpoints in breakpoints(f) + {x}.
+    The pairs of two breakpoints depend only on the gap x lies in and are
+    read from f.spans; the pairs with x itself take O(m).  A NaN average
+    never counts.
     """
     ends, _, F = f.table
     i = bisect.bisect_right(ends, x)  # ends[:i] <= x < ends[i:]
+    k = bisect.bisect_left(ends, x)  # ends[:k] < x
     Fx = F[i - 1] + f.value_at(x) * (x - ends[i - 1]) if i else 0.0
-    left = [*zip(ends[:i], F[:i]), (x, Fx)]
-    right = [(x, Fx), *zip(ends[i:], F[i:])]
-    best = 0.0
-    for a, Fa in left:
-        for b, Fb in right:
-            if b > a:
-                avg = (Fb - Fa) / (b - a)
-                if avg > best:
-                    best = avg
-    return best
+    return max(
+        0.0,
+        f.spans[i],
+        *[(Fx - Fa) / (x - a) for a, Fa in zip(ends[:k], F[:k])],
+        *[(Fb - Fx) / (b - x) for b, Fb in zip(ends[i:], F[i:])],
+    )
 
 
 def _truncations(f: StepFunction, x: float) -> list[float]:
@@ -84,21 +84,39 @@ def _truncations(f: StepFunction, x: float) -> list[float]:
         raise SingularInputError(f"Hilbert transform is singular at endpoint {e}")
     k = bisect.bisect_left(ends, x)
     gap = (0.0, *values, 0.0)  # gap[j]: f between ends[j - 1] and ends[j]
-    # as r falls past |x - e_j|, f(x - r) (side 0) or f(x + r) (side 1)
-    # takes the value of the gap on x's side of e_j
-    events = sorted(
-        [(x - ends[j], 0, gap[j + 1]) for j in range(k)]
-        + [(ends[j] - x, 1, gap[j]) for j in range(k, len(ends))],
-        reverse=True,
-    )
-    side = [0.0, 0.0]
-    ts = [0.0]
-    far = events[0][0] if events else 0.0
-    for d, s, v in events:
-        if d < far:
-            ts.append(ts[-1] + (side[0] - side[1]) * math.log(far / d))
-            far = d
-        side[s] = v
+    # As r falls past |x - e_j|, f(x - r) (left) or f(x + r) (right) takes
+    # the value of the gap on x's side of e_j.  Walking in from each end
+    # gives falling distances on each side, so the two merge without a
+    # sort: at an equal distance the right side goes first, and of equal
+    # distances on one side the smallest value stays.
+    dl, vl = [x - e for e in ends[:k]], gap[1 : k + 1]
+    dr, vr = [e - x for e in reversed(ends[k:])], gap[k : len(ends)][::-1]
+    a, b, nl, nr = 0, 0, len(dl), len(dr)
+    left = right = t = 0.0
+    ts = [t]
+    far = max(x - ends[0], ends[-1] - x) if ends else 0.0
+    pd = ps = None  # distance and side of the last event
+    while a < nl or b < nr:
+        if b < nr and (a == nl or dr[b] >= dl[a]):
+            d, v = dr[b], vr[b]
+            b += 1
+            if d < far:
+                t += (left - right) * math.log(far / d)
+                ts.append(t)
+                far = d
+            elif ps == 1 and d == pd:
+                v = min(right, v)
+            right, pd, ps = v, d, 1
+        else:
+            d, v = dl[a], vl[a]
+            a += 1
+            if d < far:
+                t += (left - right) * math.log(far / d)
+                ts.append(t)
+                far = d
+            elif ps == 0 and d == pd:
+                v = min(left, v)
+            left, pd, ps = v, d, 0
     return ts
 
 

@@ -455,9 +455,14 @@ def check_A1(u: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVer
     hi = np.stack(np.broadcast_arrays(x + r, x + r, x), axis=-1)
     if not scales or not np.all(lo < hi):
         raise PreconditionError("A1 needs a nonempty grid with x - r < x < x + r at every probe point")
-    avg = u.mass_array(lo, hi) / (hi - lo)  # first, so a half-line u fails as the scan did
+    with np.errstate(over="ignore", invalid="ignore"):  # where u's primitive overflows
+        mass = u.mass_array(lo, hi)  # first, so a half-line u fails as the scan did
+    if not np.all(np.isfinite(mass)):
+        raise PreconditionError("A1 needs finite u-masses on its grid")
+    avg = mass / (hi - lo)
     ux = np.array([u.value(p) for p in points])[:, None]
-    ratio = np.divide(avg, ux, out=np.full_like(avg, math.inf), where=ux != 0.0)  # as a1_ratio
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        ratio = np.divide(avg, ux, out=np.full_like(avg, math.inf), where=ux != 0.0)  # as a1_ratio
     ratio = np.where(ratio > 0.0, ratio, 0.0)
     best = int(np.argmax(ratio))
     best_ratio, best_witness = float(ratio.flat[best]), {}
@@ -542,7 +547,10 @@ def check_Ainf(
     owner = np.repeat(np.arange(n), counts)
     if not np.all((i_lo[owner] <= e_lo) & (e_hi <= i_hi[owner])):
         raise PreconditionError("A_inf probe needs E within I")
-    mass = u.mass_array(np.concatenate([i_lo, e_lo]), np.concatenate([i_hi, e_hi]))
+    with np.errstate(over="ignore", invalid="ignore"):  # where u's primitive overflows
+        mass = u.mass_array(np.concatenate([i_lo, e_lo]), np.concatenate([i_hi, e_hi]))
+    if not np.all(np.isfinite(mass)):
+        raise PreconditionError("A_inf needs finite u-masses on its probes")
     uI, uE, measure = mass[:n], mass[n:], e_hi - e_lo
     if np.any(uI == 0.0):
         raise PreconditionError("A_inf probe needs u(I) > 0")

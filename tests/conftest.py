@@ -1,5 +1,6 @@
 """Shared fixtures: canonical weights and seeded instance generators."""
 
+import bisect
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from llab.boyd import _anchors, _family_value, _scale_grid
 from llab.errors import PreconditionError
-from llab.intervals import Interval, IntervalUnion, contains, normalize
+from llab.intervals import Interval, IntervalUnion, normalize
 from llab.rearrangement import make_step
 from llab.weights import (
     ClassVerdict,
@@ -34,6 +35,31 @@ def u_unit():
 @pytest.fixture
 def u_abs():
     return WeightModel.power(1.0, domain_kind="line")
+
+
+def difference(u, v):
+    """Points of the interval union u not in v (up to boundary points)."""
+    out = []
+    for a in u.parts:
+        cursor = a.lo
+        for b in v.parts:
+            if b.hi <= cursor:
+                continue
+            if b.lo >= a.hi:
+                break
+            if b.lo > cursor:
+                out.append((cursor, b.lo))
+            cursor = max(cursor, b.hi)
+            if cursor >= a.hi:
+                break
+        if cursor < a.hi:
+            out.append((cursor, a.hi))
+    return normalize(out)
+
+
+def contains(u, v):
+    """True iff the interval union v is a subset of u up to a null set."""
+    return difference(v, u).measure == 0.0
 
 
 def random_pair(rng, max_components=6):
@@ -66,6 +92,49 @@ def step_functions(draw, max_pieces=200):
     f = make_step([(cell, float(rng.choice(pool))) for cell in cells])
     parts = [(p.lo, p.hi, v) for region, v in f.pieces for p in region.parts]
     return f, parts
+
+
+def maximal_pairs_oracle(f, x):
+    """maximal as the loop over every pair of candidate endpoints a < b with
+    a in ends(f) <= x or x, b in ends(f) > x or x: the best average from
+    0.0 by a strict `>`, so a NaN average never counts."""
+    ends, _, F = f.table
+    i = bisect.bisect_right(ends, x)  # ends[:i] <= x < ends[i:]
+    Fx = F[i - 1] + f.value_at(x) * (x - ends[i - 1]) if i else 0.0
+    left = [*zip(ends[:i], F[:i]), (x, Fx)]
+    right = [(x, Fx), *zip(ends[i:], F[i:])]
+    best = 0.0
+    for a, Fa in left:
+        for b, Fb in right:
+            if b > a:
+                avg = (Fb - Fa) / (b - a)
+                if avg > best:
+                    best = avg
+    return best
+
+
+def truncations_sort_oracle(f, x):
+    """operators._truncations with the events sorted: every (distance, side,
+    value) in one list under a reverse tuple sort, so at an equal distance
+    the right side (1) goes first and the smallest value of one side comes
+    last and stays."""
+    ends, values, _ = f.table
+    k = bisect.bisect_left(ends, x)
+    gap = (0.0, *values, 0.0)
+    events = sorted(
+        [(x - ends[j], 0, gap[j + 1]) for j in range(k)]
+        + [(ends[j] - x, 1, gap[j]) for j in range(k, len(ends))],
+        reverse=True,
+    )
+    side = [0.0, 0.0]
+    ts = [0.0]
+    far = events[0][0] if events else 0.0
+    for d, s, v in events:
+        if d < far:
+            ts.append(ts[-1] + (side[0] - side[1]) * math.log(far / d))
+            far = d
+        side[s] = v
+    return ts
 
 
 def maximal_grid_oracle(f, x, n=4000):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import maximal_grid_oracle, random_pair
+from conftest import contains, maximal_grid_oracle, random_pair
 from llab.boyd import (
     Configuration,
     SubmultiplicativeSamples,
@@ -32,7 +32,7 @@ from llab.construction import (
     weak_type_lower_bound,
     wbar_u_bound_from_weak,
 )
-from llab.intervals import Interval, IntervalUnion, contains, intersect, normalize, singleton
+from llab.intervals import Interval, IntervalUnion, intersect, normalize, singleton
 from llab.operators import hilbert, hilbert_verdict, maximal
 from llab.rearrangement import make_step, indicator
 from llab.weights import Segment, WeightModel, check_Bp, check_Bstar_inf

@@ -1,13 +1,18 @@
 """Command-line driver: subcommands, output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import llab
 from llab import construction, rearrangement
@@ -23,6 +28,11 @@ ABS_LINE = {
     "domain": "line",
     "segments": [{"from": 0.0, "to": 1.0, "coef": 1.0, "exp": 1.0}],
     "tail": {"coef": 1.0, "exp": 1.0},
+}
+SQRT_HALF = {
+    "domain": "half_line",
+    "segments": [{"from": 0.0, "to": 1.0, "coef": 1.0, "exp": 0.5}],
+    "tail": {"coef": 1.0, "exp": 0.5},
 }
 
 
@@ -368,3 +378,109 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src}
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--p", "1e300"],
+        ["certify", "--interval", "0", "1e308", "--set", "0,1", "--p", "2"],
+    ],
+)
+def test_overflow_is_precondition(configs, capsys, argv):
+    # a**e1 and r**e1 of the weight kernels overflowed into an OverflowError
+    # traceback (exit 1)
+    w = configs["dir"] / "wsqrt.json"
+    w.write_text(json.dumps(SQRT_HALF))
+    assert main(argv + ["--u", configs["uabs"], "--w", str(w)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflow" in captured.err
+
+
+_EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_WILD = st.sampled_from([False, False, False, True])  # one draw in four
+
+
+def _numbers(lo, hi, wild):
+    """Floats in [lo, hi]; when wild, also huge, tiny or non-finite ones."""
+    return st.one_of(st.floats(lo, hi), _EXTREMES) if wild else st.floats(lo, hi)
+
+
+@st.composite
+def _weight_json(draw, domain):
+    """A weight config as text: 1-3 segments abutting from 0 (now and then
+    none, a configuration error), now and then an unknown domain."""
+    wild = draw(_WILD)
+    coef, exp = _numbers(0.1, 4.0, wild), _numbers(-0.9, 3.0, wild)
+    cuts = sorted(set(draw(st.lists(st.floats(0.1, 8.0), min_size=1, max_size=3))))
+    bounds = [0.0, *cuts] if draw(st.sampled_from([True] * 7 + [False])) else []
+    obj = {
+        "domain": draw(st.sampled_from([domain] * 5 + ["circle"])),
+        "segments": [{"from": a, "to": b, "coef": draw(coef), "exp": draw(exp)} for a, b in zip(bounds, bounds[1:])],
+        "tail": {"coef": draw(coef), "exp": draw(exp)},
+    }
+    return json.dumps(obj)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["classes", "extremal", "certify"]))
+    argv = [command]
+    if command != "extremal":
+        argv += ["--u", draw(_weight_json("line")), "--w", draw(_weight_json("half_line"))]
+    if command != "classes":
+        scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e-300, 1e-200, 1e200, 1e300]))
+        wild = draw(_WILD)
+        lo = scale * draw(_numbers(-8.0, 8.0, wild))
+        hi = lo + scale * draw(_numbers(0.1, 16.0, wild))
+        argv += ["--interval", repr(lo), repr(hi)]
+        fracs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6)))
+        cuts = [lo + t * (hi - lo) for t in fracs]
+        if draw(st.sampled_from([False] * 4 + [True])):
+            cuts = draw(st.lists(_numbers(-8.0, 8.0, wild), max_size=6))
+        argv.append("--set=" + ";".join(f"{a!r},{b!r}" for a, b in zip(cuts[::2], cuts[1::2])))
+    if command == "extremal":
+        argv += ["--lambdas", "4"]
+    elif draw(st.booleans()):
+        argv.append(f"--p={draw(_numbers(0.2, 6.0, draw(_WILD)))!r}")
+    return argv
+
+
+_UNIT_LINE_TEXT, _UNIT_HALF_TEXT = json.dumps(UNIT_LINE), json.dumps(UNIT_HALF)
+_DEAD_ON_S = json.dumps(
+    dict(UNIT_LINE, segments=[*UNIT_LINE["segments"], {"from": 1.0, "to": 2.0, "coef": 1.0, "exp": -1e308}])
+)
+_HUGE_TAIL, _TINY_TAIL = (json.dumps(dict(UNIT_LINE, tail={"coef": c, "exp": 0.0})) for c in (1e308, 5e-324))
+
+
+@given(_cli_argv())
+# each of these ended in a traceback: u's mass on S, the test norm's p-th
+# power, |S|/|I| and a product of two lengths underflowing to 0 gave a
+# ZeroDivisionError; u's masses or the A1 ratios overflowing gave numpy
+# RuntimeWarnings
+@example(["certify", "--u", _DEAD_ON_S, "--w", _UNIT_HALF_TEXT, "--interval", "0.0", "8.0", "--set=1.0,2.0"])
+@example(["certify", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--interval", "0.0", "1.0", "--set=0.0,0.5", "--p=1e+300"])
+@example(["extremal", "--interval", "0.0", "8.0", "--set=0.0,5e-324", "--lambdas", "4"])
+@example(["extremal", "--interval", "0.0", "4e-200", "--set=1e-200,2e-200;2.5e-200,3e-200", "--lambdas", "4"])
+@example(["classes", "--u", _HUGE_TAIL, "--w", _UNIT_HALF_TEXT])
+@example(["classes", "--u", _TINY_TAIL, "--w", _UNIT_HALF_TEXT])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_exits_cleanly_on_any_input(argv):
+    argv = list(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag in ("--u", "--w"):
+            if flag in argv:
+                k = argv.index(flag) + 1
+                path = Path(tmp) / f"{flag[2:]}.json"
+                path.write_text(argv[k])
+                argv[k] = str(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                rc = exc.code
+    assert rc in (0, EXIT_CONFIG, EXIT_PRECONDITION), err.getvalue()
+    if rc == 0:
+        last = out.getvalue().splitlines()[-1]
+        assert isinstance(json.loads(last, parse_constant=_reject_constant), dict)

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import random_pair
+from conftest import contains, random_pair
 from llab import construction
 from llab.boyd import Configuration
 from llab.construction import (
@@ -42,7 +42,6 @@ from llab.errors import PreconditionError
 from llab.intervals import (
     Interval,
     IntervalUnion,
-    contains,
     intersect,
     normalize,
     parse_union,

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import contains, difference
 from llab.intervals import (
     EMPTY,
     Interval,
     IntervalUnion,
-    contains,
-    difference,
     intersect,
     measure,
     normalize,

@@ -15,6 +15,7 @@ Oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import maximal_grid_oracle, step_functions
+from conftest import maximal_grid_oracle, maximal_pairs_oracle, step_functions, truncations_sort_oracle
 from llab.errors import PreconditionError, SingularInputError
 from llab.intervals import singleton
 from llab.operators import (
+    _near_endpoint,
+    _truncations,
     apply_operator,
     conjugate_hardy,
     empirical_opnorm,
@@ -301,3 +304,57 @@ def test_hstar_matches_truncations_at_endpoint_distances(case, x):
     slack = 1e-14 * float(np.sum(np.abs(terms)) + val.sum())
     assert hilbert_maximal(f, x) >= abs(hilbert(f, x))
     assert abs(hilbert_maximal(f, x) - want) <= slack
+
+
+@given(step_functions(max_pieces=40), st.floats(-60.0, 60.0))
+@settings(max_examples=100, deadline=None)
+def test_maximal_is_the_pair_loop(case, x):
+    f, _ = case
+    ends = f.endpoints()
+    points = [x, *ends, math.inf, -math.inf, math.nan]
+    points += [math.nextafter(e, side) for e in ends for side in (-math.inf, math.inf)]
+    for y in points:
+        assert maximal(f, y) == maximal_pairs_oracle(f, y)
+
+
+def test_maximal_with_overflowing_integrals_is_the_pair_loop():
+    # F overflows to inf past the first piece, so some averages are inf and
+    # some are inf - inf = NaN, which must never count
+    f = make_step([((0.0, 1e10), 1e300), ((2e10, 3e10), 1e299), ((4e10, 5e10), 2.0)])
+    ends, _, F = f.table
+    for i, span in enumerate(f.spans):
+        pairs = [(F[k] - F[j]) / (ends[k] - ends[j]) for j in range(i) for k in range(i, len(ends))]
+        assert span == max([a for a in pairs if not math.isnan(a)], default=-math.inf)
+    points = [*ends, 5e9, 1.5e10, 4.5e10, 6e10, -1.0, math.inf, -math.inf, math.nan]
+    points += [math.nextafter(e, side) for e in ends for side in (-math.inf, math.inf)]
+    for y in points:
+        assert maximal(f, y) == maximal_pairs_oracle(f, y)
+
+
+def test_span_table_memory_is_linear():
+    rng = np.random.default_rng(53)
+    edges = np.cumsum(rng.uniform(0.05, 0.5, size=3001))
+    f = make_step([((float(a), float(b)), float(v)) for a, b, v in zip(edges, edges[1:], rng.permutation(3000) + 1.0)])
+    f.table
+    tracemalloc.start()
+    try:
+        spans = f.spans
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spans) == 3002
+    assert peak < 8 * 2**20  # an m x m float64 array alone is about 72 MB
+
+
+@given(step_functions(), st.floats(-60.0, 60.0), st.sampled_from(["plain", "midpoint", "far"]))
+@settings(max_examples=100, deadline=None)
+def test_truncations_are_the_sorted_sweep(case, x, where):
+    f, _ = case
+    ends = f.endpoints()
+    if where == "midpoint" and ends:  # equal distances on both sides
+        j = int(abs(x) * 1e6) % len(ends)
+        x = 0.5 * (ends[j] + ends[-1 - j])
+    elif where == "far":  # distances that round together on one side
+        x = math.copysign(1e17, x)
+    assume(_near_endpoint(ends, x) is None)
+    assert _truncations(f, x) == truncations_sort_oracle(f, x)
