@@ -11,7 +11,7 @@ estimate above the boundary is decisive, one below it is evidence only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,18 +69,15 @@ class SubmultiplicativeSamples:
 class IndexEstimate:
     exponent: float
     constant: float
-    fit_window: tuple[float, float]
     residual: float
 
 
 # -- grids and anchors ------------------------------------------------------
 
 
-def _scale_grid(
-    w: WeightModel, u: Optional[WeightModel], t: float, per_octave: int = 8
-) -> list[float]:
-    """Geometric grid of scales refined around the weights' breakpoints."""
-    scales = {2.0 ** (k / per_octave) for k in range(-20 * per_octave, 20 * per_octave + 1)}
+def _scale_grid(w: WeightModel, u: Optional[WeightModel], t: float) -> list[float]:
+    """Geometric grid of scales, 8 per octave over 2^-20..2^20, refined around the weights' breakpoints."""
+    scales = {2.0 ** (k / 8) for k in range(-160, 161)}
     refine: list[float] = list(w.breakpoints)
     if u is not None:
         refine.extend(u.breakpoints)
@@ -157,7 +154,10 @@ def _coarse_best(u: WeightModel, w: WeightModel, ratio: float, upper: bool):
     # at 1.0 and then zeroed, so that no 0/0 is computed
     live = ~((uS <= 0.0) | (uI <= 0.0))
     WI, WS = w.primitive_array(np.where(live, np.stack([uI, uS]), 1.0))
-    v = np.where(live, WI / WS, 0.0)
+    if np.any(WS == 0.0):  # _family_value would divide by zero
+        raise PreconditionError("the search needs W > 0 at every positive u-mass, but W underflows to 0")
+    with np.errstate(over="ignore"):  # an overflowed ratio is inf, as in _family_value
+        v = np.where(live, WI / WS, 0.0)
     if not upper:
         v = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)
     best = int(np.nanargmax(v))
@@ -243,7 +243,7 @@ def _search(
             (Interval(i_lo, i_hi), IntervalUnion((Interval(s_lo, s_hi),)))
             for (i_lo, i_hi), (s_lo, s_hi) in clamped
         ),
-        ratio=ratio if upper else 1.0 / t,
+        ratio=ratio,
     )
     return value(clamped), config
 
@@ -297,6 +297,13 @@ def _monotonize(vals: Sequence[float]) -> list[float]:
     return out
 
 
+def _samples(search, default_grid, u, w, ts, budget, seed) -> SubmultiplicativeSamples:
+    """The monotonized values of one search over ts (default_grid() if None)."""
+    ts = tuple(ts) if ts is not None else default_grid()
+    vals = [search(u, w, t, budget=budget, seed=seed)[0] for t in ts]
+    return SubmultiplicativeSamples(ts, tuple(_monotonize(vals)), "lower_bound", budget)
+
+
 def wbar_u_samples(
     u: WeightModel,
     w: WeightModel,
@@ -304,9 +311,7 @@ def wbar_u_samples(
     budget: int = 1,
     seed: int = 0,
 ) -> SubmultiplicativeSamples:
-    ts = tuple(ts) if ts is not None else default_upper_grid()
-    vals = [wbar_u(u, w, t, budget=budget, seed=seed)[0] for t in ts]
-    return SubmultiplicativeSamples(ts, tuple(_monotonize(vals)), "lower_bound", budget)
+    return _samples(wbar_u, default_upper_grid, u, w, ts, budget, seed)
 
 
 def underline_wu_samples(
@@ -316,9 +321,7 @@ def underline_wu_samples(
     budget: int = 1,
     seed: int = 0,
 ) -> SubmultiplicativeSamples:
-    ts = tuple(ts) if ts is not None else default_lower_grid()
-    vals = [underline_wu(u, w, t, budget=budget, seed=seed)[0] for t in ts]
-    return SubmultiplicativeSamples(ts, tuple(_monotonize(vals)), "lower_bound", budget)
+    return _samples(underline_wu, default_lower_grid, u, w, ts, budget, seed)
 
 
 def exact_samples(phi: Callable[[float], float], ts: Sequence[float]) -> SubmultiplicativeSamples:
@@ -329,7 +332,7 @@ def exact_samples(phi: Callable[[float], float], ts: Sequence[float]) -> Submult
 # -- exponent fits ----------------------------------------------------------
 
 
-def fit_upper_exponent(samples: SubmultiplicativeSamples, window_decades: float = 4.0) -> IndexEstimate:
+def fit_upper_exponent(samples: SubmultiplicativeSamples) -> IndexEstimate:
     """Least-squares slope of log phi vs log t over the tail of the grid.
 
     Tail means t -> infinity for grids above 1 and t -> 0 for grids below 1.
@@ -339,7 +342,9 @@ def fit_upper_exponent(samples: SubmultiplicativeSamples, window_decades: float 
     vals = np.asarray(samples.values, dtype=float)
     if ts.size < 4:
         raise PreconditionError("exponent fit needs at least 4 samples")
-    span = 10.0**window_decades
+    if not np.all((vals > 0.0) & (vals < math.inf)):  # 1/p-th powers overflow or underflow for a tiny p
+        raise PreconditionError("exponent fit needs finite positive samples")
+    span = 1e4  # the tail is the last four decades of the grid, or its last 4 samples
     if ts.min() >= 1.0:
         mask = ts >= ts.max() / span
     else:
@@ -355,7 +360,6 @@ def fit_upper_exponent(samples: SubmultiplicativeSamples, window_decades: float 
     return IndexEstimate(
         exponent=float(slope),
         constant=constant,
-        fit_window=(float(ts[mask].min()), float(ts[mask].max())),
         residual=residual,
     )
 
@@ -385,13 +389,11 @@ def compute_estimates(
     p: float,
     budget: int = 1,
     seed: int = 0,
-    upper_ts: Optional[Sequence[float]] = None,
-    lower_ts: Optional[Sequence[float]] = None,
 ) -> BoydEstimates:
     if p <= 0.0:
         raise PreconditionError("p must be positive")
-    upper = wbar_u_samples(u, w, upper_ts, budget=budget, seed=seed)
-    lower = underline_wu_samples(u, w, lower_ts, budget=budget, seed=seed)
+    upper = wbar_u_samples(u, w, budget=budget, seed=seed)
+    lower = underline_wu_samples(u, w, budget=budget, seed=seed)
     return BoydEstimates(
         p=p,
         alpha=_power_estimate(upper, p),
@@ -407,11 +409,9 @@ def boyd_indices(
     p: float,
     budget: int = 1,
     seed: int = 0,
-    upper_ts: Optional[Sequence[float]] = None,
-    lower_ts: Optional[Sequence[float]] = None,
 ) -> tuple[IndexEstimate, IndexEstimate]:
     """(upper index estimate, lower index estimate) for the p-quasi-norm."""
-    est = compute_estimates(u, w, p, budget, seed, upper_ts, lower_ts)
+    est = compute_estimates(u, w, p, budget, seed)
     return est.alpha, est.beta
 
 
@@ -424,23 +424,11 @@ class VerdictRecord:
     verdict: str  # "bounded" | "not_bounded" | "inconclusive"
     alpha: float
     margin: float
-    q: Optional[float] = None
-    q_constant: Optional[float] = None
-    beta: Optional[float] = None
+    q: float  # exponent of the certified power bound phi(t) <= q_constant t^q
+    q_constant: float
 
     def as_dict(self) -> dict:
-        out = {
-            "operator": self.operator,
-            "verdict": self.verdict,
-            "alpha": self.alpha,
-            "margin": self.margin,
-        }
-        if self.q is not None:
-            out["q"] = self.q
-            out["q_constant"] = self.q_constant
-        if self.beta is not None:
-            out["beta"] = self.beta
-        return out
+        return asdict(self)
 
 
 def maximal_verdict(
@@ -471,7 +459,6 @@ def maximal_verdict(
 class SubmultReport:
     ok: bool
     checked: int
-    max_excess: float
     violations: tuple[tuple[float, float], ...]
     asserted: bool
 
@@ -490,7 +477,6 @@ def check_submultiplicative(
     bound, which is consistent with lower bounds.
     """
     violations = []
-    max_excess = 0.0
     checked = 0
     for t in ts:
         for s in ss:
@@ -498,13 +484,11 @@ def check_submultiplicative(
             rhs = phi(t) * phi(s)
             checked += 1
             excess = lhs / rhs - 1.0 if rhs > 0.0 else math.inf
-            max_excess = max(max_excess, excess)
             if excess > tol:
                 violations.append((t, s))
     return SubmultReport(
         ok=not violations,
         checked=checked,
-        max_excess=max_excess,
         violations=tuple(violations),
         asserted=direction == "exact",
     )

@@ -106,13 +106,13 @@ def cmd_classes(args) -> int:
     w = _load_weight(args.w)
     u = _load_weight(args.u) if args.u else None
     out = {}
-    out["Delta2"] = json.loads(check_delta2(w).to_json())
+    out["Delta2"] = check_delta2(w).as_dict()
     if args.p is not None:
-        out["Bp"] = json.loads(check_Bp(w, args.p).to_json())
-    out["BstarInf"] = json.loads(check_Bstar_inf(w).to_json())
+        out["Bp"] = check_Bp(w, args.p).as_dict()
+    out["BstarInf"] = check_Bstar_inf(w).as_dict()
     if u is not None:
-        out["A1"] = json.loads(check_A1(u).to_json())
-        out["AInf"] = json.loads(check_Ainf(u).to_json())
+        out["A1"] = check_A1(u).as_dict()
+        out["AInf"] = check_Ainf(u).as_dict()
     _print_json(out)
     return 0
 
@@ -195,11 +195,13 @@ def cmd_opnorm(args) -> int:
     u = _load_weight(args.u)
     w = _load_weight(args.w)
     seed = _seed(args)
+    if seed < 0:  # the test families seed numpy's generator with it
+        raise ConfigurationError(f"opnorm needs a nonnegative seed, got {seed}")
     if args.family == "indicators":
         family = operators.indicator_family(args.count, seed)
     elif args.family == "extremals":
-        if not math.isfinite(args.ratio):
-            raise ConfigurationError(f"--ratio must be a finite number, got {args.ratio!r}")
+        if not 1.0 <= args.ratio < math.inf:  # the ratio |I|/|S| of the extremal pair
+            raise ConfigurationError(f"--ratio must be a finite number >= 1, got {args.ratio!r}")
         family = operators.extremal_family(s=args.ratio, count=1)
     elif args.family.startswith("random"):
         try:

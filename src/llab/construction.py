@@ -23,8 +23,6 @@ from .errors import PreconditionError
 from .intervals import Interval, IntervalUnion, normalize, union
 from .weights import WeightModel
 
-_REL_TOL = 1e-9
-
 
 # -- covering construction --------------------------------------------------
 
@@ -113,22 +111,6 @@ class _Leaf:
         gap = self.i_len - self.s_len
         return self.s_len / (theta * gap + self.s_len)
 
-    def crossings(self, knots: Sequence[float]) -> list[float]:
-        """The levels at which an end of the level interval crosses a knot
-        x: the left end is at x when theta = (b - x)/(b - a), the right end
-        when theta = (x - c)/(d - c), and then lam = |S|/(|S| + theta gap)."""
-        gap = self.i_len - self.s_len
-        out = []
-        for x in knots:
-            if self.a < x < self.b:
-                theta = (self.b - x) / (self.b - self.a)
-            elif self.c < x < self.d:
-                theta = (x - self.c) / (self.d - self.c)
-            else:
-                continue
-            out.append(self.s_len / (self.s_len + theta * gap))
-        return out
-
 
 class ExtremalFunction:
     """The level-set-proportional function for S inside I.  Use
@@ -186,12 +168,16 @@ class ExtremalFunction:
         """The levels at which u({f >= lam}) may fail to be smooth, for a u
         smooth between the given knots: the floor, the touching level lam0
         with the kinks of the outer function scaled down by it, and the
-        levels above lam0 at which a leaf's level interval crosses a knot."""
+        levels above lam0 at which a leaf's level interval crosses a knot x
+        in one of its side gaps, which is the leaf's value at x."""
         if self._constant:
             return []
         top = self.floor if self._lam0 is None else self._lam0  # the leaves serve [top, 1]
         out = [self.floor, top]
-        out += [lam for leaf in self._leaves for lam in leaf.crossings(knots) if lam >= top]
+        sides = [
+            leaf.value_at(x) for leaf in self._leaves for x in knots if leaf.a < x < leaf.b or leaf.c < x < leaf.d
+        ]
+        out += [lam for lam in sides if lam >= top]
         if self._outer is not None:
             out += [top * lam for lam in self._outer.kinks(knots)]
         return out

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import PreconditionError
+
 
 @dataclass(frozen=True, order=True)
 class Interval:
@@ -18,8 +20,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"interval needs lo < hi, got ({self.lo}, {self.hi})")
+        if not self.lo < self.hi:  # NaN fails too, as where a coordinate overflowed
+            raise PreconditionError(f"interval needs lo < hi, got ({self.lo}, {self.hi})")
 
     @property
     def length(self) -> float:

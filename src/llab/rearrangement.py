@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InternalCheckError
+from .errors import ConfigurationError, InternalCheckError, PreconditionError
 from .intervals import Interval, IntervalUnion, normalize, union
 from .weights import WeightModel
 
@@ -147,8 +147,8 @@ def make_step(pieces: Sequence[tuple[IntervalUnion, float]]) -> StepFunction:
     return StepFunction(merged)
 
 
-def indicator(region: IntervalUnion, value: float = 1.0) -> StepFunction:
-    return make_step([(region, value)])
+def indicator(region: IntervalUnion) -> StepFunction:
+    return make_step([(region, 1.0)])
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,8 @@ class DecreasingStep:
         """
         Ws = self._primitives(w, p)
         direct = sum(v**p * (Ws[i + 1] - Ws[i]) for i, v in enumerate(self.values))
+        if self.values and direct < np.finfo(float).tiny:  # subnormal: the cross-check would fail on rounding
+            raise PreconditionError(f"the p-th power of the norm underflows to {direct!r}")
         vs = (*self.values, 0.0)
         layer = sum((vs[i] ** p - vs[i + 1] ** p) * Ws[i + 1] for i in range(len(self.values)))
         if direct > 0.0 and abs(direct - layer) > _CROSSCHECK_RTOL * direct:
@@ -228,11 +230,13 @@ def rearrange(f: StepFunction, u: WeightModel) -> DecreasingStep:
     acc = 0.0
     for region, value in ranked:
         mass = u.weight_of_set(region)
-        if mass <= 0.0:
+        if mass <= 0.0 or acc + mass == acc:  # a step of no width in floating point
             continue
         acc += mass
         breakpoints.append(acc)
         values.append(value)
+    if not np.isfinite(acc):
+        raise PreconditionError(f"the u-masses of the level sets overflow to {acc!r}")
     return DecreasingStep(tuple(breakpoints), tuple(values))
 
 

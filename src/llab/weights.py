@@ -49,6 +49,14 @@ def _power_int(coef: float, exp: float, a: float, b: float) -> float:
     return coef * (b**e1 - lo) / e1
 
 
+def _finite(masses: np.ndarray) -> np.ndarray:
+    """masses, unless one overflowed the float range: every caller of the
+    array path divides or scores them, so that is a violated precondition."""
+    if not np.all(np.isfinite(masses)):
+        raise PreconditionError("a weight mass overflows the float range")
+    return masses
+
+
 def _libm(fn, *columns: np.ndarray) -> np.ndarray:
     """fn (math.pow or math.log) per element of 1-d arrays.  numpy's own pow
     and log round an ulp away from libm's on a few percent of inputs, and the
@@ -218,21 +226,26 @@ class WeightModel:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise PreconditionError("primitive needs t >= 0")
-        return self._radial_primitive_array(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(self._radial_primitive_array(t))
 
     def mass_array(self, lo, hi) -> np.ndarray:
         """mass of every interval (lo[i], hi[i]) of two equal-shape arrays.
         The radii of both ends go through the kernel in one pass: the raw
-        ends on the half-line, their absolute values on the line."""
+        ends on the half-line, their absolute values on the line.  A mass
+        that overflows is a violated precondition, so no caller scores it."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         ends = np.stack([lo, hi])
-        if self.domain_kind == "half_line":
-            if np.any(lo < 0.0):
-                raise ConfigurationError("set escapes the half-line domain")
-            a, b = self._radial_primitive_array(ends)
-            return b - a
-        a, b = self._radial_primitive_array(np.abs(ends))
-        return np.where(lo >= 0.0, b - a, np.where(hi <= 0.0, a - b, a + b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.domain_kind == "half_line":
+                if np.any(lo < 0.0):
+                    raise ConfigurationError("set escapes the half-line domain")
+                a, b = self._radial_primitive_array(ends)
+                mass = b - a
+            else:
+                a, b = self._radial_primitive_array(np.abs(ends))
+                mass = np.where(lo >= 0.0, b - a, np.where(hi <= 0.0, a - b, a + b))
+        return _finite(mass)
 
     def weight_of_set(self, E: IntervalUnion) -> float:
         """Integral of the weight over E (closed form, additive over parts)."""
@@ -328,10 +341,9 @@ class ClassVerdict:
     holds: bool
     constant: float
     witness: dict
-    probe_scales: tuple[float, ...] = ()
     exponent: Optional[float] = None
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         """A non-finite constant is written as null with "diverges": true, so
         the JSON stays standard."""
         payload = {
@@ -344,7 +356,7 @@ class ClassVerdict:
             payload["diverges"] = True
         if self.exponent is not None:
             payload["exponent"] = self.exponent
-        return json.dumps(payload, allow_nan=False)
+        return payload
 
 
 def default_grid() -> tuple[float, ...]:
@@ -404,13 +416,17 @@ def _grid_verdict(
     (default grid if None), the first of equal maxima as the witness
     {"r": r, **witness}, and `holds` from a finite maximum without a growth
     trend.  Every ratio divides by W(r), so W must not underflow to 0 at
-    any grid scale; W increases, so the smallest scale decides."""
+    any grid scale; W increases, so the smallest scale decides.  Nor may a
+    ratio overflow, unless the witness is r = "tail": B_p's divergent tail."""
     grid = tuple(grid) if grid is not None else default_grid()
     if not grid or not all(r > 0 for r in grid):  # NaN fails too
         raise PreconditionError(f"{name} grid must be nonempty and positive")
     if w.primitive(min(grid)) == 0.0:
         raise PreconditionError(f"{name} needs W(r) > 0 on its grid, but W({min(grid)!r}) = 0")
     ratios = [ratio(r) for r in grid]
+    over = [(r, v) for r, v in zip(grid, ratios) if not math.isfinite(v)]
+    if over and witness.get("r") != "tail":  # np.argmax would pick a NaN, and an inf is no divergence
+        raise PreconditionError(f"{name} ratio overflows to {over[0][1]!r} at r = {over[0][0]!r}: W or its integral overflows")
     best = int(np.argmax(ratios))
     holds = math.isfinite(max(ratios)) and not _tail_growth(grid, ratios)
     return ClassVerdict(
@@ -418,7 +434,6 @@ def _grid_verdict(
         holds=holds,
         constant=ratios[best],
         witness={"r": grid[best], **witness},
-        probe_scales=grid,
     )
 
 
@@ -455,11 +470,7 @@ def check_A1(u: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVer
     hi = np.stack(np.broadcast_arrays(x + r, x + r, x), axis=-1)
     if not scales or not np.all(lo < hi):
         raise PreconditionError("A1 needs a nonempty grid with x - r < x < x + r at every probe point")
-    with np.errstate(over="ignore", invalid="ignore"):  # where u's primitive overflows
-        mass = u.mass_array(lo, hi)  # first, so a half-line u fails as the scan did
-    if not np.all(np.isfinite(mass)):
-        raise PreconditionError("A1 needs finite u-masses on its grid")
-    avg = mass / (hi - lo)
+    avg = u.mass_array(lo, hi) / (hi - lo)  # first, so a half-line u fails as the scan did
     ux = np.array([u.value(p) for p in points])[:, None]
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
         ratio = np.divide(avg, ux, out=np.full_like(avg, math.inf), where=ux != 0.0)  # as a1_ratio
@@ -476,7 +487,6 @@ def check_A1(u: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVer
         holds=holds,
         constant=best_ratio,
         witness=best_witness,
-        probe_scales=scales,
     )
 
 
@@ -547,10 +557,7 @@ def check_Ainf(
     owner = np.repeat(np.arange(n), counts)
     if not np.all((i_lo[owner] <= e_lo) & (e_hi <= i_hi[owner])):
         raise PreconditionError("A_inf probe needs E within I")
-    with np.errstate(over="ignore", invalid="ignore"):  # where u's primitive overflows
-        mass = u.mass_array(np.concatenate([i_lo, e_lo]), np.concatenate([i_hi, e_hi]))
-    if not np.all(np.isfinite(mass)):
-        raise PreconditionError("A_inf needs finite u-masses on its probes")
+    mass = u.mass_array(np.concatenate([i_lo, e_lo]), np.concatenate([i_hi, e_hi]))
     uI, uE, measure = mass[:n], mass[n:], e_hi - e_lo
     if np.any(uI == 0.0):
         raise PreconditionError("A_inf probe needs u(I) > 0")
@@ -587,6 +594,5 @@ def check_Ainf(
         holds=holds,
         constant=c_u,
         witness=witness,
-        probe_scales=tuple(np.unique(length).tolist()),
         exponent=alpha,
     )

@@ -227,7 +227,7 @@ def check_A1_oracle(u, grid=None):
                     best_witness = {"x": x, "lo": lo, "hi": hi}
         per_scale.append(scale_max)
     holds = math.isfinite(best_ratio) and not _tail_growth(scales, per_scale, factor=1.1)
-    return ClassVerdict("A1", holds, best_ratio, best_witness, scales)
+    return ClassVerdict("A1", holds, best_ratio, best_witness)
 
 
 def ainf_probes_oracle(u, seed=0, randoms_per_scale=32):
@@ -282,5 +282,4 @@ def check_Ainf_oracle(u, probes=None):
         m_first = min(v for s, v in slopes if s <= bottom * 10.0)
         if m_last < 0.25 and m_last < 0.5 * m_first:
             holds = False
-    scales = tuple(sorted({I.length for I, _ in probes}))
-    return ClassVerdict("AInf", holds, c_u, witness, scales, exponent=alpha)
+    return ClassVerdict("AInf", holds, c_u, witness, exponent=alpha)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,34 @@ def test_classes_steep_weight_is_precondition(tmp_path, capsys):
     assert captured.out == "" and repr(2.0**-20) in captured.err
 
 
+@pytest.mark.parametrize("coef", [1e300, 1e296])
+def test_classes_overflowing_ratio_is_precondition(tmp_path, capsys, coef):
+    # W = c t^2/2 overflows from r = 2^14 on for c = 1e300, so W(2r)/W(r)
+    # was inf/inf: np.argmax picked the NaN, and Delta2, Bp and BstarInf
+    # printed "constant": null with exit 0, Bp and BstarInf "holds": true.
+    # For c = 1e296 only W(2^21) overflows: Delta2 of c t "diverged"
+    w = dict(UNIT_HALF, segments=[{"from": 0.0, "to": 1.0, "coef": coef, "exp": 1.0}], tail={"coef": coef, "exp": 1.0})
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(w))
+    assert main(["classes", "--w", str(path), "--p", "3"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Delta2 ratio overflows" in captured.err
+
+
+def test_indices_overflowing_u_mass_is_precondition(tmp_path, capsys):
+    # u's masses overflow on the search's coarse grid: the search went on,
+    # wrote 21 CSV lines and five numpy overflow warnings, and only the
+    # summary exited 3, as "result is not finite"
+    u, w = tmp_path / "u.json", tmp_path / "w.json"
+    u.write_text(_HUGE_TAIL)
+    w.write_text(_UNIT_HALF_TEXT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["indices", "--u", str(u), "--w", str(w)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "mass overflows" in captured.err
+
+
 def _canonical_argv(configs):
     uw = ["--u", configs["uabs"], "--w", configs["w1"]]
     return {
@@ -446,11 +475,17 @@ def _cli_argv(draw):
     return argv
 
 
-_UNIT_LINE_TEXT, _UNIT_HALF_TEXT = json.dumps(UNIT_LINE), json.dumps(UNIT_HALF)
+_UNIT_LINE_TEXT, _UNIT_HALF_TEXT, _ABS_LINE_TEXT = (json.dumps(obj) for obj in (UNIT_LINE, UNIT_HALF, ABS_LINE))
 _DEAD_ON_S = json.dumps(
     dict(UNIT_LINE, segments=[*UNIT_LINE["segments"], {"from": 1.0, "to": 2.0, "coef": 1.0, "exp": -1e308}])
 )
 _HUGE_TAIL, _TINY_TAIL = (json.dumps(dict(UNIT_LINE, tail={"coef": c, "exp": 0.0})) for c in (1e308, 5e-324))
+_STEEP_COEF = json.dumps(
+    dict(UNIT_HALF, segments=[{"from": 0.0, "to": 1.0, "coef": 1e300, "exp": 1.0}], tail={"coef": 1e300, "exp": 1.0})
+)
+_TINY_HEAD_W = json.dumps(dict(UNIT_HALF, segments=[{"from": 0.0, "to": 5.0, "coef": 5e-324, "exp": 0.0}]))
+_TINY_HEAD_U = json.dumps(dict(UNIT_LINE, segments=[{"from": 0.0, "to": 1.0, "coef": 5e-324, "exp": 0.0}]))
+_STEEP_TAIL_U = json.dumps(dict(UNIT_LINE, tail={"coef": 1e300, "exp": 2.5}))
 
 
 @given(_cli_argv())
@@ -466,6 +501,12 @@ _HUGE_TAIL, _TINY_TAIL = (json.dumps(dict(UNIT_LINE, tail={"coef": c, "exp": 0.0
 @example(["classes", "--u", _TINY_TAIL, "--w", _UNIT_HALF_TEXT])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_exits_cleanly_on_any_input(argv):
+    _exits_cleanly(argv)
+
+
+def _exits_cleanly(argv):
+    """Run main on argv, with the weight configs it holds as text written to
+    files first: exit 0, 2 or 3, and on 0 a last line of standard JSON."""
     argv = list(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for flag in ("--u", "--w"):
@@ -484,3 +525,51 @@ def test_cli_exits_cleanly_on_any_input(argv):
     if rc == 0:
         last = out.getvalue().splitlines()[-1]
         assert isinstance(json.loads(last, parse_constant=_reject_constant), dict)
+
+
+@st.composite
+def _search_argv(draw):
+    """indices, verdict or opnorm on fuzzed weights and seeds; a budget for
+    the searches, an operator, family, count, ratio and target for opnorm."""
+    command = draw(st.sampled_from(["indices", "verdict", "opnorm"]))
+    argv = [command, "--u", draw(_weight_json("line")), "--w", draw(_weight_json("half_line"))]
+    argv.append(f"--seed={draw(st.integers(-3, 2**40))}")
+    if command == "opnorm":
+        argv += ["--operator", draw(st.sampled_from(["maximal", "hilbert", "hstar", "q"]))]
+        argv += ["--family", draw(st.sampled_from(["indicators", "random:2", "random:x", "extremals", "steps"]))]
+        argv += [f"--count={draw(st.integers(-1, 3))}", f"--ratio={draw(_numbers(0.5, 8.0, draw(_WILD)))!r}"]
+        argv += ["--target", draw(st.sampled_from(["strong", "weak"]))]
+    else:
+        argv.append(f"--budget={draw(st.sampled_from([1, 1, 1, 0]))}")
+    if draw(st.booleans()):
+        argv.append(f"--p={draw(_numbers(0.2, 6.0, draw(_WILD)))!r}")
+    return argv
+
+
+@given(_search_argv())
+# the overflow repros: u's masses overflowing on the coarse grid, W
+# overflowing on it, and W(2r)/W(r) = inf/inf (a NaN verdict, exit 0)
+@example(["indices", "--u", _HUGE_TAIL, "--w", _UNIT_HALF_TEXT])
+@example(["verdict", "--u", _ABS_LINE_TEXT, "--w", _STEEP_COEF])
+@example(["classes", "--w", _STEEP_COEF, "--p=3.0"])
+# each of these ended in a traceback, a RuntimeWarning or exit 4: W
+# underflowing to 0 at a u-mass of the coarse grid (0/0) and W(u(I))/W(u(S))
+# overflowing there, 1/p-th powers for p = 5e-324 (log of 0), a subnormal
+# norm^p failing the layer-cake cross-check, an input norm of 0, a u-mass of
+# 1e-323 absorbed next to 1 and an overflowed one (the rearrangement's
+# breakpoints not increasing), a negative seed for numpy's generator, and
+# an extremal --ratio of 0 or 1e308 (a ValueError from Interval; 4 s is inf
+# for 1e308, and the first summand's shift 0 * inf is NaN)
+@example(["indices", "--u", _UNIT_LINE_TEXT, "--w", _TINY_HEAD_W])
+@example(["indices", "--u", _TINY_HEAD_U, "--w", _UNIT_HALF_TEXT])
+@example(["indices", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--p=5e-324"])
+@example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _TINY_HEAD_W, "--operator", "maximal", "--family", "random:2"])
+@example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _TINY_HEAD_W, "--operator", "maximal", "--count=1"])
+@example(["opnorm", "--u", _TINY_HEAD_U, "--w", _UNIT_HALF_TEXT, "--operator", "maximal", "--family", "random:2"])
+@example(["opnorm", "--u", _STEEP_TAIL_U, "--w", _UNIT_HALF_TEXT, "--operator", "hilbert", "--family", "extremals", "--ratio=4.855"])
+@example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--operator", "hstar", "--seed=-2"])
+@example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--operator", "hstar", "--family", "extremals", "--ratio=0.0"])
+@example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--operator", "hstar", "--family", "extremals", "--ratio=1e308"])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_search_commands_exit_cleanly_on_any_input(argv):
+    _exits_cleanly(argv)

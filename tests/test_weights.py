@@ -461,6 +461,54 @@ def test_bstar_empty_grid_is_a_precondition():
         check_Bstar_inf(WeightModel.power(0.5), grid=[])
 
 
+@st.composite
+def extreme_weight(draw):
+    """A half-line weight of 1-3 segments and a tail whose coefficients are
+    now and then huge or tiny, so that W overflows or underflows somewhere
+    on the default grid."""
+    coef = st.one_of(st.floats(0.1, 4.0), st.sampled_from([5e-324, 1e-300, 1e-150, 1e150, 1e300, 1.7e308]))
+    bounds = [0.0, *sorted(set(draw(st.lists(st.floats(0.1, 8.0), min_size=1, max_size=3))))]
+    segments = tuple(
+        Segment(a, b, draw(coef), draw(st.floats(-0.9 if a == 0.0 else -2.0, 3.0)))
+        for a, b in zip(bounds, bounds[1:])
+    )
+    return WeightModel(segments, tail_coef=draw(coef), tail_exp=draw(st.floats(-2.0, 3.0)))
+
+
+@given(extreme_weight(), st.floats(0.2, 6.0))
+# W = 1e300 t^2/2 overflows from r = 2^14 on: each ratio was inf/inf there,
+# and np.argmax picked the NaN as the constant; for c = 1e296 only W(2^21)
+# and r^p times the B_p tail overflow, and the constants were inf
+@example(WeightModel.power(1.0, coef=1e300), 3.0)
+@example(WeightModel.power(1.0, coef=1e296), 2.01)
+@settings(max_examples=100, deadline=None)
+def test_scale_checks_never_return_nan(w, p):
+    for check in (check_delta2, lambda w: check_Bp(w, p), check_Bstar_inf):
+        try:
+            verdict = check(w)
+        except PreconditionError:
+            continue
+        assert math.isfinite(verdict.constant) or verdict.constant == math.inf
+        # an infinite constant is B_p's divergent tail, never an overflow
+        assert math.isfinite(verdict.constant) or verdict.witness["r"] == "tail"
+
+
+def test_overflowing_masses_are_a_precondition():
+    # u = 1 on (0, 1), then 1e308: u's primitive overflows from |x| = 2 on,
+    # which check_A1 and check_Ainf each used to test for themselves and the
+    # configuration search not at all
+    u = WeightModel((Segment(0.0, 1.0, 1.0, 0.0),), "line", tail_coef=1e308)
+    assert math.isfinite(u.mass_array(np.array([-1.5]), np.array([1.5]))[0])
+    for lo, hi in ((0.0, 4.0), (-1.9, 1.9)):  # P(4) = inf; P(1.9) + P(1.9) = inf
+        with pytest.raises(PreconditionError, match="overflows"):
+            u.mass_array(np.array([lo]), np.array([hi]))
+    with pytest.raises(PreconditionError, match="overflows"):
+        WeightModel.power(1.0, coef=1e300).primitive_array(np.array([1.0, 1e5]))
+    for check in (check_A1, check_Ainf):
+        with pytest.raises(PreconditionError, match="overflows"):
+            check(u)
+
+
 def test_ainf_probe_with_null_u_mass_is_a_precondition():
     # u(I) underflows to 0 for u = |x|^3 on (0, 1e-110)
     u = WeightModel.power(3.0, domain_kind="line")
