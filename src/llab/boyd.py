@@ -10,6 +10,7 @@ estimate above the boundary is decisive, one below it is evidence only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
@@ -74,10 +75,12 @@ class IndexEstimate:
 
 # -- grids and anchors ------------------------------------------------------
 
+_OCTAVE_SCALES = frozenset(2.0 ** (k / 8) for k in range(-160, 161))
+
 
 def _scale_grid(w: WeightModel, u: Optional[WeightModel], t: float) -> list[float]:
     """Geometric grid of scales, 8 per octave over 2^-20..2^20, refined around the weights' breakpoints."""
-    scales = {2.0 ** (k / 8) for k in range(-160, 161)}
+    scales = set(_OCTAVE_SCALES)
     refine: list[float] = list(w.breakpoints)
     if u is not None:
         refine.extend(u.breakpoints)
@@ -127,15 +130,22 @@ def _family_value(
     return w.primitive(uI) / w.primitive(uS)
 
 
-def _coarse_best(u: WeightModel, w: WeightModel, ratio: float, upper: bool):
-    """(value, pair) of the first best single pair (I, S) of the coarse grid,
+@functools.lru_cache(maxsize=64)
+def _coarse_pass(u: WeightModel, w: WeightModel, ratio: float):
+    """((value, pair) of the upper search, (value, pair) of the lower one):
+    the first best single pair (I, S) of the coarse grid at |I| = ratio |S|,
     scored in one array pass.  For each anchor a of u, each scale small of
     the scale grid and big = small * ratio, in that loop order, it places
     I = (a, a + big) with S at its left end, I = (a - big, a) with S at its
     right end, and I centred on a with S centred in it.  The values are
     _family_value's bit for bit (inverted for the lower search); as in a
     scan with a strict `>`, a NaN is never best and the first of equal
-    maxima wins."""
+    maxima wins.
+
+    The upper search at t and the lower one at 1/t share the ratio, so they
+    share the pass, and the pass is cached.  Weights are frozen and every
+    closed form reads only their fields, so equal weights give equal passes;
+    a pass that raises is not cached and raises again."""
     a = np.array(_anchors(u))[:, None]
     small = np.array(_scale_grid(w, u, ratio))
     big = small * ratio
@@ -158,10 +168,18 @@ def _coarse_best(u: WeightModel, w: WeightModel, ratio: float, upper: bool):
         raise PreconditionError("the search needs W > 0 at every positive u-mass, but W underflows to 0")
     with np.errstate(over="ignore"):  # an overflowed ratio is inf, as in _family_value
         v = np.where(live, WI / WS, 0.0)
-    if not upper:
-        v = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)
-    best = int(np.nanargmax(v))
-    return float(v[best]), ((float(i_lo[best]), float(i_hi[best])), (float(s_lo[best]), float(s_hi[best])))
+
+    def best(scores):
+        k = int(np.nanargmax(scores))
+        return float(scores[k]), ((float(i_lo[k]), float(i_hi[k])), (float(s_lo[k]), float(s_hi[k])))
+
+    return best(v), best(np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0))
+
+
+def _coarse_best(u: WeightModel, w: WeightModel, ratio: float, upper: bool):
+    """(value, pair) of the first best single pair of the coarse grid for
+    the upper search (upper) or the lower one, from _coarse_pass."""
+    return _coarse_pass(u, w, ratio)[0 if upper else 1]
 
 
 def _search(
@@ -180,6 +198,20 @@ def _search(
     def value(pairs) -> float:
         v = _family_value(u, w, pairs)
         return v if upper else 1.0 / v if v > 0.0 else 0.0
+
+    def one(I, S, known=None):
+        """(value([(I, S)]) bit for bit, (u(I), W(u(I)) or None)).  known, when
+        given, is that second item from a pair with the same I and saves its
+        kernel calls; as in _family_value, W(u(I)) is taken only when both
+        masses are positive."""
+        uI, WI = known if known is not None else (u.mass(*I), None)
+        uS = u.mass(*S)
+        if uS <= 0.0 or uI <= 0.0:
+            return 0.0, (uI, WI)
+        if WI is None:
+            WI = w.primitive(uI)
+        v = WI / w.primitive(uS)
+        return v if upper else 1.0 / v if v > 0.0 else 0.0, (uI, WI)
 
     def replicated(val: float, pair):
         """(value, pairs): the best of the pair, scored val, and its 2, 4, 8
@@ -211,20 +243,20 @@ def _search(
         x0 = bi_lo + rng.normal(0.0, base_len)
         offset = rng.random() * (big - small)
         pair = ((x0, x0 + big), (x0 + offset, x0 + offset + small))
-        v = value([pair])
+        v, known = one(*pair)
         for _ in range(8):  # local descent on anchor and offset
             improved = False
             for dx in (-0.25 * big, 0.25 * big):
                 cand = ((pair[0][0] + dx, pair[0][1] + dx), (pair[1][0] + dx, pair[1][1] + dx))
-                cv = value([cand])
+                cv, cknown = one(*cand)
                 if cv > v:
-                    v, pair, improved = cv, cand, True
+                    v, pair, known, improved = cv, cand, cknown, True
             i_lo = pair[0][0]
             off = pair[1][0] - i_lo
             for doff in (-0.25 * (big - small), 0.25 * (big - small)):
                 noff = min(max(off + doff, 0.0), big - small)
                 cand = (pair[0], (i_lo + noff, i_lo + noff + small))
-                cv = value([cand])
+                cv, known = one(*cand, known)  # I stays, so u(I) does too
                 if cv > v:
                     v, pair, improved = cv, cand, True
             if not improved:

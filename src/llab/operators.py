@@ -57,6 +57,8 @@ def maximal(f: StepFunction, x: float) -> float:
     read from f.spans; the pairs with x itself take O(m).  A NaN average
     never counts.
     """
+    if x != x:
+        raise PreconditionError("the maximal function needs a point x that is a number, not NaN")
     ends, _, F = f.table
     i = bisect.bisect_right(ends, x)  # ends[:i] <= x < ends[i:]
     k = bisect.bisect_left(ends, x)  # ends[:k] < x
@@ -78,6 +80,8 @@ def _truncations(f: StepFunction, x: float) -> list[float]:
     difference times log(far/near).  Below the smallest distance f is
     constant around x, so T stops changing: the last entry is pi Hf(x).
     """
+    if x != x:
+        raise PreconditionError("the Hilbert transform needs a point x that is a number, not NaN")
     ends, values, _ = f.table
     e = _near_endpoint(ends, x)
     if e is not None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from llab.boyd import _anchors, _family_value, _scale_grid
+from llab.boyd import Configuration, _anchors, _family_value, _scale_grid
 from llab.errors import PreconditionError
 from llab.intervals import Interval, IntervalUnion, normalize
 from llab.rearrangement import make_step
@@ -183,6 +183,77 @@ def coarse_best_oracle(u, w, ratio, upper):
                 if v > best_val:
                     best_val, best_pair = v, pair
     return best_val, best_pair
+
+
+def search_oracle(u, w, t, upper, budget, seed):
+    """The configuration search (boyd._search) with every candidate scored
+    through _family_value: the scalar coarse scan, replication, then the
+    seeded restarts, each a coordinate descent on anchor and offset; no
+    stage shares work with another or with an earlier search."""
+    ratio = t if upper else 1.0 / t
+
+    def value(pairs):
+        v = _family_value(u, w, pairs)
+        return v if upper else 1.0 / v if v > 0.0 else 0.0
+
+    def replicated(val, pair):
+        (i_lo, i_hi), (s_lo, s_hi) = pair
+        span = 2.0 * (i_hi - i_lo)
+        best = val, [pair]
+        for count in (2, 4, 8, 16):
+            pairs = [
+                ((i_lo + j * span, i_hi + j * span), (s_lo + j * span, s_hi + j * span))
+                for j in range(count)
+            ]
+            v = value(pairs)
+            if v > best[0]:
+                best = v, pairs
+        return best
+
+    coarse_val, best_pair = coarse_best_oracle(u, w, ratio, upper)
+    best_val, best_pairs = replicated(coarse_val, best_pair)
+    tkey = int(round(4096.0 * math.log2(t))) & 0x7FFFFFFF
+    rng = np.random.default_rng([seed & 0x7FFFFFFF, tkey, int(upper)])
+    (bi_lo, bi_hi), _ = best_pair
+    base_len = bi_hi - bi_lo
+    for _ in range(32 * budget):
+        big = base_len * math.exp(rng.normal(0.0, 0.5))
+        small = big / ratio
+        x0 = bi_lo + rng.normal(0.0, base_len)
+        offset = rng.random() * (big - small)
+        pair = ((x0, x0 + big), (x0 + offset, x0 + offset + small))
+        v = value([pair])
+        for _ in range(8):
+            improved = False
+            for dx in (-0.25 * big, 0.25 * big):
+                cand = ((pair[0][0] + dx, pair[0][1] + dx), (pair[1][0] + dx, pair[1][1] + dx))
+                cv = value([cand])
+                if cv > v:
+                    v, pair, improved = cv, cand, True
+            i_lo = pair[0][0]
+            off = pair[1][0] - i_lo
+            for doff in (-0.25 * (big - small), 0.25 * (big - small)):
+                noff = min(max(off + doff, 0.0), big - small)
+                cand = (pair[0], (i_lo + noff, i_lo + noff + small))
+                cv = value([cand])
+                if cv > v:
+                    v, pair, improved = cv, cand, True
+            if not improved:
+                break
+        if v > best_val:
+            best_val, best_pairs = replicated(v, pair)
+    clamped = [
+        ((i_lo, i_hi), (max(s_lo, i_lo), min(s_hi, i_hi)))
+        for (i_lo, i_hi), (s_lo, s_hi) in best_pairs
+    ]
+    config = Configuration(
+        pairs=tuple(
+            (Interval(i_lo, i_hi), IntervalUnion((Interval(s_lo, s_hi),)))
+            for (i_lo, i_hi), (s_lo, s_hi) in clamped
+        ),
+        ratio=ratio,
+    )
+    return value(clamped), config
 
 
 def search_shapes():

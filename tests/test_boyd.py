@@ -16,10 +16,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coarse_best_oracle, search_shapes
+from conftest import coarse_best_oracle, search_oracle, search_shapes
 from llab.boyd import (
     Configuration,
     _coarse_best,
+    _coarse_pass,
     boyd_indices,
     check_submultiplicative,
     compute_estimates,
@@ -35,7 +36,7 @@ from llab.boyd import (
 )
 from llab.errors import PreconditionError
 from llab.intervals import Interval, IntervalUnion, singleton
-from llab.weights import WeightModel
+from llab.weights import Segment, WeightModel
 
 
 def test_configuration_validation():
@@ -196,3 +197,65 @@ def test_coarse_stage_is_the_scalar_scan(shape, t):
     upper = t > 1.0
     ratio = t if upper else 1.0 / t
     assert _coarse_best(u, w, ratio, upper) == coarse_best_oracle(u, w, ratio, upper)
+
+
+@pytest.mark.parametrize("t", [2.0, 2.0**7, 2.0**-1, 2.0**-7])
+@pytest.mark.parametrize("shape", sorted(search_shapes()))
+def test_search_is_the_scalar_restart_loop(shape, t):
+    # the search at t and the one at 1/t share a cached coarse pass and the
+    # descent reuses u(I) on its offset steps; neither may move a result,
+    # whichever direction runs first, and an equal but separately built
+    # (u, w) must find the same
+    u, w = search_shapes()[shape]
+    upper = t > 1.0
+    search, mirror = (wbar_u, underline_wu) if upper else (underline_wu, wbar_u)
+    expected = {seed: search_oracle(u, w, t, upper, 1, seed) for seed in (0, 17)}
+    for mirror_first in (True, False):
+        _coarse_pass.cache_clear()
+        for seed in (0, 17):
+            if mirror_first:
+                mirror(u, w, 1.0 / t, seed=seed)
+            assert search(u, w, t, seed=seed) == expected[seed]
+            mirror(u, w, 1.0 / t, seed=seed)
+    twin_u, twin_w = search_shapes()[shape]
+    assert twin_u is not u and twin_w is not w
+    for seed in (0, 17):
+        assert search(twin_u, twin_w, t, seed=seed) == expected[seed]
+
+
+def _count_mass_passes(monkeypatch):
+    calls = []
+    mass_array = WeightModel.mass_array
+
+    def counted(self, lo, hi):
+        calls.append(self)
+        return mass_array(self, lo, hi)
+
+    monkeypatch.setattr(WeightModel, "mass_array", counted)
+    return calls
+
+
+def test_one_coarse_pass_per_ratio(monkeypatch):
+    calls = _count_mass_passes(monkeypatch)
+    _coarse_pass.cache_clear()
+    u, w = search_shapes()["multi"]
+    compute_estimates(u, w, 2.0)
+    # the upper search at 2^k and the lower one at 2^-k share ratio 2^k
+    assert len(calls) == 10
+    twin_u, twin_w = search_shapes()["multi"]
+    compute_estimates(twin_u, twin_w, 2.0)  # equal weights: the same passes
+    assert len(calls) == 10
+
+
+def test_failed_coarse_pass_is_not_cached(monkeypatch):
+    # W = 5e-324 t underflows to 0 at the coarse grid's small u-masses
+    calls = _count_mass_passes(monkeypatch)
+    u = WeightModel.constant(domain_kind="line")
+    w = WeightModel((Segment(0.0, 5.0, 5e-324, 0.0),))
+    for attempt in (1, 2):
+        with pytest.raises(PreconditionError, match="underflows"):
+            wbar_u(u, w, 2.0)
+        assert len(calls) == attempt
+    with pytest.raises(PreconditionError, match="underflows"):
+        underline_wu(u, w, 0.5)
+    assert len(calls) == 3

@@ -137,6 +137,16 @@ def test_maximal_explicit_values():
     assert maximal(f, -1.0) == 0.5
 
 
+@pytest.mark.parametrize("op", [maximal, hilbert, hilbert_maximal])
+def test_nan_point_is_a_precondition(op):
+    # each returned 0.0: NaN is no endpoint, bisects below every one, and
+    # every average and distance from it is NaN, which no `>` picks
+    f = indicator((0.0, 1.0))
+    with pytest.raises(PreconditionError, match="NaN"):
+        op(f, math.nan)
+    assert math.isfinite(op(f, 2.0))
+
+
 # -- quadrature / grid oracles ----------------------------------------------
 
 
@@ -311,10 +321,12 @@ def test_hstar_matches_truncations_at_endpoint_distances(case, x):
 def test_maximal_is_the_pair_loop(case, x):
     f, _ = case
     ends = f.endpoints()
-    points = [x, *ends, math.inf, -math.inf, math.nan]
+    points = [x, *ends, math.inf, -math.inf]
     points += [math.nextafter(e, side) for e in ends for side in (-math.inf, math.inf)]
     for y in points:
         assert maximal(f, y) == maximal_pairs_oracle(f, y)
+    with pytest.raises(PreconditionError):
+        maximal(f, math.nan)
 
 
 def test_maximal_with_overflowing_integrals_is_the_pair_loop():
@@ -325,10 +337,12 @@ def test_maximal_with_overflowing_integrals_is_the_pair_loop():
     for i, span in enumerate(f.spans):
         pairs = [(F[k] - F[j]) / (ends[k] - ends[j]) for j in range(i) for k in range(i, len(ends))]
         assert span == max([a for a in pairs if not math.isnan(a)], default=-math.inf)
-    points = [*ends, 5e9, 1.5e10, 4.5e10, 6e10, -1.0, math.inf, -math.inf, math.nan]
+    points = [*ends, 5e9, 1.5e10, 4.5e10, 6e10, -1.0, math.inf, -math.inf]
     points += [math.nextafter(e, side) for e in ends for side in (-math.inf, math.inf)]
     for y in points:
         assert maximal(f, y) == maximal_pairs_oracle(f, y)
+    with pytest.raises(PreconditionError):
+        maximal(f, math.nan)
 
 
 def test_span_table_memory_is_linear():
