@@ -21,6 +21,7 @@ from .construction import build_extremal
 from .errors import PreconditionError, SingularInputError
 from .intervals import Interval, singleton
 from .rearrangement import (
+    _SPAN_BLOCK,
     DecreasingStep,
     StepFunction,
     indicator,
@@ -28,9 +29,12 @@ from .rearrangement import (
     make_step,
     rearrange,
 )
-from .weights import WeightModel, check_Ainf, check_Bstar_inf
+from .weights import WeightModel, _libm, check_Ainf, check_Bstar_inf
 
 _ENDPOINT_EPS = 1e-9
+# entries per block of rows of _hilbert_array: at its peak an entry holds about
+# 120 bytes, a third of them its log as a Python float on the way through libm
+_SWEEP_BLOCK = _SPAN_BLOCK // 4
 
 
 # -- pointwise operators ----------------------------------------------------
@@ -99,6 +103,10 @@ def _truncations(f: StepFunction, x: float) -> list[float]:
     left = right = t = 0.0
     ts = [t]
     far = max(x - ends[0], ends[-1] - x) if ends else 0.0
+    if not math.isfinite(far):
+        raise PreconditionError(
+            f"the Hilbert transform at {x!r} needs finite distances to the endpoints; the largest overflows"
+        )
     pd = ps = None  # distance and side of the last event
     while a < nl or b < nr:
         if b < nr and (a == nl or dr[b] >= dl[a]):
@@ -141,6 +149,104 @@ def hilbert_maximal(f: StepFunction, x: float) -> float:
     return max(abs(t) for t in _truncations(f, x)) / math.pi
 
 
+# -- the same kernels on an array of points ---------------------------------
+#
+# Each evaluates maximal or _truncations at every x of an array in one pass,
+# with the same IEEE operations as the scalar kernel, so every value matches
+# it bit for bit; the first point the scalar kernel rejects raises its error.
+# Rows go in blocks of at most _SPAN_BLOCK entries, so memory is O(block) for
+# any number m of endpoints.  They need m >= 2, as resampling does.  Overflow
+# and 0/0 are left to IEEE, as in the scalar kernels, and the values of
+# masked entries are never read.
+
+
+@np.errstate(all="ignore")
+def _maximal_array(f: StepFunction, xs: np.ndarray) -> np.ndarray:
+    """maximal(f, x) at every x of xs."""
+    nan = np.isnan(xs)
+    if nan.any():
+        maximal(f, float(xs[nan.argmax()]))  # raises the scalar's error
+    ends, values, F = f.table
+    e, F, m = np.array(ends), np.array(F), len(ends)
+    gap = np.array((0.0, *values, 0.0))  # gap[k]: f between ends[k - 1] and ends[k]
+    spans = np.array(f.spans)
+    i = np.searchsorted(e, xs, side="right")
+    k = np.searchsorted(e, xs, side="left")
+    value_at = np.where(e[np.minimum(k, m - 1)] == xs, 0.0, gap[k])  # f.value_at, 0 at an endpoint
+    Fx = np.where(i > 0, F[i - 1] + value_at * (xs - e[i - 1]), 0.0)
+    cols = np.arange(m)
+    out = np.empty(xs.size)
+    rows = max(1, _SPAN_BLOCK // m)
+    for r in range(0, xs.size, rows):
+        x, fx, ir, kr = (a[r : r + rows, None] for a in (xs, Fx, i, k))
+        avg = np.where(cols < kr, (fx - F) / (x - e), np.where(cols >= ir, (F - fx) / (e - x), -np.inf))
+        # the max from 0.0 with a NaN never counting, as in maximal
+        out[r : r + rows] = np.fmax(np.fmax(0.0, spans[ir[:, 0]]), np.fmax.reduce(avg, axis=1))
+    return out
+
+
+@np.errstate(all="ignore")
+def _near_array(ends: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_near_endpoint at every x of xs: whether some endpoint is near, and
+    the one it returns (the lower neighbour first) where one is."""
+    k = np.searchsorted(ends, xs, side="left")
+    lo, hi = ends[np.maximum(k - 1, 0)], ends[np.minimum(k, ends.size - 1)]
+    near_lo = (k > 0) & (np.abs(xs - lo) < _ENDPOINT_EPS * np.maximum(1.0, np.abs(lo)))
+    near_hi = (k < ends.size) & (np.abs(xs - hi) < _ENDPOINT_EPS * np.maximum(1.0, np.abs(hi)))
+    return near_lo | near_hi, np.where(near_lo, lo, hi)
+
+
+@np.errstate(all="ignore")
+def _nudged_array(xs: np.ndarray, ends: Sequence[float]) -> np.ndarray:
+    """Each x of xs moved just off the endpoint whose singular band it falls
+    in, if any, so that H and H* are defined there."""
+    near, e = _near_array(np.array(ends), xs)
+    return np.where(near, xs + 2.0 * _ENDPOINT_EPS * np.maximum(1.0, np.abs(e)), xs)
+
+
+@np.errstate(all="ignore")
+def _hilbert_array(f: StepFunction, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hilbert(f, x), hilbert_maximal(f, x)) at every x of xs.
+
+    Each row holds the m events of _truncations, distance descending and,
+    at an equal distance, value descending.  T steps only where the
+    distance falls, so within one distance only the value each side is left
+    with counts: in the scalar sweep the smallest of that side's events
+    there, here its last one.  The value each side holds after a column is
+    its last event's, forward-filled.  The logs go through libm, as in the
+    scalar kernel, and T is accumulated column by column.
+    """
+    ends, values, _ = f.table
+    e, m = np.array(ends), len(ends)
+    near, _ = _near_array(e, xs)
+    bad = np.isnan(xs) | near | ~np.isfinite(np.maximum(xs - e[0], e[-1] - xs))
+    if bad.any():
+        _truncations(f, float(xs[bad.argmax()]))  # raises the scalar's error
+    gap = np.array((0.0, *values, 0.0))
+    cols = np.arange(m)
+    h, hs = np.empty(xs.size), np.empty(xs.size)
+    rows = max(1, _SWEEP_BLOCK // m)
+    for r in range(0, xs.size, rows):
+        x = xs[r : r + rows, None]
+        right = e >= x  # ends[:k] < x <= ends[k:]
+        d = np.where(right, e - x, x - e)
+        v = np.where(right, gap[:-1], gap[1:])  # the gap on x's side of each endpoint
+        order = np.lexsort((-v, -d))
+        d, v, right = (np.take_along_axis(a, order, axis=1) for a in (d, v, right))
+        last_r = np.maximum.accumulate(np.where(right, cols, -1), axis=1)
+        last_l = np.maximum.accumulate(np.where(right, -1, cols), axis=1)
+        diff = np.where(last_l >= 0, np.take_along_axis(v, last_l, axis=1), 0.0) - np.where(
+            last_r >= 0, np.take_along_axis(v, last_r, axis=1), 0.0
+        )
+        step = d[:, 1:] < d[:, :-1]
+        inc = np.zeros(d.shape)
+        inc[:, 1:][step] = diff[:, :-1][step] * _libm(math.log, (d[:, :-1] / d[:, 1:])[step])
+        T = np.cumsum(inc, axis=1)  # sequential along a row: T[c] = T[c - 1] + inc[c]
+        h[r : r + rows] = T[:, -1] / math.pi
+        hs[r : r + rows] = np.fmax.reduce(np.abs(T), axis=1) / math.pi  # a NaN never counts
+    return h, hs
+
+
 def conjugate_hardy(g: DecreasingStep, t: float) -> float:
     """Q g(t) = integral of g(s)/s over (t, infinity), closed form."""
     if t < 0.0:
@@ -158,11 +264,10 @@ def conjugate_hardy(g: DecreasingStep, t: float) -> float:
 # -- resampling layer -------------------------------------------------------
 
 
-def resample_step(
-    func, base_endpoints: Sequence[float], points_per_gap: int = 16, tail_octaves: int = 20
-) -> StepFunction:
-    """Step approximation of |func| on a grid refined at the base endpoints
-    plus geometric tails on both sides."""
+def _resample_grid(
+    base_endpoints: Sequence[float], points_per_gap: int = 16, tail_octaves: int = 20
+) -> list[float]:
+    """A grid refined at the base endpoints plus geometric tails on both sides."""
     pts = sorted(set(base_endpoints))
     if len(pts) < 2:
         raise PreconditionError("resampling needs at least two endpoints")
@@ -175,29 +280,45 @@ def resample_step(
     for j in range(1, tail_octaves + 1):
         grid.append(pts[-1] + span * (2.0 ** (j / 2.0) - 1.0))
         grid.append(pts[0] - span * (2.0 ** (j / 2.0) - 1.0))
-    grid = sorted(set(grid))
+    return sorted(set(grid))
+
+
+def _step_of_cells(grid: Sequence[float], values: Sequence[float]) -> StepFunction:
+    """|values[j]| on each cell (grid[j], grid[j + 1]) where it is positive
+    and finite."""
     pieces = []
-    for lo, hi in zip(grid, grid[1:]):
-        v = abs(func(0.5 * (lo + hi)))
+    for lo, hi, v in zip(grid, grid[1:], values):
+        v = abs(v)
         if v > 0.0 and math.isfinite(v):
             pieces.append((Interval(lo, hi), v))
     return make_step(pieces)
 
 
-def _nudged(x: float, endpoints: Sequence[float]) -> float:
-    e = _near_endpoint(endpoints, x)
-    return x if e is None else x + 2.0 * _ENDPOINT_EPS * max(1.0, abs(e))
+def resample_step(
+    func, base_endpoints: Sequence[float], points_per_gap: int = 16, tail_octaves: int = 20
+) -> StepFunction:
+    """Step approximation of |func| on a grid refined at the base endpoints
+    plus geometric tails on both sides, func taken at each cell's midpoint."""
+    grid = _resample_grid(base_endpoints, points_per_gap, tail_octaves)
+    return _step_of_cells(grid, [func(0.5 * (lo + hi)) for lo, hi in zip(grid, grid[1:])])
 
 
 def apply_operator(op: str, f: StepFunction, u: WeightModel) -> StepFunction | DecreasingStep:
     """Image of f under the named operator, as a resampled step object."""
-    ends = f.endpoints()
-    if op == "maximal":
-        return resample_step(lambda x: maximal(f, x), ends)
-    if op == "hilbert":
-        return resample_step(lambda x: hilbert(f, _nudged(x, ends)), ends)
-    if op == "hstar":
-        return resample_step(lambda x: hilbert_maximal(f, _nudged(x, ends)), ends)
+    if op in ("maximal", "hilbert", "hstar"):
+        # resample_step, with every midpoint evaluated in one array pass; H and
+        # H* are taken just off an endpoint that a midpoint falls within the
+        # singular band of
+        ends = f.endpoints()
+        grid = _resample_grid(ends)
+        g = np.array(grid)
+        mids = 0.5 * (g[:-1] + g[1:])
+        if op == "maximal":
+            vals = _maximal_array(f, mids)
+        else:
+            h, hs = _hilbert_array(f, _nudged_array(mids, ends))
+            vals = hs if op == "hstar" else h
+        return _step_of_cells(grid, vals.tolist())
     if op == "q":
         g = rearrange(f, u)
         qgrid = sorted(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from llab.boyd import Configuration, _anchors, _family_value, _scale_grid
 from llab.errors import PreconditionError
 from llab.intervals import Interval, IntervalUnion, normalize
+from llab.operators import _ENDPOINT_EPS, _near_endpoint, hilbert, hilbert_maximal, maximal, resample_step
 from llab.rearrangement import make_step
 from llab.weights import (
     ClassVerdict,
@@ -135,6 +136,23 @@ def truncations_sort_oracle(f, x):
             far = d
         side[s] = v
     return ts
+
+
+def nudged(x, ends):
+    """x moved just off an endpoint whose singular band it falls in, one point
+    at a time: operators._nudged_array's rule as the scalar loop."""
+    e = _near_endpoint(ends, x)
+    return x if e is None else x + 2.0 * _ENDPOINT_EPS * max(1.0, abs(e))
+
+
+def image_oracle(op, f):
+    """apply_operator(op, f, u) for op in maximal, hilbert and hstar as the
+    loop of scalar evaluations over the resample grid, one midpoint at a time."""
+    ends = f.endpoints()
+    if op == "maximal":
+        return resample_step(lambda x: maximal(f, x), ends)
+    kernel = hilbert if op == "hilbert" else hilbert_maximal
+    return resample_step(lambda x: kernel(f, nudged(x, ends)), ends)
 
 
 def maximal_grid_oracle(f, x, n=4000):
