@@ -176,12 +176,6 @@ def _coarse_pass(u: WeightModel, w: WeightModel, ratio: float):
     return best(v), best(np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0))
 
 
-def _coarse_best(u: WeightModel, w: WeightModel, ratio: float, upper: bool):
-    """(value, pair) of the first best single pair of the coarse grid for
-    the upper search (upper) or the lower one, from _coarse_pass."""
-    return _coarse_pass(u, w, ratio)[0 if upper else 1]
-
-
 def _search(
     u: WeightModel,
     w: WeightModel,
@@ -229,7 +223,7 @@ def _search(
                 best = v, pairs
         return best
 
-    coarse_val, best_pair = _coarse_best(u, w, ratio, upper)
+    coarse_val, best_pair = _coarse_pass(u, w, ratio)[0 if upper else 1]
     best_val, best_pairs = replicated(coarse_val, best_pair)
 
     # Seeded random restarts around the best single pair, coordinate descent.

@@ -388,13 +388,6 @@ def extremal_norm_p_and_error(
     return flat + middle, error + _ROUNDING * flat
 
 
-def extremal_norm_p(
-    u: WeightModel, w: WeightModel, p: float, total: ExtremalSum, s: float
-) -> float:
-    """The value of :func:`extremal_norm_p_and_error`."""
-    return extremal_norm_p_and_error(u, w, p, total, s)[0]
-
-
 @dataclass(frozen=True)
 class WeakTypeCertificate:
     p: float

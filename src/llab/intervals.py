@@ -59,6 +59,8 @@ EMPTY = IntervalUnion(())
 
 
 def _as_pairs(raw: Iterable) -> list[tuple[float, float]]:
+    """(lo, hi) of every Interval or (lo, hi) pair of raw with lo < hi, in
+    order; a pair with lo > hi is an error, a degenerate or NaN one is dropped."""
     pairs = []
     for item in raw:
         if isinstance(item, Interval):
@@ -66,7 +68,10 @@ def _as_pairs(raw: Iterable) -> list[tuple[float, float]]:
         else:
             lo, hi = item
             pairs.append((float(lo), float(hi)))
-    return pairs
+    for lo, hi in pairs:
+        if lo > hi:
+            raise ValueError(f"raw interval needs lo <= hi, got ({lo}, {hi})")
+    return [p for p in pairs if p[0] < p[1]]
 
 
 def normalize(raw: Iterable) -> IntervalUnion:
@@ -74,11 +79,7 @@ def normalize(raw: Iterable) -> IntervalUnion:
 
     Accepts Interval objects or (lo, hi) pairs with lo <= hi.
     """
-    pairs = _as_pairs(raw)
-    for lo, hi in pairs:
-        if lo > hi:
-            raise ValueError(f"raw interval needs lo <= hi, got ({lo}, {hi})")
-    pairs = sorted(p for p in pairs if p[0] < p[1])
+    pairs = sorted(_as_pairs(raw))
     merged: list[tuple[float, float]] = []
     for lo, hi in pairs:
         if merged and lo <= merged[-1][1]:

@@ -24,6 +24,7 @@ from .rearrangement import (
     _SPAN_BLOCK,
     DecreasingStep,
     StepFunction,
+    _from_cells,
     indicator,
     lorentz_norm,
     make_step,
@@ -264,20 +265,19 @@ def conjugate_hardy(g: DecreasingStep, t: float) -> float:
 # -- resampling layer -------------------------------------------------------
 
 
-def _resample_grid(
-    base_endpoints: Sequence[float], points_per_gap: int = 16, tail_octaves: int = 20
-) -> list[float]:
-    """A grid refined at the base endpoints plus geometric tails on both sides."""
+def _resample_grid(base_endpoints: Sequence[float]) -> list[float]:
+    """A grid refined 16 points per gap between the base endpoints plus 20
+    geometric tail points on both sides."""
     pts = sorted(set(base_endpoints))
     if len(pts) < 2:
         raise PreconditionError("resampling needs at least two endpoints")
     span = pts[-1] - pts[0]
     grid: list[float] = []
     for lo, hi in zip(pts, pts[1:]):
-        step = (hi - lo) / points_per_gap
-        grid.extend(lo + i * step for i in range(points_per_gap))
+        step = (hi - lo) / 16
+        grid.extend(lo + i * step for i in range(16))
     grid.append(pts[-1])
-    for j in range(1, tail_octaves + 1):
+    for j in range(1, 21):
         grid.append(pts[-1] + span * (2.0 ** (j / 2.0) - 1.0))
         grid.append(pts[0] - span * (2.0 ** (j / 2.0) - 1.0))
     return sorted(set(grid))
@@ -286,20 +286,13 @@ def _resample_grid(
 def _step_of_cells(grid: Sequence[float], values: Sequence[float]) -> StepFunction:
     """|values[j]| on each cell (grid[j], grid[j + 1]) where it is positive
     and finite."""
-    pieces = []
-    for lo, hi, v in zip(grid, grid[1:], values):
-        v = abs(v)
-        if v > 0.0 and math.isfinite(v):
-            pieces.append((Interval(lo, hi), v))
-    return make_step(pieces)
+    return _from_cells(grid, [v if 0.0 < v < math.inf else 0.0 for v in map(abs, values)])
 
 
-def resample_step(
-    func, base_endpoints: Sequence[float], points_per_gap: int = 16, tail_octaves: int = 20
-) -> StepFunction:
-    """Step approximation of |func| on a grid refined at the base endpoints
-    plus geometric tails on both sides, func taken at each cell's midpoint."""
-    grid = _resample_grid(base_endpoints, points_per_gap, tail_octaves)
+def resample_step(func, base_endpoints: Sequence[float]) -> StepFunction:
+    """Step approximation of |func| on the grid of _resample_grid, func taken
+    at each cell's midpoint."""
+    grid = _resample_grid(base_endpoints)
     return _step_of_cells(grid, [func(0.5 * (lo + hi)) for lo, hi in zip(grid, grid[1:])])
 
 
@@ -309,7 +302,7 @@ def apply_operator(op: str, f: StepFunction, u: WeightModel) -> StepFunction | D
         # resample_step, with every midpoint evaluated in one array pass; H and
         # H* are taken just off an endpoint that a midpoint falls within the
         # singular band of
-        ends = f.endpoints()
+        ends = f.ends
         grid = _resample_grid(ends)
         g = np.array(grid)
         mids = 0.5 * (g[:-1] + g[1:])
@@ -415,12 +408,8 @@ def extremal_family(s: float, count: int = 1) -> list[tuple[str, StepFunction]]:
     for i in range(count):
         shift = 4.0 * s * i
         F = build_extremal(Interval(shift, shift + s), singleton(shift, shift + 1.0))
-        step = resample_step(
-            F.evaluate,
-            [shift + k * s / 256.0 for k in range(257)],
-            points_per_gap=1,
-            tail_octaves=0,
-        )
+        grid = sorted({shift + k * s / 256.0 for k in range(257)})
+        step = _step_of_cells(grid, [F.evaluate(0.5 * (lo + hi)) for lo, hi in zip(grid, grid[1:])])
         out.append((f"extremal_s{s:g}_{i}", step))
     return out
 

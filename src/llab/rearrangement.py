@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InternalCheckError, PreconditionError
-from .intervals import Interval, IntervalUnion, normalize, union
+from .intervals import Interval, IntervalUnion, _as_pairs, normalize, union
 from .weights import WeightModel
 
 _CROSSCHECK_RTOL = 1e-10
@@ -21,44 +21,55 @@ _SPAN_BLOCK = 1 << 16  # entries per block of rows of StepFunction.spans
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Finitely-valued positive function: sum of value * indicator(region).
+    """Finitely-valued positive function, stored as its position table: the
+    value values[j] on each gap (ends[j], ends[j + 1]) between the strictly
+    increasing endpoints, 0 between parts, and 0 outside (ends[0], ends[-1]).
 
-    Regions are pairwise disjoint; equal-value pieces are merged on
-    construction so the level structure is canonical.
+    The form is canonical: the value changes at every end, so no two
+    adjacent gaps share a value, the first and last gaps are positive, and
+    equal functions have equal tables.
     """
 
-    pieces: tuple[tuple[IntervalUnion, float], ...]
+    ends: tuple[float, ...]
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for region, value in self.pieces:
-            if value <= 0.0:
-                raise ValueError("step values must be strictly positive")
-            if not region:
-                raise ValueError("step regions must be nonempty")
-        values = [v for _, v in self.pieces]
-        if len(set(values)) != len(values):
-            raise ValueError("equal-value pieces must be merged (use make_step)")
+        ends, values = self.ends, self.values
+        if len(ends) != (len(values) + 1 if values else 0):
+            raise ValueError("need one value per gap between consecutive ends")
+        if any(not a < b for a, b in zip(ends, ends[1:])):
+            raise ValueError("step ends must be strictly increasing")
+        if any(not v >= 0.0 for v in values):
+            raise ValueError("step values must be positive, or 0 between parts")
+        padded = (0.0, *values, 0.0)
+        if any(padded[j] == padded[j + 1] for j in range(len(ends))):
+            raise ValueError("the value of a step must change at every end (use make_step)")
 
     @cached_property
     def table(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """Position-sorted view of f, built once: the sorted endpoints e_j, the
-        value of f on each gap (e_j, e_j+1) (0 between parts), and the
-        integral of f over (-inf, e_j) at each endpoint.
-
-        A part spans one gap unless parts overlap, which make_step rejects but
-        a StepFunction built directly may hold; then the first piece holding a
-        gap gives its value.
-        """
-        ends = sorted({e for region, _ in self.pieces for p in region.parts for e in (p.lo, p.hi)})
-        values = [0.0] * max(len(ends) - 1, 0)
-        for region, v in reversed(self.pieces):
-            for p in region.parts:
-                for j in range(bisect_left(ends, p.lo), bisect_left(ends, p.hi)):
-                    values[j] = v
+        """The sorted endpoints e_j, the value of f on each gap (e_j, e_j+1),
+        and the integral of f over (-inf, e_j) at each endpoint."""
+        ends = self.ends
         F = [0.0] * len(ends)
-        for j, v in enumerate(values):
+        for j, v in enumerate(self.values):
             F[j + 1] = F[j] + v * (ends[j + 1] - ends[j])
-        return tuple(ends), tuple(values), tuple(F)
+        return ends, self.values, tuple(F)
+
+    @cached_property
+    def _levels(self) -> list[tuple[float, list[tuple[float, float]]]]:
+        """(value, the (lo, hi) of its gaps in position order) for every
+        distinct value, largest first."""
+        by_value: dict[float, list[tuple[float, float]]] = {}
+        for lo, hi, v in zip(self.ends, self.ends[1:], self.values):
+            if v:
+                by_value.setdefault(v, []).append((lo, hi))
+        return sorted(by_value.items(), reverse=True)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[IntervalUnion, float], ...]:
+        """(region, value) for every distinct value, largest first: the
+        level sets of f, each with its parts in position order."""
+        return tuple((IntervalUnion(tuple(Interval(lo, hi) for lo, hi in parts)), v) for v, parts in self._levels)
 
     @cached_property
     def spans(self) -> tuple[float, ...]:
@@ -87,9 +98,6 @@ class StepFunction:
                 best[:m] = np.fmax(best[:m], np.fmax.reduce(reach, axis=0))
         return tuple(best.tolist())
 
-    def endpoints(self) -> list[float]:
-        return list(self.table[0])
-
     def value_at(self, x: float) -> float:
         """f(x); 0 at every endpoint and outside the support."""
         ends, values, _ = self.table
@@ -101,50 +109,64 @@ class StepFunction:
     def scaled(self, c: float) -> "StepFunction":
         if c <= 0.0:
             raise ValueError("scaling factor must be positive")
-        return StepFunction(tuple((r, c * v) for r, v in self.pieces))
+        out = StepFunction(self.ends, tuple(c * v if v else 0.0 for v in self.values))
+        if len(set(out.values) - {0.0}) != len(set(self.values) - {0.0}):
+            raise ValueError("scaled step values must stay positive and distinct")
+        return out
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"region": [[p.lo, p.hi] for p in region.parts], "value": value}
-                for region, value in self.pieces
-            ]
-        )
+        """The pieces as JSON: one region and value per distinct value."""
+        return json.dumps([{"region": [[lo, hi] for lo, hi in parts], "value": v} for v, parts in self._levels])
 
     @staticmethod
     def from_json(text: str) -> "StepFunction":
-        obj = json.loads(text)
-        return make_step([(normalize(item["region"]), float(item["value"])) for item in obj])
+        return make_step([(item["region"], float(item["value"])) for item in json.loads(text)])
 
 
-def _as_union(region) -> IntervalUnion:
-    if isinstance(region, IntervalUnion):
-        return region
-    if isinstance(region, Interval):
-        return IntervalUnion((region,))
-    if region and not isinstance(region[0], (tuple, list, Interval)):
-        region = [region]  # a bare (lo, hi) pair
-    return normalize(region)
+def _from_cells(ends: Sequence[float], values: Sequence[float]) -> StepFunction:
+    """The StepFunction of value values[j] on each cell (ends[j], ends[j + 1])
+    of the strictly increasing ends: an end is kept where the value changes
+    across it, taken as 0 outside the cells, so adjacent cells of equal value
+    merge and the cells of value 0 at both ends drop."""
+    padded = (0.0, *values, 0.0)
+    keep = [j for j in range(len(ends)) if padded[j] != padded[j + 1]]
+    return StepFunction(tuple(ends[j] for j in keep), tuple(padded[j + 1] for j in keep[:-1]))
 
 
 def make_step(pieces: Sequence[tuple[IntervalUnion, float]]) -> StepFunction:
-    """Build a StepFunction, merging equal-value pieces and checking disjointness.
+    """Build a StepFunction from (region, value) pieces, merging the parts of
+    one value that overlap or abut; parts of different values may abut but
+    not overlap.
 
     Regions may be IntervalUnions, Intervals, (lo, hi) pairs, or lists of pairs.
     """
-    by_value: dict[float, list[IntervalUnion]] = {}
+    parts = []
     for region, value in pieces:
-        region = _as_union(region)
-        if region:
-            by_value.setdefault(float(value), []).append(region)
-    merged = tuple(
-        (regions[0] if len(regions) == 1 and len(regions[0]) == 1 else union(*regions), value)
-        for value, regions in sorted(by_value.items(), reverse=True)
-    )
-    parts = sorted((p.lo, p.hi) for region, _ in merged for p in region.parts)
-    if any(hi > lo for (_, hi), (lo, _) in zip(parts, parts[1:])):
-        raise ValueError("step regions must be pairwise disjoint")
-    return StepFunction(merged)
+        if isinstance(region, IntervalUnion):
+            region = region.parts
+        elif isinstance(region, Interval) or region and not isinstance(region[0], (tuple, list, Interval)):
+            region = [region]  # one Interval or a bare (lo, hi) pair
+        pairs = _as_pairs(region)
+        if pairs:
+            v = float(value)
+            if not v > 0.0:
+                raise ValueError("step values must be strictly positive")
+            parts.extend((lo, hi, v) for lo, hi in pairs)
+    ends: list[float] = []
+    values: list[float] = []
+    for lo, hi, v in sorted(parts):
+        if not ends or lo > ends[-1]:
+            if ends:
+                values.append(0.0)
+            ends.append(lo)
+        elif v == values[-1]:
+            ends[-1] = max(ends[-1], hi)
+            continue
+        elif lo < ends[-1]:
+            raise ValueError("step regions must be pairwise disjoint")
+        ends.append(hi)
+        values.append(v)
+    return _from_cells(ends, values)
 
 
 def indicator(region: IntervalUnion) -> StepFunction:
@@ -224,12 +246,11 @@ def superlevel(f: StepFunction, s: float) -> IntervalUnion:
 
 def rearrange(f: StepFunction, u: WeightModel) -> DecreasingStep:
     """Decreasing rearrangement of f with respect to the measure u(x)dx."""
-    ranked = sorted(f.pieces, key=lambda rv: -rv[1])
     breakpoints = [0.0]
     values = []
     acc = 0.0
-    for region, value in ranked:
-        mass = u.weight_of_set(region)
+    for value, parts in f._levels:
+        mass = sum((u.mass(lo, hi) for lo, hi in parts), 0.0)  # u.weight_of_set of the level set
         if mass <= 0.0 or acc + mass == acc:  # a step of no width in floating point
             continue
         acc += mass

@@ -1,7 +1,9 @@
 """Shared fixtures: canonical weights and seeded instance generators."""
 
 import bisect
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from llab.boyd import Configuration, _anchors, _family_value, _scale_grid
 from llab.errors import PreconditionError
-from llab.intervals import Interval, IntervalUnion, normalize
+from llab.intervals import Interval, IntervalUnion, normalize, union
 from llab.operators import _ENDPOINT_EPS, _near_endpoint, hilbert, hilbert_maximal, maximal, resample_step
 from llab.rearrangement import make_step
 from llab.weights import (
@@ -95,6 +97,76 @@ def step_functions(draw, max_pieces=200):
     return f, parts
 
 
+@dataclass(frozen=True)
+class StepOracle:
+    """A step function stored as value-grouped pieces, one (region, value)
+    per distinct value, largest first, with the table and JSON read off them."""
+
+    pieces: tuple
+
+    @property
+    def table(self):
+        """The sorted endpoints, the value on each gap (0 between parts; the
+        first piece holding a gap gives its value) and the prefix integral,
+        by sorting the endpoints and filling the gaps of each part by bisection."""
+        ends = sorted({e for region, _ in self.pieces for p in region.parts for e in (p.lo, p.hi)})
+        values = [0.0] * max(len(ends) - 1, 0)
+        for region, v in reversed(self.pieces):
+            for p in region.parts:
+                for j in range(bisect.bisect_left(ends, p.lo), bisect.bisect_left(ends, p.hi)):
+                    values[j] = v
+        F = [0.0] * len(ends)
+        for j, v in enumerate(values):
+            F[j + 1] = F[j] + v * (ends[j + 1] - ends[j])
+        return tuple(ends), tuple(values), tuple(F)
+
+    def to_json(self):
+        return json.dumps(
+            [{"region": [[p.lo, p.hi] for p in region.parts], "value": value} for region, value in self.pieces]
+        )
+
+
+def _as_union(region):
+    if isinstance(region, IntervalUnion):
+        return region
+    if isinstance(region, Interval):
+        return IntervalUnion((region,))
+    if region and not isinstance(region[0], (tuple, list, Interval)):
+        region = [region]  # a bare (lo, hi) pair
+    return normalize(region)
+
+
+def make_step_oracle(pieces):
+    """rearrangement.make_step as one union per value: each region made an
+    IntervalUnion, the regions of one value merged by `union`, every part of
+    every value sorted again to check that no two overlap."""
+    by_value = {}
+    for region, value in pieces:
+        region = _as_union(region)
+        if region:
+            by_value.setdefault(float(value), []).append(region)
+    merged = tuple(
+        (regions[0] if len(regions) == 1 and len(regions[0]) == 1 else union(*regions), value)
+        for value, regions in sorted(by_value.items(), reverse=True)
+    )
+    parts = sorted((p.lo, p.hi) for region, _ in merged for p in region.parts)
+    if any(hi > lo for (_, hi), (lo, _) in zip(parts, parts[1:])):
+        raise ValueError("step regions must be pairwise disjoint")
+    if any(value <= 0.0 for _, value in merged):
+        raise ValueError("step values must be strictly positive")
+    return StepOracle(merged)
+
+
+def step_of_cells_oracle(grid, values):
+    """operators._step_of_cells as one Interval per cell through make_step_oracle."""
+    pieces = []
+    for lo, hi, v in zip(grid, grid[1:], values):
+        v = abs(v)
+        if v > 0.0 and math.isfinite(v):
+            pieces.append((Interval(lo, hi), v))
+    return make_step_oracle(pieces)
+
+
 def maximal_pairs_oracle(f, x):
     """maximal as the loop over every pair of candidate endpoints a < b with
     a in ends(f) <= x or x, b in ends(f) > x or x: the best average from
@@ -148,7 +220,7 @@ def nudged(x, ends):
 def image_oracle(op, f):
     """apply_operator(op, f, u) for op in maximal, hilbert and hstar as the
     loop of scalar evaluations over the resample grid, one midpoint at a time."""
-    ends = f.endpoints()
+    ends = f.ends
     if op == "maximal":
         return resample_step(lambda x: maximal(f, x), ends)
     kernel = hilbert if op == "hilbert" else hilbert_maximal
@@ -160,7 +232,7 @@ def maximal_grid_oracle(f, x, n=4000):
     uniform n-point grid one unit past the endpoints of f, plus the endpoints
     and x itself.  All pairs at once: the overlap of each window with each
     piece is taken in the same floating-point order as a pairwise loop."""
-    ends = f.endpoints()
+    ends = f.ends
     lo, hi = min(ends) - 1.0, max(ends) + 1.0
     grid = np.array(sorted(set(np.linspace(lo, hi, n)) | set(ends) | {x}))
     a = grid[grid <= x][:, None]

@@ -255,7 +255,7 @@ def test_criterion_08_submultiplicative():
 
 
 def _hilbert_pv_oracle(f, x):
-    ends = f.endpoints()
+    ends = f.ends
     dists = sorted({abs(x - e) for e in ends if abs(x - e) > 1e-12})
     eps = 0.5 * dists[0]
     R = (max(ends) - min(ends)) + max(abs(x - e) for e in ends) + 1.0
@@ -279,7 +279,7 @@ def test_criterion_09_hilbert_exactness():
     while checked < 100:
         f = _random_step(rng)
         x = float(rng.uniform(-6.0, 6.0))
-        if min(abs(x - e) for e in f.endpoints()) < 1e-3:
+        if min(abs(x - e) for e in f.ends) < 1e-3:
             continue
         assert hilbert(f, x) == pytest.approx(_hilbert_pv_oracle(f, x), abs=1e-6)
         checked += 1

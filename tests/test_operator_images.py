@@ -16,12 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import image_oracle, nudged, step_functions
+from conftest import image_oracle, nudged, step_functions, step_of_cells_oracle
 from llab.errors import PreconditionError, SingularInputError
 from llab.operators import (
     _hilbert_array,
     _maximal_array,
     _nudged_array,
+    _step_of_cells,
     apply_operator,
     hilbert,
     hilbert_maximal,
@@ -75,7 +76,7 @@ def test_images_are_the_scalar_loop(case, op):
 def test_array_kernels_are_the_scalar_kernels(case, x):
     f, parts = case
     assume(parts)
-    ends = f.endpoints()
+    ends = f.ends
     # the same distance on both sides; distances that round together on one side
     points = [x, 0.5 * (ends[0] + ends[-1]), 0.5 * (ends[1 % len(ends)] + ends[-2]), 1e17, -1e17]
     points += near_points(ends)
@@ -86,10 +87,26 @@ def test_array_kernels_are_the_scalar_kernels(case, x):
     assert_hilbert_matches(f, moved)
 
 
+_CELL_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, -2.0, 1e-300, math.nan, math.inf, -math.inf])
+
+
+@given(
+    st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=60),
+    st.lists(st.tuples(_CELL_VALUES, st.integers(1, 4)), max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_step_of_cells_is_one_make_step_per_cell(points, runs):
+    values = [v for v, count in runs for _ in range(count)]  # runs of equal values
+    grid = sorted(set(points))[: len(values) + 1]
+    values = values[: len(grid) - 1]
+    got, want = _step_of_cells(grid, values), step_of_cells_oracle(grid, values)
+    assert (got.pieces, got.to_json(), got.table) == (want.pieces, want.to_json(), want.table)
+
+
 def test_array_kernels_raise_the_scalar_error():
     # 1 + 0.5e-9 is nudged to 1 + 2.5e-9, which is in the band of 1 + 2e-9
     f = make_step([((0.0, 1.0), 1.0), ((1.0, 1.0 + 2e-9), 2.0), ((1.0 + 2e-9, 2.0), 3.0)])
-    ends = f.endpoints()
+    ends = f.ends
     xs = np.array([0.5, 1.0 + 0.5e-9, 1.5])
     stuck = nudged(1.0 + 0.5e-9, ends)
     assert _nudged_array(xs, ends)[1] == stuck
@@ -108,7 +125,7 @@ def test_array_kernels_raise_the_scalar_error():
 def test_array_kernels_with_overflowing_integrals():
     # F is inf past the first piece, and some averages and some T are NaN
     f = make_step([((0.0, 1e10), 1e300), ((2e10, 3e10), 1e299), ((4e10, 5e10), 2.0)])
-    ends = f.endpoints()
+    ends = f.ends
     points = [5e9, 1.5e10, 4.5e10, 6e10, -1.0, -7e10, 2.5e10, 3.5e10, *near_points(ends)]
     assert_maximal_matches(f, points)
     assert_hilbert_matches(f, _nudged_array(np.array(points), ends))

@@ -58,7 +58,7 @@ def random_step(rng, n_pieces=3):
 
 
 def hilbert_pv_oracle(f, x):
-    ends = f.endpoints()
+    ends = f.ends
     dists = sorted({abs(x - e) for e in ends if abs(x - e) > 1e-12})
     eps = 0.5 * dists[0] if dists else 1e-6
     R = (max(ends) - min(ends)) + max(abs(x - e) for e in ends) + 1.0
@@ -156,7 +156,7 @@ def test_hilbert_against_pv_quadrature():
     while checked < 100:
         f = random_step(rng)
         x = float(rng.uniform(-6.0, 6.0))
-        if min(abs(x - e) for e in f.endpoints()) < 1e-3:
+        if min(abs(x - e) for e in f.ends) < 1e-3:
             continue
         assert hilbert(f, x) == pytest.approx(hilbert_pv_oracle(f, x), abs=1e-6)
         checked += 1
@@ -179,7 +179,7 @@ def test_hstar_dominates_truncations_and_hits_h():
     for _ in range(30):
         f = random_step(rng)
         x = float(rng.uniform(-6.0, 6.0))
-        if min(abs(x - e) for e in f.endpoints()) < 1e-3:
+        if min(abs(x - e) for e in f.ends) < 1e-3:
             continue
         hs = hilbert_maximal(f, x)
         assert hs >= abs(hilbert(f, x)) - 1e-9
@@ -191,7 +191,7 @@ def test_hstar_against_truncation_sweep():
     while checked < 40:
         f = random_step(rng, n_pieces=3 if checked % 2 else 8)
         x = float(rng.uniform(-6.0, 6.0))
-        if min(abs(x - e) for e in f.endpoints()) < 1e-3:
+        if min(abs(x - e) for e in f.ends) < 1e-3:
             continue
         hs = hilbert_maximal(f, x)
         sweep, miss = truncation_sweep_oracle(f, x)
@@ -292,7 +292,7 @@ def log_terms(parts, x):
 @settings(max_examples=100, deadline=None)
 def test_hilbert_matches_numpy_closed_form(case, x):
     f, parts = case
-    assume(parts and min(abs(x - e) for e in f.endpoints()) > 1e-6)
+    assume(parts and min(abs(x - e) for e in f.ends) > 1e-6)
     terms = log_terms(parts, x)
     # both sides round each of their n log terms; scale by their total size
     slack = 1e-14 * float(np.sum(np.abs(terms)) + np.sum([v for _, _, v in parts]))
@@ -303,7 +303,7 @@ def test_hilbert_matches_numpy_closed_form(case, x):
 @settings(max_examples=50, deadline=None)
 def test_hstar_matches_truncations_at_endpoint_distances(case, x):
     f, parts = case
-    assume(parts and min(abs(x - e) for e in f.endpoints()) > 1e-6)
+    assume(parts and min(abs(x - e) for e in f.ends) > 1e-6)
     lo, hi, val = (np.array(c, dtype=float) for c in zip(*parts))
     eps = np.unique(np.abs(x - np.concatenate([lo, hi])))[:, None]
     left = np.where(lo < x - eps, np.log(np.abs(x - lo)) - np.log(np.abs(np.minimum(hi, x - eps) - x)), 0.0)
@@ -320,7 +320,7 @@ def test_hstar_matches_truncations_at_endpoint_distances(case, x):
 @settings(max_examples=100, deadline=None)
 def test_maximal_is_the_pair_loop(case, x):
     f, _ = case
-    ends = f.endpoints()
+    ends = f.ends
     points = [x, *ends, math.inf, -math.inf]
     points += [math.nextafter(e, side) for e in ends for side in (-math.inf, math.inf)]
     for y in points:
@@ -364,7 +364,7 @@ def test_span_table_memory_is_linear():
 @settings(max_examples=100, deadline=None)
 def test_truncations_are_the_sorted_sweep(case, x, where):
     f, _ = case
-    ends = f.endpoints()
+    ends = f.ends
     if where == "midpoint" and ends:  # equal distances on both sides
         j = int(abs(x) * 1e6) % len(ends)
         x = 0.5 * (ends[j] + ends[-1 - j])

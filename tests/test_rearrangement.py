@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import step_functions
+from conftest import make_step_oracle, step_functions
 from llab.errors import ConfigurationError
-from llab.intervals import normalize, singleton
+from llab.intervals import Interval, IntervalUnion, normalize, singleton
 from llab.rearrangement import (
     DecreasingStep,
     StepFunction,
@@ -79,7 +79,7 @@ def scan_value_at(parts, x):
 @settings(max_examples=100, deadline=None)
 def test_value_at_matches_linear_scan(case, xs):
     f, parts = case
-    ends = f.endpoints()
+    ends = f.ends
     probes = xs + [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
     probes += [np.nextafter(e, d) for e in ends for d in (-np.inf, np.inf)]
     for x in probes:
@@ -90,8 +90,8 @@ def test_value_at_matches_linear_scan(case, xs):
 @settings(max_examples=100, deadline=None)
 def test_value_at_zero_at_endpoints_and_in_gaps(case):
     f, parts = case
-    ends = f.endpoints()
-    assert ends == sorted({e for lo, hi, _ in parts for e in (lo, hi)})
+    ends = f.ends
+    assert list(ends) == sorted({e for lo, hi, _ in parts for e in (lo, hi)})
     assert all(f.value_at(e) == 0.0 for e in ends)
     for a, b in zip(ends, ends[1:]):
         if not any(lo <= a and b <= hi for lo, hi, _ in parts):
@@ -100,10 +100,87 @@ def test_value_at_zero_at_endpoints_and_in_gaps(case):
         assert f.value_at(ends[0] - 1.0) == f.value_at(ends[-1] + 1.0) == 0.0
 
 
-def test_value_at_on_overlapping_parts_takes_the_first_piece():
-    # make_step rejects overlaps, a StepFunction built directly may hold one
-    f = StepFunction(((singleton(0.0, 1.0 + 1e-13), 2.0), (singleton(1.0, 2.0), 1.0)))
-    assert [f.value_at(x) for x in (0.5, 1.0 + 5e-14, 1.5)] == [2.0, 2.0, 1.0]
+def test_step_function_validation():
+    for ends, values in [
+        ((0.0, 2.0, 1.0), (1.0, 2.0)),  # unsorted ends
+        ((0.0, 1.0, 1.0), (1.0, 2.0)),  # a repeated end
+        ((0.0, math.nan, 2.0), (1.0, 2.0)),
+        ((0.0, 1.0, 2.0), (1.0,)),  # one value short
+        ((0.0, 1.0), (1.0, 2.0)),
+        ((0.0,), ()),  # an end without a gap
+        ((0.0, 1.0, 2.0), (1.0, 1.0)),  # adjacent equal values
+        ((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 0.0)),
+        ((0.0, 1.0, 2.0), (0.0, 1.0)),  # a zero first gap
+        ((0.0, 1.0, 2.0), (1.0, 0.0)),  # a zero last gap
+        ((0.0, 1.0, 2.0, 3.0), (1.0, -1.0, 2.0)),  # a negative value
+        ((0.0, 1.0, 2.0, 3.0), (1.0, math.nan, 2.0)),
+    ]:
+        with pytest.raises(ValueError):
+            StepFunction(ends, values)
+    f = StepFunction((0.0, 1.0, 2.0, 3.0), (2.0, 0.0, 1.0))
+    assert f == make_step([((2.0, 3.0), 1.0), ((0.0, 1.0), 2.0)])
+    assert f.scaled(2.0) == StepFunction((0.0, 1.0, 2.0, 3.0), (4.0, 0.0, 2.0))
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            f.scaled(c)
+    with pytest.raises(ValueError):  # the middle value underflows to 0
+        StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 1e-300, 2.0)).scaled(1e-300)
+    with pytest.raises(ValueError):  # the two values round to one
+        StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 1.0 + 2.0**-52)).scaled(1e-310)
+
+
+_COORDS = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2.0**-40, 1.5, 2.0, 3.0, 4.0])
+_ORDERED = st.tuples(_COORDS, _COORDS).map(lambda p: (min(p), max(p)))  # degenerate at times
+_RAW_PAIRS = st.one_of(
+    _ORDERED,
+    _ORDERED,
+    _ORDERED.map(list),
+    st.tuples(_COORDS, _COORDS),  # reversed at times
+    st.tuples(st.just(math.nan), _COORDS),
+    st.tuples(_COORDS, st.just(math.nan)),
+)
+_INTERVALS = _ORDERED.filter(lambda p: p[0] < p[1]).map(lambda p: Interval(*p))
+_REGIONS = st.one_of(
+    _INTERVALS,
+    st.lists(_INTERVALS, max_size=3).map(lambda parts: IntervalUnion(tuple(parts))),  # unsorted at times
+    st.lists(_ORDERED, max_size=3).map(normalize),
+    _RAW_PAIRS,
+    st.lists(st.one_of(_RAW_PAIRS, _INTERVALS), max_size=3),
+)
+# mostly positive; at times 0 or negative, which make_step rejects
+_VALUES = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 2.0, 3.0, 0.0, -1.0]))
+
+
+@st.composite
+def _disjoint_pieces(draw):
+    """Pieces on distinct half-unit cells, so that none overlap and many
+    abut, valued from a pool of four, each region in one of the forms
+    make_step accepts."""
+    cells = [(k / 2.0, k / 2.0 + 0.5) for k in draw(st.permutations(range(16)))]
+    pieces = []
+    for size in draw(st.lists(st.integers(1, 3), max_size=5)):
+        part, cells = cells[:size], cells[size:]
+        forms = [part, [list(c) for c in part], [Interval(*c) for c in part], normalize(part)]
+        forms += [IntervalUnion(tuple(Interval(*c) for c in part))]  # unsorted and abutting at times
+        forms += [part[0], Interval(*part[0])] if size == 1 else []
+        pieces.append((draw(st.sampled_from(forms)), draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))))
+    return pieces
+
+
+def _outcome(build, pieces):
+    """(pieces, JSON, table) of the step built from pieces, or the type of
+    the exception the build raised."""
+    try:
+        f = build(pieces)
+    except ValueError as exc:  # PreconditionError is one
+        return type(exc)
+    return f.pieces, f.to_json(), f.table
+
+
+@given(st.one_of(_disjoint_pieces(), st.lists(st.tuples(_REGIONS, _VALUES), max_size=6)))
+@settings(max_examples=500, deadline=None)
+def test_make_step_matches_the_union_per_value_oracle(pieces):
+    assert _outcome(make_step, pieces) == _outcome(make_step_oracle, pieces)
 
 
 def test_make_step_rejects_a_sliver_of_overlap():
