@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the outputs of the step-function layer.
+"""Print one SHA-256 over the outputs of the step-function and construction layers.
 
 The inputs are seeded and built here, so two checkouts that print the same
 digest compute bit-identical values: the JSON and position table of the
 maximal, Hilbert and maximal-Hilbert images, the rearrangement and both
 Lorentz norms, the empirical operator-norm reports of all four operators
 on 10-, 20- and 50-piece steps, and the indicator, random and extremal
-test families.  `--verbose` prints each entry's own digest as well, to find
-the one that moved.
+test families; and, for sets S inside an interval I (seeded ones of 1-6
+components, one component, S = I, and gaps growing geometrically), the
+extremal function's level sets on a fixed grid of levels, its values on a
+fixed grid of points, its kinks and the covers, and the weak-type
+certificate, for u = 1, |x| and a three-segment u.  `--verbose` prints each
+entry's own digest as well, to find the one that moved.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py [--verbose]
@@ -19,6 +23,9 @@ import math
 
 import numpy as np
 
+from llab.boyd import Configuration
+from llab.construction import build_extremal, cover, weak_type_lower_bound
+from llab.intervals import Interval, IntervalUnion, normalize
 from llab.operators import (
     apply_operator,
     empirical_opnorm,
@@ -27,7 +34,7 @@ from llab.operators import (
     random_step_family,
 )
 from llab.rearrangement import lorentz_norm, make_step, rearrange, weak_lorentz_norm
-from llab.weights import WeightModel
+from llab.weights import Segment, WeightModel
 
 P = 1.5
 SIZES = (10, 20, 50)
@@ -51,8 +58,63 @@ def steps(seed: int) -> list:
     return out
 
 
+def pairs(seed: int) -> list:
+    """(I, S): four seeded sets of 1-6 components, one component, S = I, and
+    8 components whose gaps grow by 1.5, so that the level intervals meet
+    one pair at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in (1, 2, 4, 6):
+        lo = float(rng.uniform(-4.0, 1.0))
+        hi = lo + float(rng.uniform(2.0, 12.0))
+        cuts = np.sort(rng.uniform(lo, hi, size=2 * m)).tolist()
+        out.append((Interval(lo, hi), normalize(list(zip(cuts[::2], cuts[1::2])))))
+    out.append((Interval(0.0, 4.0), normalize([(1.0, 2.0)])))
+    out.append((Interval(-1.0, 3.0), IntervalUnion((Interval(-1.0, 3.0),))))
+    x, parts = -2.0, []
+    for k in range(8):
+        parts.append((x, x + 0.3))
+        x += 0.3 + 0.05 * 1.5**k
+    out.append((Interval(-2.5, x + 0.5), normalize(parts)))
+    return out
+
+
 def entries():
     """(name, repr) of every output the digest covers."""
+    yield from step_entries()
+    yield from construction_entries()
+
+
+def construction_entries():
+    """The extremal function, covers and certificates of each pair."""
+    us = {
+        "one": WeightModel.constant(domain_kind="line"),
+        "abs": WeightModel.power(1.0, domain_kind="line"),
+        "three": WeightModel(
+            (Segment(0.0, 0.8, 1.3, 0.35), Segment(0.8, 2.1, 0.7, 0.0), Segment(2.1, 3.5, 0.4, 1.2)),
+            domain_kind="line",
+            tail_coef=1.0,
+            tail_exp=0.45,
+        ),
+    }
+    w = WeightModel.power(0.4)
+    for i, (I, S) in enumerate(pairs(11)):
+        F = build_extremal(I, S)
+        ratio = I.length / S.measure
+        yield f"pair{i}.floor_mean", repr((F.floor, F.mean_value()))
+        yield f"pair{i}.level_sets", repr([F.level_set(k / 128) for k in range(1, 131)])
+        xs = np.linspace(I.lo - 0.5, I.hi + 0.5, 201).tolist() + [e for J in (I, *S.parts) for e in (J.lo, J.hi)]
+        yield f"pair{i}.evaluate", repr([F.evaluate(x) for x in xs])
+        yield f"pair{i}.covers", repr([cover(I, S, 1.0 + (ratio - 1.0) * k / 4) for k in range(5)])
+        for name, u in us.items():
+            yield f"pair{i}.{name}.kinks", repr(F.kinks(u.knots))
+            if ratio > 1.0:
+                family = Configuration(pairs=((I, S),), ratio=ratio)
+                yield f"pair{i}.{name}.certificate", repr(weak_type_lower_bound(u, w, P, family).as_dict())
+
+
+def step_entries():
+    """The images, rearrangements, norms and test families of the step layer."""
     u = WeightModel.power(1.0, domain_kind="line")
     w = WeightModel.power(0.4)
     for i, f in enumerate(steps(7)):

@@ -3,9 +3,12 @@
 The extremal function for a union of intervals S inside an interval I is
 defined through its level sets: every superlevel set {f >= lam} is a disjoint
 union of intervals each meeting S in exact proportion lam.  It is represented
-here as a recursion tree (per-component interpolation leaves plus an outer
-function on the merged blocks), and all queries (evaluation, level sets,
-integrals) are answered exactly from that tree.
+here as a flat tuple of layers.  Layer 0 holds one interpolation leaf per
+component of S and the level lam0 at which two of their level intervals
+first touch; the merged blocks at lam0 are the set of the next layer, which
+answers for the levels below lam0 scaled by 1/lam0.  The last layer has the
+single block I.  All queries (evaluation, level sets, integrals) are
+answered exactly from the layers.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from numpy.polynomial.legendre import leggauss
 
@@ -38,36 +41,26 @@ def cover(I: Interval, S: IntervalUnion, t: float) -> list[Interval]:
         raise PreconditionError(f"cover needs t in [1, |I|/|S|], got {t}")
     t = min(max(t, 1.0), limit)
     out: list[Interval] = []
-    _cover_rec(I.lo, I.hi, list(S.parts), t, out)
-    return out
-
-
-def _cover_rec(A: float, B: float, comps: list[Interval], t: float, out: list[Interval]) -> None:
-    if not comps:
-        return
-    total = sum(c.length for c in comps)
-    a1 = comps[0].lo
-    if B - t * total <= a1:
-        out.append(Interval(B - t * total, B))
-        return
-    # first block: walk the gaps after a1 for the root of t|S ∩ (a1, c)| = c - a1
-    cum = 0.0
-    cpos = None
-    split = 0
-    for k, comp in enumerate(comps):
-        cum += comp.length
-        nxt = comps[k + 1].lo if k + 1 < len(comps) else B
-        cand = a1 + t * cum
-        if cand >= comp.hi and cand <= nxt:
-            cpos, split = cand, k + 1
+    comps = list(S.parts)
+    while comps:
+        total = sum(c.length for c in comps)
+        a1 = comps[0].lo
+        if I.hi - t * total <= a1:
+            out.append(Interval(I.hi - t * total, I.hi))
             break
-    if cpos is None:  # numerically pinned at the far end
-        cpos, split = a1 + t * cum, len(comps)
-    out.append(Interval(a1, cpos))
-    rest = [c for c in comps[split:] if c.hi > cpos]
-    if rest and rest[0].lo < cpos:
-        rest[0] = Interval(cpos, rest[0].hi)
-    _cover_rec(cpos, B, rest, t, out)
+        # next block: walk the gaps after a1 for the root of t|S ∩ (a1, c)| = c - a1;
+        # a root numerically pinned at the far end takes all the components left
+        cum = 0.0
+        for split, comp in enumerate(comps, 1):
+            cum += comp.length
+            cpos = a1 + t * cum
+            if comp.hi <= cpos <= (comps[split].lo if split < len(comps) else I.hi):
+                break
+        out.append(Interval(a1, cpos))
+        comps = [c for c in comps[split:] if c.hi > cpos]
+        if comps and comps[0].lo < cpos:
+            comps[0] = Interval(cpos, comps[0].hi)
+    return out
 
 
 # -- extremal functions -----------------------------------------------------
@@ -112,28 +105,26 @@ class _Leaf:
         return self.s_len / (theta * gap + self.s_len)
 
 
+# One layer: (floor, leaves, lam0, blocks).  floor is |set|/|I| for the
+# layer's set; the leaves answer for the levels in [lam0, 1] and the blocks
+# are their level intervals merged at lam0.  The last layer has lam0 = floor
+# and blocks = (I,); a set that fills I is a last layer with no leaves and
+# floor 1.
+Layer = tuple[float, tuple[_Leaf, ...], float, tuple[Interval, ...]]
+
+
+@dataclass(frozen=True)
 class ExtremalFunction:
     """The level-set-proportional function for S inside I.  Use
     :func:`build_extremal`."""
 
-    def __init__(
-        self,
-        base_interval: Interval,
-        base_set: IntervalUnion,
-        leaves: tuple[_Leaf, ...],
-        lam0: Optional[float],
-        blocks: tuple[Interval, ...],
-        outer: Optional["ExtremalFunction"],
-        constant: bool,
-    ):
-        self.base_interval = base_interval
-        self.base_set = base_set
-        self.floor = base_set.measure / base_interval.length
-        self._leaves = leaves
-        self._lam0 = lam0
-        self._blocks = blocks
-        self._outer = outer
-        self._constant = constant
+    base_interval: Interval
+    layers: tuple[Layer, ...]
+
+    @property
+    def floor(self) -> float:
+        """|S|/|I|, the least value of f on I."""
+        return self.layers[0][0]
 
     # -- queries ------------------------------------------------------------
 
@@ -141,52 +132,45 @@ class ExtremalFunction:
         """{x : f(x) >= lam} as a disjoint union of intervals."""
         if lam > 1.0:
             return normalize([])
-        if self._constant or lam <= self.floor:
-            return IntervalUnion((self.base_interval,))
-        if self._lam0 is None or lam >= self._lam0:
-            return normalize([leaf.level_interval(lam) for leaf in self._leaves])
-        assert self._outer is not None
-        return self._outer.level_set(lam / self._lam0)
+        for floor, leaves, lam0, _ in self.layers:
+            if lam <= floor:
+                return IntervalUnion((self.base_interval,))
+            if not lam < lam0:  # the last layer, with lam0 = floor, answers every level
+                return normalize([leaf.level_interval(lam) for leaf in leaves])
+            lam /= lam0
 
     def evaluate(self, x: float) -> float:
         I = self.base_interval
         if x < I.lo or x > I.hi:
             return 0.0
-        if x == I.lo or x == I.hi:
-            return max(self.floor, max(leaf.value_at(x) for leaf in self._leaves)) if self._leaves else self.floor
-        if self._constant:
-            return 1.0
-        if self._lam0 is None:
-            return max(self.floor, self._leaves[0].value_at(x))
-        for block in self._blocks:
-            if block.lo <= x <= block.hi:
-                return max(self.floor, max(leaf.value_at(x) for leaf in self._leaves))
-        assert self._outer is not None
-        return max(self.floor, self._lam0 * self._outer.evaluate(x))
+        outer = []  # the layers x is not in a block of, each giving max(floor, lam0 v) on the way out
+        for floor, leaves, lam0, blocks in self.layers:
+            if x == I.lo or x == I.hi or any(block.lo <= x <= block.hi for block in blocks):
+                break
+            outer.append((floor, lam0))
+        value = max([floor, *(leaf.value_at(x) for leaf in leaves)])
+        for floor, lam0 in reversed(outer):
+            value = max(floor, lam0 * value)
+        return value
 
     def kinks(self, knots: Sequence[float]) -> list[float]:
         """The levels at which u({f >= lam}) may fail to be smooth, for a u
-        smooth between the given knots: the floor, the touching level lam0
-        with the kinks of the outer function scaled down by it, and the
-        levels above lam0 at which a leaf's level interval crosses a knot x
-        in one of its side gaps, which is the leaf's value at x."""
-        if self._constant:
-            return []
-        top = self.floor if self._lam0 is None else self._lam0  # the leaves serve [top, 1]
-        out = [self.floor, top]
-        sides = [
-            leaf.value_at(x) for leaf in self._leaves for x in knots if leaf.a < x < leaf.b or leaf.c < x < leaf.d
-        ]
-        out += [lam for lam in sides if lam >= top]
-        if self._outer is not None:
-            out += [top * lam for lam in self._outer.kinks(knots)]
+        smooth between the given knots: per layer the floor, the touching
+        level lam0 with the kinks of the next layer scaled down by it, and
+        the levels above lam0 at which a leaf's level interval crosses a
+        knot x in one of its side gaps, which is the leaf's value at x."""
+        out: list[float] = []
+        for floor, leaves, lam0, _ in reversed(self.layers):
+            if leaves:  # a set that fills I has none
+                sides = [
+                    leaf.value_at(x) for leaf in leaves for x in knots if leaf.a < x < leaf.b or leaf.c < x < leaf.d
+                ]
+                out = [floor, lam0, *(lam for lam in sides if lam >= lam0), *(lam0 * lam for lam in out)]
         return out
 
     def mean_value(self) -> float:
         """Mean of f over I: (1 + log s)/s with s = |I|/|S|, from the exact
         distribution |{f >= lam}| = |S|/lam on [floor, 1]."""
-        if self._constant:
-            return 1.0
         return self.floor * (1.0 + math.log(1.0 / self.floor))
 
 
@@ -194,51 +178,48 @@ def build_extremal(I: Interval, S: IntervalUnion) -> ExtremalFunction:
     """Construct the extremal function for S = union of intervals inside I."""
     if not S:
         raise PreconditionError("extremal function needs a nonempty set")
-    if not all(I.lo <= p.lo and p.hi <= I.hi for p in S):
-        raise PreconditionError("extremal function needs S within I")
-    floor = S.measure / I.length
-    if not floor > 0.0:
-        raise PreconditionError(f"extremal function needs |S|/|I| > 0, got {S.measure!r}/{I.length!r}")
-    if S.measure >= I.length * (1.0 - 1e-15):
-        return ExtremalFunction(I, IntervalUnion((I,)), (), None, (), None, constant=True)
-
-    comps = S.parts
-    leaves = tuple(_Leaf(I.lo, c.lo, c.hi, I.hi) for c in comps)
-    if len(comps) == 1:
-        return ExtremalFunction(I, S, leaves, None, (), None, constant=False)
-
-    # lam0: largest level at which two adjacent per-component intervals touch.
-    lam0 = floor
-    for left, right in zip(leaves, leaves[1:]):
-        gap = right.b - left.c
-        P = (left.d - left.c) * left.s_len / (left.i_len - left.s_len)
-        Q = (right.b - right.a) * right.s_len / (right.i_len - right.s_len)
-        if not P + Q > 0.0:  # products of two lengths underflow below about 1e-154
-            raise PreconditionError(f"extremal construction underflows at |I| = {I.length!r}")
-        xi = 1.0 + gap / (P + Q)
-        lam0 = max(lam0, 1.0 / xi)
-
-    if lam0 <= floor * (1.0 + 1e-12):
-        # the per-component intervals only meet when they fill I exactly
-        return ExtremalFunction(I, S, leaves, floor, (I,), None, constant=False)
-
-    raw = [leaf.level_interval(lam0) for leaf in leaves]
-    merged: list[tuple[float, float]] = []
-    tol = 1e-12 * I.length
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1] + tol:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    if len(merged) >= len(comps):
-        # force the closest pair together: lam0 is a touching level
-        gaps = [merged[i + 1][0] - merged[i][1] for i in range(len(merged) - 1)]
-        i = gaps.index(min(gaps))
-        merged[i] = (merged[i][0], merged[i + 1][1])
-        del merged[i + 1]
-    blocks = tuple(Interval(lo, hi) for lo, hi in merged)
-    outer = build_extremal(I, IntervalUnion(blocks))
-    return ExtremalFunction(I, S, leaves, lam0, blocks, outer, constant=False)
+    layers: list[Layer] = []
+    while True:
+        if not all(I.lo <= p.lo and p.hi <= I.hi for p in S):
+            raise PreconditionError("extremal function needs S within I")
+        floor = S.measure / I.length
+        if not floor > 0.0:
+            raise PreconditionError(f"extremal function needs |S|/|I| > 0, got {S.measure!r}/{I.length!r}")
+        if S.measure >= I.length * (1.0 - 1e-15):
+            layers.append((1.0, (), 1.0, (I,)))
+            break
+        leaves = tuple(_Leaf(I.lo, c.lo, c.hi, I.hi) for c in S.parts)
+        # lam0: largest level at which two adjacent per-component intervals touch.
+        lam0 = floor
+        for left, right in zip(leaves, leaves[1:]):
+            gap = right.b - left.c
+            P = (left.d - left.c) * left.s_len / (left.i_len - left.s_len)
+            Q = (right.b - right.a) * right.s_len / (right.i_len - right.s_len)
+            if not P + Q > 0.0:  # products of two lengths underflow below about 1e-154
+                raise PreconditionError(f"extremal construction underflows at |I| = {I.length!r}")
+            xi = 1.0 + gap / (P + Q)
+            lam0 = max(lam0, 1.0 / xi)
+        if lam0 <= floor * (1.0 + 1e-12):
+            # one component, or per-component intervals that only meet when they fill I
+            layers.append((floor, leaves, floor, (I,)))
+            break
+        merged: list[tuple[float, float]] = []
+        tol = 1e-12 * I.length
+        for lo, hi in (leaf.level_interval(lam0) for leaf in leaves):
+            if merged and lo <= merged[-1][1] + tol:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        if len(merged) >= len(leaves):
+            # force the closest pair together: lam0 is a touching level
+            gaps = [merged[i + 1][0] - merged[i][1] for i in range(len(merged) - 1)]
+            i = gaps.index(min(gaps))
+            merged[i] = (merged[i][0], merged[i + 1][1])
+            del merged[i + 1]
+        blocks = tuple(Interval(lo, hi) for lo, hi in merged)
+        layers.append((floor, leaves, lam0, blocks))
+        S = IntervalUnion(blocks)
+    return ExtremalFunction(I, tuple(layers))
 
 
 class ExtremalSum:

@@ -233,13 +233,16 @@ class DecreasingStep:
 
 
 def distribution(f: StepFunction, u: WeightModel, s: float) -> float:
-    """u-measure of the strict superlevel set {|f| > s}."""
-    if s < 0.0:
-        raise ValueError("levels are nonnegative")
+    """u-measure of the strict superlevel set {|f| > s}, for s >= 0."""
+    if not s >= 0.0:  # a NaN level too
+        raise ValueError(f"levels are nonnegative, got {s!r}")
     return sum(u.weight_of_set(region) for region, value in f.pieces if value > s)
 
 
 def superlevel(f: StepFunction, s: float) -> IntervalUnion:
+    """The strict superlevel set {|f| > s}, for s >= 0."""
+    if not s >= 0.0:
+        raise ValueError(f"levels are nonnegative, got {s!r}")
     regions = [region for region, value in f.pieces if value > s]
     return union(*regions) if regions else normalize([])
 

@@ -3,6 +3,8 @@
 import bisect
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from llab.boyd import Configuration, _anchors, _family_value, _scale_grid
+from llab.construction import _Leaf
 from llab.errors import PreconditionError
 from llab.intervals import Interval, IntervalUnion, normalize, union
 from llab.operators import _ENDPOINT_EPS, _near_endpoint, hilbert, hilbert_maximal, maximal, resample_step
@@ -78,6 +81,32 @@ def random_pair(rng, max_components=6):
     if not S or S.measure >= 0.999 * length:
         return random_pair(rng, max_components)
     return I, S
+
+
+def deep_pair(n, growth):
+    """(I, S) with S_k = (p_k, p_k + 0.5) and the gap after S_k growing as
+    growth^k: the level intervals meet one pair at a time, so the extremal
+    function has n layers."""
+    p, parts = 1.0, []
+    for k in range(n):
+        parts.append((p, p + 0.5))
+        p += 0.5 + growth**k
+    return Interval(0.0, p + 1.0), normalize(parts)
+
+
+@contextmanager
+def shallow_stack(headroom=100):
+    """Lower the recursion limit to the current stack depth plus headroom,
+    so that code recursing once per component or layer fails."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @st.composite
@@ -444,3 +473,143 @@ def check_Ainf_oracle(u, probes=None):
         if m_last < 0.25 and m_last < 0.5 * m_first:
             holds = False
     return ClassVerdict("AInf", holds, c_u, witness, exponent=alpha)
+
+
+def cover_oracle(I, S, t):
+    """construction.cover as a recursion: place the first block at the first
+    component, then cover what is left of S to its right the same way."""
+    t = min(max(t, 1.0), I.length / S.measure)
+    out = []
+
+    def rec(comps):
+        if not comps:
+            return
+        total = sum(c.length for c in comps)
+        a1 = comps[0].lo
+        if I.hi - t * total <= a1:
+            out.append(Interval(I.hi - t * total, I.hi))
+            return
+        cum = 0.0
+        cpos = None
+        split = 0
+        for k, comp in enumerate(comps):
+            cum += comp.length
+            nxt = comps[k + 1].lo if k + 1 < len(comps) else I.hi
+            cand = a1 + t * cum
+            if cand >= comp.hi and cand <= nxt:
+                cpos, split = cand, k + 1
+                break
+        if cpos is None:
+            cpos, split = a1 + t * cum, len(comps)
+        out.append(Interval(a1, cpos))
+        rest = [c for c in comps[split:] if c.hi > cpos]
+        if rest and rest[0].lo < cpos:
+            rest[0] = Interval(cpos, rest[0].hi)
+        rec(rest)
+
+    rec(list(S.parts))
+    return out
+
+
+class ExtremalOracle:
+    """The extremal function as a recursion tree: the leaves of S, the
+    touching level lam0, the merged blocks and the extremal function of the
+    blocks as the outer node; `constant` marks a set that fills I and lam0 =
+    None a single component."""
+
+    def __init__(self, base_interval, base_set, leaves, lam0, blocks, outer, constant):
+        self.base_interval = base_interval
+        self.floor = base_set.measure / base_interval.length
+        self.leaves = leaves
+        self.lam0 = lam0
+        self.blocks = blocks
+        self.outer = outer
+        self.constant = constant
+
+    def level_set(self, lam):
+        if lam > 1.0:
+            return normalize([])
+        if self.constant or lam <= self.floor:
+            return IntervalUnion((self.base_interval,))
+        if self.lam0 is None or lam >= self.lam0:
+            return normalize([leaf.level_interval(lam) for leaf in self.leaves])
+        return self.outer.level_set(lam / self.lam0)
+
+    def evaluate(self, x):
+        I = self.base_interval
+        if x < I.lo or x > I.hi:
+            return 0.0
+        if x == I.lo or x == I.hi:
+            return max(self.floor, max(leaf.value_at(x) for leaf in self.leaves)) if self.leaves else self.floor
+        if self.constant:
+            return 1.0
+        if self.lam0 is None:
+            return max(self.floor, self.leaves[0].value_at(x))
+        for block in self.blocks:
+            if block.lo <= x <= block.hi:
+                return max(self.floor, max(leaf.value_at(x) for leaf in self.leaves))
+        return max(self.floor, self.lam0 * self.outer.evaluate(x))
+
+    def kinks(self, knots):
+        if self.constant:
+            return []
+        top = self.floor if self.lam0 is None else self.lam0
+        out = [self.floor, top]
+        sides = [
+            leaf.value_at(x) for leaf in self.leaves for x in knots if leaf.a < x < leaf.b or leaf.c < x < leaf.d
+        ]
+        out += [lam for lam in sides if lam >= top]
+        if self.outer is not None:
+            out += [top * lam for lam in self.outer.kinks(knots)]
+        return out
+
+    def mean_value(self):
+        if self.constant:
+            return 1.0
+        return self.floor * (1.0 + math.log(1.0 / self.floor))
+
+    def all_blocks(self):
+        """The blocks of every node, outermost last."""
+        return list(self.blocks) + (self.outer.all_blocks() if self.outer is not None else [])
+
+
+def extremal_oracle(I, S):
+    """construction.build_extremal as a recursion: the leaves of S, the level
+    lam0 at which two of their level intervals first touch, and the extremal
+    function of the blocks merged at lam0 as the outer node."""
+    if not all(I.lo <= p.lo and p.hi <= I.hi for p in S):
+        raise PreconditionError("extremal function needs S within I")
+    floor = S.measure / I.length
+    if not floor > 0.0:
+        raise PreconditionError("extremal function needs |S|/|I| > 0")
+    if S.measure >= I.length * (1.0 - 1e-15):
+        return ExtremalOracle(I, IntervalUnion((I,)), (), None, (), None, constant=True)
+    comps = S.parts
+    leaves = tuple(_Leaf(I.lo, c.lo, c.hi, I.hi) for c in comps)
+    if len(comps) == 1:
+        return ExtremalOracle(I, S, leaves, None, (), None, constant=False)
+    lam0 = floor
+    for left, right in zip(leaves, leaves[1:]):
+        gap = right.b - left.c
+        P = (left.d - left.c) * left.s_len / (left.i_len - left.s_len)
+        Q = (right.b - right.a) * right.s_len / (right.i_len - right.s_len)
+        if not P + Q > 0.0:
+            raise PreconditionError("extremal construction underflows")
+        lam0 = max(lam0, 1.0 / (1.0 + gap / (P + Q)))
+    if lam0 <= floor * (1.0 + 1e-12):
+        return ExtremalOracle(I, S, leaves, floor, (I,), None, constant=False)
+    merged = []
+    tol = 1e-12 * I.length
+    for lo, hi in [leaf.level_interval(lam0) for leaf in leaves]:
+        if merged and lo <= merged[-1][1] + tol:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    if len(merged) >= len(comps):
+        gaps = [merged[i + 1][0] - merged[i][1] for i in range(len(merged) - 1)]
+        i = gaps.index(min(gaps))
+        merged[i] = (merged[i][0], merged[i + 1][1])
+        del merged[i + 1]
+    blocks = tuple(Interval(lo, hi) for lo, hi in merged)
+    outer = extremal_oracle(I, IntervalUnion(blocks))
+    return ExtremalOracle(I, S, leaves, lam0, blocks, outer, constant=False)

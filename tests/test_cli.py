@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import llab
+from conftest import deep_pair, shallow_stack
 from llab import construction, rearrangement
 from llab.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_PRECONDITION, main
 
@@ -349,6 +350,19 @@ def test_indices_overflowing_u_mass_is_precondition(tmp_path, capsys):
         assert main(["indices", "--u", str(u), "--w", str(w)]) == EXIT_PRECONDITION
     captured = capsys.readouterr()
     assert captured.out == "" and "mass overflows" in captured.err
+
+
+def test_extremal_and_certify_on_a_deep_set(configs, capsys, tmp_path):
+    # 300 components whose level intervals meet a pair at a time: 300 layers,
+    # which no code path may meet with one recursion level each
+    I, S = deep_pair(300, 1.01)
+    where = ["--interval", "0", repr(I.hi), "--set", ";".join(f"{J.lo!r},{J.hi!r}" for J in S.parts)]
+    with shallow_stack():
+        assert main(["extremal", *where, "--lambdas", "8", "--out", str(tmp_path / "ext.csv")]) == 0
+        assert main(["certify", "--u", configs["u1"], "--w", configs["w1"], *where, "--p", "2"]) == 0
+    extremal, certify = capsys.readouterr().out.splitlines()[-2:]
+    assert json.loads(extremal)["max_identity_error"] < 1e-9
+    assert json.loads(certify)["lower_bound"] > 0.0
 
 
 def _canonical_argv(configs):

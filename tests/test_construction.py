@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import contains, random_pair
+from conftest import contains, cover_oracle, deep_pair, extremal_oracle, random_pair, shallow_stack
 from llab import construction
 from llab.boyd import Configuration
 from llab.construction import (
@@ -416,3 +416,84 @@ def test_extremal_norm_against_quad_and_monotone_bracket(inputs):
     below = flat + math.fsum(gb * d for gb, d in zip(gs[1:], steps))
     above = flat + math.fsum(ga * d for ga, d in zip(gs, steps))
     assert below <= value <= above
+
+
+# -- the layers against the recursion tree -----------------------------------
+
+
+@st.composite
+def extremal_cases(draw):
+    """(I, S): S = I; 2-8 components of one width with gaps growing
+    geometrically, so the level intervals meet a pair at a time; or 1-8
+    components at random, the first and last possibly at I's ends."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, kind = float(rng.uniform(-5.0, 2.0)), draw(st.sampled_from(["fill", "geometric", "random"]))
+    if kind == "fill":
+        I = Interval(lo, lo + float(rng.uniform(0.5, 10.0)))
+        return I, IntervalUnion((I,))
+    if kind == "geometric":
+        n, growth, width = draw(st.integers(2, 8)), draw(st.floats(1.001, 3.0)), float(rng.uniform(0.05, 1.0))
+        p, parts = lo + float(rng.uniform(0.0, 1.0)), []
+        for k in range(n):
+            parts.append((p, p + width))
+            p += width + 0.1 * growth**k
+        return Interval(lo, p + float(rng.uniform(0.0, 1.0))), normalize(parts)
+    hi = lo + float(rng.uniform(0.5, 20.0))
+    cuts = np.sort(rng.uniform(lo, hi, size=2 * draw(st.integers(1, 8)))).tolist()
+    cuts[0] = lo if draw(st.booleans()) else cuts[0]
+    cuts[-1] = hi if draw(st.booleans()) else cuts[-1]
+    return Interval(lo, hi), normalize([(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b > a])
+
+
+_KNOTS = {
+    "constant": WeightModel.constant(domain_kind="line").knots,
+    "abs": WeightModel.power(1.0, domain_kind="line").knots,
+    "three": WeightModel(
+        (Segment(0.0, 0.8, 1.3, -0.4), *_U3_TAIL), domain_kind="line", tail_coef=1.0, tail_exp=0.45
+    ).knots,
+}
+
+
+@given(extremal_cases(), st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_layers_match_the_recursion_tree_bit_for_bit(case, share):
+    I, S = case
+    old, new = extremal_oracle(I, S), build_extremal(I, S)
+    assert repr((new.floor, new.mean_value())) == repr((old.floor, old.mean_value()))
+    touching, node, scale = [], old, 1.0  # each node's lam0 on the scale of the top
+    while node is not None:
+        if node.lam0 is not None:
+            scale *= node.lam0
+            touching += [scale, math.nextafter(scale, 0.0), math.nextafter(scale, 2.0)]
+        node = node.outer
+    lams = [old.floor, math.nextafter(old.floor, 2.0), *(k / 64 for k in range(1, 65)), 1.5, *touching]
+    for lam in lams:
+        assert repr(new.level_set(lam)) == repr(old.level_set(lam)), lam
+    ends = [e for J in old.all_blocks() for e in (J.lo, J.hi)] + [e for J in S.parts for e in (J.lo, J.hi)]
+    for x in [I.lo - 1.0, I.lo, I.hi, I.hi + 1.0, *ends, *np.linspace(I.lo, I.hi, 41).tolist()]:
+        assert repr(new.evaluate(x)) == repr(old.evaluate(x)), x
+    for name, knots in _KNOTS.items():
+        assert repr(new.kinks(knots)) == repr(old.kinks(knots)), name
+    limit = I.length / S.measure
+    for t in (1.0, 1.0 + share * (limit - 1.0), limit):
+        assert repr(cover(I, S, t)) == repr(cover_oracle(I, S, t)), t
+
+
+def test_deep_sets_need_no_recursion():
+    # one layer per component, and one cover block per component of the
+    # evenly spaced set: code recursing once per layer or block fails here
+    I, S = deep_pair(300, 1.01)
+    even = normalize([(k, k + 0.5) for k in range(320)])
+    with shallow_stack():
+        F = build_extremal(I, S)
+        levels = [F.level_set(lam) for lam in (0.5 * F.floor, 1.5 * F.floor, 0.5, 1.0)]
+        values = [F.evaluate(x) for x in (I.lo, 0.5 * (I.lo + I.hi), S.parts[-1].hi + 0.5)]
+        kinks = F.kinks(WeightModel.power(1.0, domain_kind="line").knots)
+        covers = [cover(Interval(0.0, 330.0), even, t) for t in (1.0, 2.0)]
+    assert len(F.layers) == 300
+    assert levels[0].parts == (I,) and levels[-1] == S
+    assert F.floor <= min(values) <= max(values) < 1.0
+    assert len(kinks) == 2 * 300
+    assert [len(c) for c in covers] == [320, 320]
+    for lam, J in zip((1.5 * F.floor, 0.5), levels[1:]):
+        assert J.measure == pytest.approx(S.measure / lam, rel=1e-9)

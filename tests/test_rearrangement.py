@@ -216,6 +216,16 @@ def test_superlevel_sets():
     assert superlevel(f, 0.5) == normalize([(0.0, 3.0)])
 
 
+@pytest.mark.parametrize("s", [-1.0, math.nan])
+def test_levels_must_be_nonnegative(s):
+    # superlevel(f, -1) used to return the support, distribution(f, u, nan) 0.0
+    f = make_step([((0.0, 1.0), 2.0), ((2.0, 3.0), 1.0)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        superlevel(f, s)
+    with pytest.raises(ValueError, match="nonnegative"):
+        distribution(f, WeightModel.constant(domain_kind="line"), s)
+
+
 def test_distribution_matches_quadrature():
     rng = np.random.default_rng(3)
     u = WeightModel.power(1.0, domain_kind="line")
