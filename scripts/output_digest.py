@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the outputs of the step-function and construction layers.
+"""Print one SHA-256 over the outputs of the step-function, construction, weight and index layers.
 
 The inputs are seeded and built here, so two checkouts that print the same
 digest compute bit-identical values: the JSON and position table of the
@@ -10,8 +10,11 @@ test families; and, for sets S inside an interval I (seeded ones of 1-6
 components, one component, S = I, and gaps growing geometrically), the
 extremal function's level sets on a fixed grid of levels, its values on a
 fixed grid of points, its kinks and the covers, and the weak-type
-certificate, for u = 1, |x| and a three-segment u.  `--verbose` prints each
-entry's own digest as well, to find the one that moved.
+certificate, for u = 1, |x| and a three-segment u; the verdicts of the five
+class checks for those u's and for w = t^0.4 and a three-segment w at
+p = 1.5 and 2; and the index estimates and Hilbert verdicts of two (u, w)
+pairs.  `--verbose` prints each entry's own digest as well, to find the
+one that moved.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py [--verbose]
@@ -23,18 +26,27 @@ import math
 
 import numpy as np
 
-from llab.boyd import Configuration
+from llab.boyd import Configuration, compute_estimates
 from llab.construction import build_extremal, cover, weak_type_lower_bound
 from llab.intervals import Interval, IntervalUnion, normalize
 from llab.operators import (
     apply_operator,
     empirical_opnorm,
     extremal_family,
+    hilbert_verdict,
     indicator_family,
     random_step_family,
 )
 from llab.rearrangement import lorentz_norm, make_step, rearrange, weak_lorentz_norm
-from llab.weights import Segment, WeightModel
+from llab.weights import (
+    Segment,
+    WeightModel,
+    check_A1,
+    check_Ainf,
+    check_Bp,
+    check_Bstar_inf,
+    check_delta2,
+)
 
 P = 1.5
 SIZES = (10, 20, 50)
@@ -79,15 +91,9 @@ def pairs(seed: int) -> list:
     return out
 
 
-def entries():
-    """(name, repr) of every output the digest covers."""
-    yield from step_entries()
-    yield from construction_entries()
-
-
-def construction_entries():
-    """The extremal function, covers and certificates of each pair."""
-    us = {
+def us() -> dict:
+    """u = 1, |x| and a three-segment u on the line."""
+    return {
         "one": WeightModel.constant(domain_kind="line"),
         "abs": WeightModel.power(1.0, domain_kind="line"),
         "three": WeightModel(
@@ -97,7 +103,47 @@ def construction_entries():
             tail_exp=0.45,
         ),
     }
-    w = WeightModel.power(0.4)
+
+
+def ws() -> dict:
+    """w = t^0.4 and a three-segment w on the half-line."""
+    return {
+        "pow": WeightModel.power(0.4),
+        "three": WeightModel(
+            (Segment(0.0, 0.5, 1.0, 0.3), Segment(0.5, 2.0, 0.8, -0.2), Segment(2.0, 6.0, 0.5, 0.6)),
+            tail_coef=0.9,
+            tail_exp=0.25,
+        ),
+    }
+
+
+def entries():
+    """(name, repr) of every output the digest covers."""
+    yield from step_entries()
+    yield from construction_entries()
+    yield from weight_entries()
+
+
+def weight_entries():
+    """The five class checks, then the index estimates and Hilbert verdicts."""
+    for name, u in us().items():
+        yield f"classes.{name}.A1", repr(check_A1(u).as_dict())
+        yield f"classes.{name}.AInf", repr(check_Ainf(u).as_dict())
+    for name, w in ws().items():
+        yield f"classes.{name}.Delta2", repr(check_delta2(w).as_dict())
+        yield f"classes.{name}.BstarInf", repr(check_Bstar_inf(w).as_dict())
+        for p in (1.5, 2.0):
+            yield f"classes.{name}.Bp{p:g}", repr(check_Bp(w, p).as_dict())
+    for u_name, w_name in (("abs", "pow"), ("three", "three")):
+        u, w = us()[u_name], ws()[w_name]
+        est = compute_estimates(u, w, P)
+        yield f"indices.{u_name}.{w_name}", repr(est)
+        yield f"hilbert.{u_name}.{w_name}", repr(hilbert_verdict(u, w, P, estimates=est))
+
+
+def construction_entries():
+    """The extremal function, covers and certificates of each pair."""
+    w = ws()["pow"]
     for i, (I, S) in enumerate(pairs(11)):
         F = build_extremal(I, S)
         ratio = I.length / S.measure
@@ -106,7 +152,7 @@ def construction_entries():
         xs = np.linspace(I.lo - 0.5, I.hi + 0.5, 201).tolist() + [e for J in (I, *S.parts) for e in (J.lo, J.hi)]
         yield f"pair{i}.evaluate", repr([F.evaluate(x) for x in xs])
         yield f"pair{i}.covers", repr([cover(I, S, 1.0 + (ratio - 1.0) * k / 4) for k in range(5)])
-        for name, u in us.items():
+        for name, u in us().items():
             yield f"pair{i}.{name}.kinks", repr(F.kinks(u.knots))
             if ratio > 1.0:
                 family = Configuration(pairs=((I, S),), ratio=ratio)

@@ -107,8 +107,8 @@ def _anchors(u: WeightModel) -> list[float]:
 
 def wbar(w: WeightModel, t: float) -> float:
     """sup_s W(st)/W(s) over a refined geometric grid; exact for power w."""
-    if t <= 0.0:
-        raise PreconditionError("wbar needs t > 0")
+    if not 0.0 < t < math.inf:  # NaN fails too
+        raise PreconditionError(f"wbar needs 0 < t < inf, got {t!r}")
     if t == 1.0:
         return 1.0
     best = 0.0
@@ -287,8 +287,8 @@ def wbar_u(
 
     A certified lower bound of the supremum; deterministic under the seed.
     """
-    if t < 1.0:
-        raise PreconditionError("wbar_u needs t >= 1")
+    if not 1.0 <= t < math.inf:  # NaN fails too
+        raise PreconditionError(f"wbar_u needs 1 <= t < inf, got {t!r}")
     if t == 1.0:
         return 1.0, _trivial_config()
     return _search(u, w, t, upper=True, budget=budget, seed=seed)
@@ -323,31 +323,22 @@ def _monotonize(vals: Sequence[float]) -> list[float]:
     return out
 
 
-def _samples(search, default_grid, u, w, ts, budget, seed) -> SubmultiplicativeSamples:
-    """The monotonized values of one search over ts (default_grid() if None)."""
-    ts = tuple(ts) if ts is not None else default_grid()
+def _samples(search, ts, u, w, budget, seed) -> SubmultiplicativeSamples:
+    """The monotonized values of one search over the grid ts."""
     vals = [search(u, w, t, budget=budget, seed=seed)[0] for t in ts]
     return SubmultiplicativeSamples(ts, tuple(_monotonize(vals)), "lower_bound", budget)
 
 
 def wbar_u_samples(
-    u: WeightModel,
-    w: WeightModel,
-    ts: Optional[Sequence[float]] = None,
-    budget: int = 1,
-    seed: int = 0,
+    u: WeightModel, w: WeightModel, budget: int = 1, seed: int = 0
 ) -> SubmultiplicativeSamples:
-    return _samples(wbar_u, default_upper_grid, u, w, ts, budget, seed)
+    return _samples(wbar_u, default_upper_grid(), u, w, budget, seed)
 
 
 def underline_wu_samples(
-    u: WeightModel,
-    w: WeightModel,
-    ts: Optional[Sequence[float]] = None,
-    budget: int = 1,
-    seed: int = 0,
+    u: WeightModel, w: WeightModel, budget: int = 1, seed: int = 0
 ) -> SubmultiplicativeSamples:
-    return _samples(underline_wu, default_lower_grid, u, w, ts, budget, seed)
+    return _samples(underline_wu, default_lower_grid(), u, w, budget, seed)
 
 
 def exact_samples(phi: Callable[[float], float], ts: Sequence[float]) -> SubmultiplicativeSamples:

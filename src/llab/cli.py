@@ -1,9 +1,8 @@
 """Experiment driver: weight-class checks, index estimation, extremal
 constructions, certificates, and operator-norm probes, with CSV/JSON output.
 
-All randomized searches are fully determined by the seed (overridable via
-the LLAB_SEED environment variable); two runs with the same configuration
-produce byte-identical CSV bodies.
+All randomized searches are fully determined by --seed; two runs with the
+same configuration produce byte-identical CSV bodies.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -22,7 +20,7 @@ from .errors import (
     PreconditionError,
     SingularInputError,
 )
-from .intervals import Interval, IntervalUnion, endpoints, intersect, parse_union
+from .intervals import Interval, IntervalUnion, endpoints, overlap_measures, parse_union
 from .weights import (
     WeightModel,
     check_A1,
@@ -46,16 +44,6 @@ def _load_weight(path: str) -> WeightModel:
         return WeightModel.load(path)
     except OSError as exc:
         raise ConfigurationError(f"cannot read weight config {path}: {exc}") from exc
-
-
-def _seed(args) -> int:
-    env = os.environ.get("LLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"LLAB_SEED must be an integer, got {env!r}") from exc
-    return args.seed
 
 
 def _interval_and_set(args) -> tuple[Interval, IntervalUnion]:
@@ -120,16 +108,15 @@ def cmd_classes(args) -> int:
 def cmd_indices(args) -> int:
     u = _load_weight(args.u)
     w = _load_weight(args.w)
-    seed = _seed(args)
-    est = boyd.compute_estimates(u, w, args.p, budget=args.budget, seed=seed)
+    est = boyd.compute_estimates(u, w, args.p, budget=args.budget, seed=args.seed)
     rows = []
     for t, v in zip(est.upper.arguments, est.upper.values):
         rows.append(
-            f"{_fmt(t)},{_fmt(v)},,{est.upper.direction},{args.budget},{seed}"
+            f"{_fmt(t)},{_fmt(v)},,{est.upper.direction},{args.budget},{args.seed}"
         )
     for t, v in zip(est.lower.arguments, est.lower.values):
         rows.append(
-            f"{_fmt(t)},,{_fmt(v)},{est.lower.direction},{args.budget},{seed}"
+            f"{_fmt(t)},,{_fmt(v)},{est.lower.direction},{args.budget},{args.seed}"
         )
     _write_csv(args.out, "t,wbar_u,underline_wu,direction,budget,seed", rows)
     mv = boyd.maximal_verdict(u, w, args.p, est)
@@ -162,9 +149,8 @@ def cmd_extremal(args) -> int:
     for i in range(n):
         lam = floor + (1.0 - floor) * (i + 1) / n
         J = F.level_set(lam)
-        for k, part in enumerate(J.parts):
-            inter = intersect(S, IntervalUnion((part,)))
-            err = abs(inter.measure - lam * part.length) / max(part.length, 1e-300)
+        for k, (part, overlap) in enumerate(zip(J.parts, overlap_measures(S, J))):
+            err = abs(overlap - lam * part.length) / max(part.length, 1e-300)
             max_err = max(max_err, err)
             rows.append(f"{_fmt(lam)},{k},{_fmt(part.lo)},{_fmt(part.hi)},{_fmt(err)}")
     _write_csv(args.out, "lambda,k,lo,hi,measure_check", rows)
@@ -194,11 +180,10 @@ def cmd_certify(args) -> int:
 def cmd_opnorm(args) -> int:
     u = _load_weight(args.u)
     w = _load_weight(args.w)
-    seed = _seed(args)
-    if seed < 0:  # the test families seed numpy's generator with it
-        raise ConfigurationError(f"opnorm needs a nonnegative seed, got {seed}")
+    if args.seed < 0:  # the test families seed numpy's generator with it
+        raise ConfigurationError(f"opnorm needs a nonnegative seed, got {args.seed}")
     if args.family == "indicators":
-        family = operators.indicator_family(args.count, seed)
+        family = operators.indicator_family(args.count, args.seed)
     elif args.family == "extremals":
         if not 1.0 <= args.ratio < math.inf:  # the ratio |I|/|S| of the extremal pair
             raise ConfigurationError(f"--ratio must be a finite number >= 1, got {args.ratio!r}")
@@ -208,7 +193,7 @@ def cmd_opnorm(args) -> int:
             n = int(args.family.split(":")[1]) if ":" in args.family else args.count
         except ValueError as exc:
             raise ConfigurationError(f"family random:N needs an integer N: {exc}") from exc
-        family = operators.random_step_family(n, seed)
+        family = operators.random_step_family(n, args.seed)
     else:
         raise ConfigurationError(f"unknown family {args.family!r}")
     report = operators.empirical_opnorm(args.operator, u, w, args.p, family, args.target)
@@ -231,9 +216,8 @@ def cmd_opnorm(args) -> int:
 def cmd_verdict(args) -> int:
     u = _load_weight(args.u)
     w = _load_weight(args.w)
-    seed = _seed(args)
-    est = boyd.compute_estimates(u, w, args.p, budget=args.budget, seed=seed)
-    hv = operators.hilbert_verdict(u, w, args.p, estimates=est)
+    est = boyd.compute_estimates(u, w, args.p, budget=args.budget, seed=args.seed)
+    hv = operators.hilbert_verdict(u, w, args.p, est)
     out = {
         "alpha": est.alpha.exponent,
         "beta": est.beta.exponent,

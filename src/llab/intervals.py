@@ -110,6 +110,24 @@ def intersect(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
     return normalize(out)
 
 
+def overlap_measures(u: IntervalUnion, v: IntervalUnion) -> list[float]:
+    """intersect(u, IntervalUnion((part,))).measure for every part of v, in
+    one merge of the two sorted part lists: the overlaps with each part are
+    summed in u's order, as that measure sums them."""
+    out, i, parts = [], 0, u.parts
+    for part in v.parts:
+        while i < len(parts) and parts[i].hi <= part.lo:  # left of every later part of v too
+            i += 1
+        pieces, j = [], i
+        while j < len(parts) and parts[j].lo < part.hi:
+            lo, hi = max(parts[j].lo, part.lo), min(parts[j].hi, part.hi)
+            if lo < hi:
+                pieces.append(hi - lo)
+            j += 1
+        out.append(sum(pieces))
+    return out
+
+
 def singleton(lo: float, hi: float) -> IntervalUnion:
     return normalize([(lo, hi)])
 

@@ -14,7 +14,6 @@ import numpy as np
 from .boyd import (
     BoydEstimates,
     VerdictRecord,
-    compute_estimates,
     maximal_verdict,
 )
 from .construction import build_extremal
@@ -433,14 +432,7 @@ class HilbertVerdict:
         return {"operator": "H", **asdict(self)}
 
 
-def hilbert_verdict(
-    u: WeightModel,
-    w: WeightModel,
-    p: float,
-    estimates: Optional[BoydEstimates] = None,
-    budget: int = 1,
-    seed: int = 0,
-) -> HilbertVerdict:
+def hilbert_verdict(u: WeightModel, w: WeightModel, p: float, estimates: BoydEstimates) -> HilbertVerdict:
     """Two-route boundedness verdict for the Hilbert transform.
 
     Route one uses the fitted indices (upper below 1, lower above 0); route
@@ -448,8 +440,6 @@ def hilbert_verdict(
     p <= 1 only the one-sided index implications apply, so the condition
     route is reported as informational there.
     """
-    if estimates is None:
-        estimates = compute_estimates(u, w, p, budget=budget, seed=seed)
     alpha, beta = estimates.alpha.exponent, estimates.beta.exponent
     m_alpha = max(estimates.alpha.residual, 1e-3)
     m_beta = max(estimates.beta.residual, 1e-3)

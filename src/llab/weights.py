@@ -17,7 +17,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,10 +114,7 @@ class WeightModel:
         for seg in self.segments:
             e1 = seg.exp + 1.0
             lo_pow = 0.0 if seg.lo == 0.0 else seg.lo**e1
-            if e1 == 0.0:
-                mass = seg.coef * math.log(seg.hi / seg.lo)
-            else:
-                mass = seg.coef * (seg.hi**e1 - lo_pow) / e1
+            mass = _power_int(seg.coef, seg.exp, seg.lo, seg.hi)
             acc += mass
             # W(lo) as W(hi) - mass, not the running sum before the segment:
             # the two differ by an ulp on multi-segment weights, and seeded
@@ -409,20 +405,16 @@ def ainf_point(u: WeightModel, I: Interval, E: IntervalUnion) -> tuple[float, fl
 # -- checkers ---------------------------------------------------------------
 
 
-def _grid_verdict(
-    name: str, w: WeightModel, grid: Optional[Sequence[float]], ratio, **witness
-) -> ClassVerdict:
-    """The verdict of one scale class of w: ratio(r) at every r of the grid
-    (default grid if None), the first of equal maxima as the witness
-    {"r": r, **witness}, and `holds` from a finite maximum without a growth
-    trend.  Every ratio divides by W(r), so W must not underflow to 0 at
-    any grid scale; W increases, so the smallest scale decides.  Nor may a
-    ratio overflow, unless the witness is r = "tail": B_p's divergent tail."""
-    grid = tuple(grid) if grid is not None else default_grid()
-    if not grid or not all(r > 0 for r in grid):  # NaN fails too
-        raise PreconditionError(f"{name} grid must be nonempty and positive")
-    if w.primitive(min(grid)) == 0.0:
-        raise PreconditionError(f"{name} needs W(r) > 0 on its grid, but W({min(grid)!r}) = 0")
+def _grid_verdict(name: str, w: WeightModel, ratio, **witness) -> ClassVerdict:
+    """The verdict of one scale class of w: ratio(r) at every r of the
+    default grid, the first of equal maxima as the witness {"r": r,
+    **witness}, and `holds` from a finite maximum without a growth trend.
+    Every ratio divides by W(r), so W must not underflow to 0 at any grid
+    scale; W increases, so the smallest scale decides.  Nor may a ratio
+    overflow, unless the witness is r = "tail": B_p's divergent tail."""
+    grid = default_grid()
+    if w.primitive(grid[0]) == 0.0:
+        raise PreconditionError(f"{name} needs W(r) > 0 on its grid, but W({grid[0]!r}) = 0")
     ratios = [ratio(r) for r in grid]
     over = [(r, v) for r, v in zip(grid, ratios) if not math.isfinite(v)]
     if over and witness.get("r") != "tail":  # np.argmax would pick a NaN, and an inf is no divergence
@@ -437,18 +429,18 @@ def _grid_verdict(
     )
 
 
-def check_delta2(w: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
-    return _grid_verdict("Delta2", w, grid, lambda r: delta2_ratio(w, r))
+def check_delta2(w: WeightModel) -> ClassVerdict:
+    return _grid_verdict("Delta2", w, lambda r: delta2_ratio(w, r))
 
 
-def check_Bp(w: WeightModel, p: float, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
+def check_Bp(w: WeightModel, p: float) -> ClassVerdict:
     if w.tail_exp - p >= -1.0:  # the tail integral diverges at every scale
-        return _grid_verdict("Bp", w, grid, lambda r: math.inf, r="tail", p=p)
-    return _grid_verdict("Bp", w, grid, lambda r: bp_ratio(w, p, r), p=p)
+        return _grid_verdict("Bp", w, lambda r: math.inf, r="tail", p=p)
+    return _grid_verdict("Bp", w, lambda r: bp_ratio(w, p, r), p=p)
 
 
-def check_Bstar_inf(w: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
-    return _grid_verdict("BstarInf", w, grid, lambda r: bstar_ratio(w, r))
+def check_Bstar_inf(w: WeightModel) -> ClassVerdict:
+    return _grid_verdict("BstarInf", w, lambda r: bstar_ratio(w, r))
 
 
 def _a1_probe_points(u: WeightModel) -> list[float]:
@@ -458,18 +450,18 @@ def _a1_probe_points(u: WeightModel) -> list[float]:
     return [x for x in pts if x != 0.0]
 
 
-def check_A1(u: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVerdict:
-    """A1 ratios avg_J(u) / u(x) over every scale r, probe point x and window
-    J = (x - r, x + r), (x, x + r), (x - r, x), scored in one array pass in
-    that loop order.  As in a scan from 0 with a strict `>`, a NaN never
-    counts and the first of equal maxima is the witness."""
-    scales = tuple(grid) if grid is not None else tuple(2.0**k for k in range(-12, 13))
+def check_A1(u: WeightModel) -> ClassVerdict:
+    """A1 ratios avg_J(u) / u(x) over every scale r = 2^-12 .. 2^12, probe
+    point x and window J = (x - r, x + r), (x, x + r), (x - r, x), scored in
+    one array pass in that loop order.  As in a scan from 0 with a strict
+    `>`, a NaN never counts and the first of equal maxima is the witness."""
+    scales = tuple(2.0**k for k in range(-12, 13))
     points = _a1_probe_points(u)
     r, x = np.array(scales)[:, None], np.array(points)[None, :]
     lo = np.stack(np.broadcast_arrays(x - r, x, x - r), axis=-1)
     hi = np.stack(np.broadcast_arrays(x + r, x + r, x), axis=-1)
-    if not scales or not np.all(lo < hi):
-        raise PreconditionError("A1 needs a nonempty grid with x - r < x < x + r at every probe point")
+    if not np.all(lo < hi):
+        raise PreconditionError("A1 needs x - r < x < x + r at every probe point")
     avg = u.mass_array(lo, hi) / (hi - lo)  # first, so a half-line u fails as the scan did
     ux = np.array([u.value(p) for p in points])[:, None]
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
@@ -490,12 +482,12 @@ def check_A1(u: WeightModel, grid: Optional[Sequence[float]] = None) -> ClassVer
     )
 
 
-def _ainf_probe_table(u: WeightModel, seed: int = 0, randoms_per_scale: int = 32) -> np.ndarray:
-    """Rows (I.lo, I.hi, E.lo, E.hi) of the default A_inf probes.  Per scale
-    L: at every anchor of u three placements of I, in each three lengths of
-    E, each at the left end, the right end and the centre of I; then
-    seeded random placements, each drawing (start, frac, lo)."""
-    rng = np.random.default_rng(seed)
+def _ainf_probe_table(u: WeightModel) -> np.ndarray:
+    """Rows (I.lo, I.hi, E.lo, E.hi) of the A_inf probes.  Per scale L: at
+    every anchor of u three placements of I, in each three lengths of E,
+    each at the left end, the right end and the centre of I; then 32 random
+    placements from seed 0, each drawing (start, frac, lo)."""
+    rng = np.random.default_rng(0)
     L = np.array([2.0**k for k in range(-10, 11)])[:, None]
     a = np.array([0.0] + [b for b in u.breakpoints if math.isfinite(b)])[None, :]
     # axes: scale, anchor, placement of I, length of E, placement of E
@@ -505,7 +497,7 @@ def _ainf_probe_table(u: WeightModel, seed: int = 0, randoms_per_scale: int = 32
     e_len = np.array([0.5, 0.125, 0.015625])[:, None] * L5
     lo = np.concatenate(np.broadcast_arrays(start, i_hi - e_len, start + (L5 - e_len) / 2.0), axis=-1)
     fixed = np.stack(np.broadcast_arrays(start, i_hi, lo, lo + e_len), axis=-1).reshape(L.size, -1, 4)
-    draws = rng.random((L.size, randoms_per_scale, 3))
+    draws = rng.random((L.size, 32, 3))
     start = (draws[..., 0] - 0.5) * 4.0 * L
     frac = _libm(math.pow, np.full(start.size, 2.0), (-8.0 * draws[..., 1]).ravel()).reshape(start.shape)
     e_len = np.maximum(frac * L, 1e-12 * L)
@@ -514,57 +506,24 @@ def _ainf_probe_table(u: WeightModel, seed: int = 0, randoms_per_scale: int = 32
     return np.concatenate([fixed, randoms], axis=1).reshape(-1, 4)
 
 
-def default_ainf_probes(
-    u: WeightModel, seed: int = 0, randoms_per_scale: int = 32
-) -> list[tuple[Interval, IntervalUnion]]:
-    """Edge, center, and seeded random placements of E inside I per scale."""
-    return [
-        (Interval(i_lo, i_hi), IntervalUnion((Interval(e_lo, e_hi),)))
-        for i_lo, i_hi, e_lo, e_hi in _ainf_probe_table(u, seed, randoms_per_scale).tolist()
-    ]
+def check_Ainf(u: WeightModel) -> ClassVerdict:
+    """Fit C_u and alpha with |E|/|I| <= C_u (u(E)/u(I))^alpha over the rows
+    of _ainf_probe_table, never built as objects.
 
-
-def _sum_parts(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per probe, Python's `sum` from 0.0 of its next `count` values."""
-    parts = iter(values.tolist())
-    return np.array([sum(islice(parts, k), 0.0) for k in counts.tolist()])
-
-
-def check_Ainf(
-    u: WeightModel,
-    probes: Optional[Sequence[tuple[Interval, IntervalUnion]]] = None,
-) -> ClassVerdict:
-    """Fit C_u and alpha with |E|/|I| <= C_u (u(E)/u(I))^alpha over the probes
-    (default: the rows of _ainf_probe_table, never built as objects).
-
-    u(I) and every part of every E go through one mass_array pass.  Where
-    some E has other than one part, the parts of each E are summed in order
-    with Python's `sum`, as weight_of_set and IntervalUnion.measure do (from
-    3.12 `sum` compensates, so a plain array sum could differ in the last
-    bit).  The slopes log(|E|/|I|) / log(u(E)/u(I)) and the constants take
-    libm's log and pow.  A NaN is never the best constant, and the first of
-    equal maxima is the witness."""
-    if probes is None:
-        i_lo, i_hi, e_lo, e_hi = _ainf_probe_table(u).T
-        counts = np.ones(i_lo.size, dtype=int)
-    else:
-        if not probes:
-            raise PreconditionError("A_inf needs at least one probe")
-        i_lo, i_hi = np.array([(I.lo, I.hi) for I, _ in probes]).T
-        e_lo, e_hi = np.array([(p.lo, p.hi) for _, E in probes for p in E.parts]).reshape(-1, 2).T
-        counts = np.array([len(E) for _, E in probes])
-    n = i_lo.size
-    owner = np.repeat(np.arange(n), counts)
-    if not np.all((i_lo[owner] <= e_lo) & (e_hi <= i_hi[owner])):
+    u(I) and u(E) of every probe go through one mass_array pass.  The slopes
+    log(|E|/|I|) / log(u(E)/u(I)) and the constants take libm's log and
+    pow.  A NaN is never the best constant, and the first of equal maxima
+    is the witness."""
+    i_lo, i_hi, e_lo, e_hi = _ainf_probe_table(u).T
+    if not np.all((i_lo <= e_lo) & (e_hi <= i_hi)):
         raise PreconditionError("A_inf probe needs E within I")
+    n = i_lo.size
     mass = u.mass_array(np.concatenate([i_lo, e_lo]), np.concatenate([i_hi, e_hi]))
-    uI, uE, measure = mass[:n], mass[n:], e_hi - e_lo
+    uI, uE = mass[:n], mass[n:]
     if np.any(uI == 0.0):
         raise PreconditionError("A_inf probe needs u(I) > 0")
-    if np.any(counts != 1):
-        uE, measure = _sum_parts(uE, counts), _sum_parts(measure, counts)
     length = i_hi - i_lo
-    x, y = uE / uI, measure / length
+    x, y = uE / uI, (e_hi - e_lo) / length
     sloped = (0.0 < x) & (x < 0.999) & (0.0 < y)
     slopes = _libm(math.log, y[sloped]) / _libm(math.log, x[sloped])
     alpha = min(1.0, float(slopes.min())) if slopes.size else 1.0
@@ -577,10 +536,9 @@ def check_Ainf(
     c_u, witness = 1.0, {}
     if c[best] > 1.0:
         c_u = float(c[best])
-        parts = owner == best
         witness = {
             "I": [float(i_lo[best]), float(i_hi[best])],
-            "E": np.stack([e_lo[parts], e_hi[parts]], axis=-1).tolist(),
+            "E": [[float(e_lo[best]), float(e_hi[best])]],
         }
     holds = True
     if slopes.size:

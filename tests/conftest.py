@@ -398,10 +398,10 @@ def search_shapes():
     }
 
 
-def check_A1_oracle(u, grid=None):
+def check_A1_oracle(u):
     """check_A1 as a scalar scan: every scale, point and window in loop
     order, a strict `>` from 0.0."""
-    scales = tuple(grid) if grid is not None else tuple(2.0**k for k in range(-12, 13))
+    scales = tuple(2.0**k for k in range(-12, 13))
     points = _a1_probe_points(u)
     best_ratio, best_witness = 0.0, {}
     per_scale = []
@@ -420,9 +420,10 @@ def check_A1_oracle(u, grid=None):
     return ClassVerdict("A1", holds, best_ratio, best_witness)
 
 
-def ainf_probes_oracle(u, seed=0, randoms_per_scale=32):
-    """default_ainf_probes as the loop that builds one probe at a time."""
-    rng = np.random.default_rng(seed)
+def ainf_probes_oracle(u):
+    """The rows of _ainf_probe_table as the loop that builds one probe at a
+    time."""
+    rng = np.random.default_rng(0)
     probes = []
     anchors = [0.0] + [b for b in u.breakpoints if math.isfinite(b)]
     for L in [2.0**k for k in range(-10, 11)]:
@@ -433,7 +434,7 @@ def ainf_probes_oracle(u, seed=0, randoms_per_scale=32):
                     e_len = frac * L
                     for lo in (I.lo, I.hi - e_len, I.lo + (L - e_len) / 2.0):
                         probes.append((I, IntervalUnion((Interval(lo, lo + e_len),))))
-        for _ in range(randoms_per_scale):
+        for _ in range(32):
             start = (rng.random() - 0.5) * 4.0 * L
             I = Interval(start, start + L)
             frac = 2.0 ** (-8.0 * rng.random())
@@ -443,11 +444,10 @@ def ainf_probes_oracle(u, seed=0, randoms_per_scale=32):
     return probes
 
 
-def check_Ainf_oracle(u, probes=None):
+def check_Ainf_oracle(u):
     """check_Ainf as a scalar loop over the probes: containment through
     `contains`, one ainf_point per probe, a strict `>` from C_u = 1."""
-    if probes is None:
-        probes = ainf_probes_oracle(u)
+    probes = ainf_probes_oracle(u)
     slopes, cloud = [], []
     for I, E in probes:
         if not contains(IntervalUnion((I,)), E):

@@ -72,6 +72,16 @@ def test_wbar_u_needs_t_at_least_one():
     assert v == 1.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_index_functions_reject_non_finite_t(t):
+    # NaN used to give wbar = 0.0 and inf a ZeroDivisionError; wbar_u read
+    # NaN as an overflowing mass and inf as a RuntimeWarning
+    u, w = WeightModel.constant(domain_kind="line"), WeightModel.power(0.5)
+    for call in (lambda: wbar(w, t), lambda: wbar_u(u, w, t), lambda: underline_wu(u, w, t)):
+        with pytest.raises(PreconditionError, match="needs"):
+            call()
+
+
 def test_wbar_u_unit_weight_matches_wbar():
     u = WeightModel.constant(domain_kind="line")
     for a in (0.0, 1.0, -0.5):

@@ -15,6 +15,7 @@ from llab.intervals import (
     intersect,
     measure,
     normalize,
+    overlap_measures,
     parse_union,
     singleton,
     union,
@@ -89,6 +90,15 @@ def test_set_ops_match_membership_oracle(raw_a, raw_b):
         assert _member(union(a, b), x) == (in_a or in_b)
         assert _member(intersect(a, b), x) == (in_a and in_b)
         assert _member(difference(a, b), x) == (in_a and not in_b)
+
+
+@given(pairs, pairs)
+@settings(max_examples=300, deadline=None)
+def test_overlap_measures_are_the_intersect_loop(raw_a, raw_b):
+    # bit for bit: the same clipped pieces, summed in the same order
+    a, b = normalize(raw_a), normalize(raw_b)
+    want = [intersect(a, IntervalUnion((part,))).measure for part in b.parts]
+    assert overlap_measures(a, b) == want
 
 
 def test_contains_is_measure_based():

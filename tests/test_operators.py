@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import maximal_grid_oracle, maximal_pairs_oracle, step_functions, truncations_sort_oracle
+from llab.boyd import compute_estimates
 from llab.errors import PreconditionError, SingularInputError
 from llab.intervals import singleton
 from llab.operators import (
@@ -266,7 +267,8 @@ def test_empirical_opnorm_lp_maximal():
 
 def test_hilbert_verdict_lp():
     u = WeightModel.constant(domain_kind="line")
-    hv = hilbert_verdict(u, WeightModel.constant(), 2.0)
+    w = WeightModel.constant()
+    hv = hilbert_verdict(u, w, 2.0, compute_estimates(u, w, 2.0))
     assert hv.verdict == "bounded"
     assert hv.index_route == "bounded" and hv.condition_route == "bounded"
     assert hv.routes_agree
@@ -274,7 +276,8 @@ def test_hilbert_verdict_lp():
 
 def test_hilbert_verdict_bad_weight():
     u = WeightModel.constant(domain_kind="line")
-    hv = hilbert_verdict(u, WeightModel.power(1.2), 2.0)
+    w = WeightModel.power(1.2)
+    hv = hilbert_verdict(u, w, 2.0, compute_estimates(u, w, 2.0))
     assert hv.index_route == "not_bounded"
     assert hv.verdict == "not_bounded"
 
