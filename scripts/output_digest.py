@@ -3,7 +3,9 @@
 
 The inputs are seeded and built here, so two checkouts that print the same
 digest compute bit-identical values: the JSON and position table of the
-maximal, Hilbert and maximal-Hilbert images, the rearrangement and both
+maximal, Hilbert and maximal-Hilbert images, the pointwise maximal,
+Hilbert and maximal-Hilbert values at seeded points, at the midpoints of
+mirrored endpoints and at +-1e17, the rearrangement and both
 Lorentz norms, the empirical operator-norm reports of all four operators
 on 10-, 20- and 50-piece steps, and the indicator, random and extremal
 test families; and, for sets S inside an interval I (seeded ones of 1-6
@@ -33,8 +35,11 @@ from llab.operators import (
     apply_operator,
     empirical_opnorm,
     extremal_family,
+    hilbert,
+    hilbert_maximal,
     hilbert_verdict,
     indicator_family,
+    maximal,
     random_step_family,
 )
 from llab.rearrangement import lorentz_norm, make_step, rearrange, weak_lorentz_norm
@@ -68,6 +73,15 @@ def steps(seed: int) -> list:
             make_step([((float(cuts[2 * k]), float(cuts[2 * k + 1])), float(rng.choice(pool))) for k in range(n)])
         )
     return out
+
+
+def points(f, rng) -> list:
+    """40 seeded points around f, the midpoint of ends[j] and ends[-1 - j]
+    for each j (equal distances on both sides of it) and +-1e17 (distances
+    that round together on one side)."""
+    ends = f.ends
+    mirrored = [0.5 * (ends[j] + ends[-1 - j]) for j in range(len(ends) // 2)]
+    return [*rng.uniform(-7.0, 7.0, size=40).tolist(), *mirrored, 1e17, -1e17]
 
 
 def pairs(seed: int) -> list:
@@ -163,7 +177,11 @@ def step_entries():
     """The images, rearrangements, norms and test families of the step layer."""
     u = WeightModel.power(1.0, domain_kind="line")
     w = WeightModel.power(0.4)
+    rng = np.random.default_rng(5)
     for i, f in enumerate(steps(7)):
+        xs = points(f, rng)
+        for kernel in (maximal, hilbert, hilbert_maximal):
+            yield f"step{i}.points.{kernel.__name__}", repr([kernel(f, x) for x in xs])
         for op in ("maximal", "hilbert", "hstar"):
             image = apply_operator(op, f, u)
             yield f"step{i}.{op}.json", image.to_json()

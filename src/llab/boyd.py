@@ -407,7 +407,7 @@ def compute_estimates(
     budget: int = 1,
     seed: int = 0,
 ) -> BoydEstimates:
-    if p <= 0.0:
+    if not p > 0.0:
         raise PreconditionError("p must be positive")
     upper = wbar_u_samples(u, w, budget=budget, seed=seed)
     lower = underline_wu_samples(u, w, budget=budget, seed=seed)

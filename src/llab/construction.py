@@ -411,7 +411,7 @@ def weak_type_lower_bound(
     s = family.ratio
     if s <= 1.0:
         raise PreconditionError("certificate needs ratio s > 1")
-    if p <= 1.0:
+    if not p > 1.0:
         raise PreconditionError("certificate machinery targets p > 1")
     summands = [build_extremal(I, S) for I, S in family.pairs]
     total = ExtremalSum(summands)

@@ -92,43 +92,27 @@ def _truncations(f: StepFunction, x: float) -> list[float]:
         raise SingularInputError(f"Hilbert transform is singular at endpoint {e}")
     k = bisect.bisect_left(ends, x)
     gap = (0.0, *values, 0.0)  # gap[j]: f between ends[j - 1] and ends[j]
-    # As r falls past |x - e_j|, f(x - r) (left) or f(x + r) (right) takes
-    # the value of the gap on x's side of e_j.  Walking in from each end
-    # gives falling distances on each side, so the two merge without a
-    # sort: at an equal distance the right side goes first, and of equal
-    # distances on one side the smallest value stays.
-    dl, vl = [x - e for e in ends[:k]], gap[1 : k + 1]
-    dr, vr = [e - x for e in reversed(ends[k:])], gap[k : len(ends)][::-1]
-    a, b, nl, nr = 0, 0, len(dl), len(dr)
-    left = right = t = 0.0
-    ts = [t]
-    far = max(x - ends[0], ends[-1] - x) if ends else 0.0
+    # As r falls past |x - e_j|, f(x - r) (side 0) or f(x + r) (side 1) takes
+    # the value of the gap on x's side of e_j.  Sorted in reverse, distances
+    # fall, and of one side's events at an equal distance the smallest value
+    # comes last and stays.
+    events = sorted(
+        [(x - ends[j], 0, gap[j + 1]) for j in range(k)]
+        + [(ends[j] - x, 1, gap[j]) for j in range(k, len(ends))],
+        reverse=True,
+    )
+    far = events[0][0] if events else 0.0
     if not math.isfinite(far):
         raise PreconditionError(
             f"the Hilbert transform at {x!r} needs finite distances to the endpoints; the largest overflows"
         )
-    pd = ps = None  # distance and side of the last event
-    while a < nl or b < nr:
-        if b < nr and (a == nl or dr[b] >= dl[a]):
-            d, v = dr[b], vr[b]
-            b += 1
-            if d < far:
-                t += (left - right) * math.log(far / d)
-                ts.append(t)
-                far = d
-            elif ps == 1 and d == pd:
-                v = min(right, v)
-            right, pd, ps = v, d, 1
-        else:
-            d, v = dl[a], vl[a]
-            a += 1
-            if d < far:
-                t += (left - right) * math.log(far / d)
-                ts.append(t)
-                far = d
-            elif ps == 0 and d == pd:
-                v = min(left, v)
-            left, pd, ps = v, d, 0
+    side = [0.0, 0.0]
+    ts = [0.0]
+    for d, s, v in events:
+        if d < far:
+            ts.append(ts[-1] + (side[0] - side[1]) * math.log(far / d))
+            far = d
+        side[s] = v
     return ts
 
 
@@ -208,13 +192,13 @@ def _nudged_array(xs: np.ndarray, ends: Sequence[float]) -> np.ndarray:
 def _hilbert_array(f: StepFunction, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(hilbert(f, x), hilbert_maximal(f, x)) at every x of xs.
 
-    Each row holds the m events of _truncations, distance descending and,
-    at an equal distance, value descending.  T steps only where the
-    distance falls, so within one distance only the value each side is left
-    with counts: in the scalar sweep the smallest of that side's events
-    there, here its last one.  The value each side holds after a column is
-    its last event's, forward-filled.  The logs go through libm, as in the
-    scalar kernel, and T is accumulated column by column.
+    Each row holds the m events of _truncations in the scalar sweep's
+    order on each side: distance descending, then value descending.  T
+    steps only where the distance falls, so within one distance only the
+    value each side is left with counts: its last event there, the
+    smallest.  The value each side holds after a column is its last
+    event's, forward-filled.  The logs go through libm, as in the scalar
+    kernel, and T is accumulated column by column.
     """
     ends, values, _ = f.table
     e, m = np.array(ends), len(ends)
@@ -249,7 +233,7 @@ def _hilbert_array(f: StepFunction, xs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def conjugate_hardy(g: DecreasingStep, t: float) -> float:
     """Q g(t) = integral of g(s)/s over (t, infinity), closed form."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise PreconditionError("conjugate Hardy operator needs t >= 0")
     total = 0.0
     for (lo, hi), v in zip(zip(g.breakpoints, g.breakpoints[1:]), g.values):

@@ -196,7 +196,7 @@ class DecreasingStep:
             raise ValueError("values must be positive")
 
     def __call__(self, t: float) -> float:
-        if t < 0.0:
+        if not t >= 0.0:
             raise ValueError("decreasing steps live on [0, inf)")
         for (lo, hi), v in zip(zip(self.breakpoints, self.breakpoints[1:]), self.values):
             if lo <= t < hi:
@@ -207,7 +207,7 @@ class DecreasingStep:
         """W at every breakpoint, after checking the norm's arguments."""
         if w.domain_kind != "half_line":
             raise ConfigurationError("Lorentz norms need w on the half-line")
-        if p <= 0.0:
+        if not p > 0.0:
             raise ValueError("p must be positive")
         return [w.primitive(t) for t in self.breakpoints]
 

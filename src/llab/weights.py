@@ -513,7 +513,13 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     u(I) and u(E) of every probe go through one mass_array pass.  The slopes
     log(|E|/|I|) / log(u(E)/u(I)) and the constants take libm's log and
     pow.  A NaN is never the best constant, and the first of equal maxima
-    is the witness."""
+    is the witness.
+
+    C_u is scored on the probes that set alpha, so it carries no
+    information: a probe with a slope has |E|/|I| <= (u(E)/u(I))^alpha by
+    the choice of alpha, and one without has u(E)/u(I) >= 0.999 or
+    |E| = 0, so 1 <= C_u <= 0.999^-alpha whenever alpha is above its 1e-6
+    floor.  Only exponent and holds say anything about u."""
     i_lo, i_hi, e_lo, e_hi = _ainf_probe_table(u).T
     if not np.all((i_lo <= e_lo) & (e_hi <= i_hi)):
         raise PreconditionError("A_inf probe needs E within I")

@@ -215,27 +215,43 @@ def maximal_pairs_oracle(f, x):
     return best
 
 
-def truncations_sort_oracle(f, x):
-    """operators._truncations with the events sorted: every (distance, side,
-    value) in one list under a reverse tuple sort, so at an equal distance
-    the right side (1) goes first and the smallest value of one side comes
-    last and stays."""
+def truncations_merge_oracle(f, x):
+    """operators._truncations as a merge of the two sides without a sort:
+    walking in from each end gives falling distances on each side, so at an
+    equal distance the right side goes first, and of equal distances on one
+    side the smallest value stays, by a tie-break on the distance and side
+    of the last event."""
     ends, values, _ = f.table
     k = bisect.bisect_left(ends, x)
     gap = (0.0, *values, 0.0)
-    events = sorted(
-        [(x - ends[j], 0, gap[j + 1]) for j in range(k)]
-        + [(ends[j] - x, 1, gap[j]) for j in range(k, len(ends))],
-        reverse=True,
-    )
-    side = [0.0, 0.0]
-    ts = [0.0]
-    far = events[0][0] if events else 0.0
-    for d, s, v in events:
-        if d < far:
-            ts.append(ts[-1] + (side[0] - side[1]) * math.log(far / d))
-            far = d
-        side[s] = v
+    dl, vl = [x - e for e in ends[:k]], gap[1 : k + 1]
+    dr, vr = [e - x for e in reversed(ends[k:])], gap[k : len(ends)][::-1]
+    a, b, nl, nr = 0, 0, len(dl), len(dr)
+    left = right = t = 0.0
+    ts = [t]
+    far = max(x - ends[0], ends[-1] - x) if ends else 0.0
+    pd = ps = None  # distance and side of the last event
+    while a < nl or b < nr:
+        if b < nr and (a == nl or dr[b] >= dl[a]):
+            d, v = dr[b], vr[b]
+            b += 1
+            if d < far:
+                t += (left - right) * math.log(far / d)
+                ts.append(t)
+                far = d
+            elif ps == 1 and d == pd:
+                v = min(right, v)
+            right, pd, ps = v, d, 1
+        else:
+            d, v = dl[a], vl[a]
+            a += 1
+            if d < far:
+                t += (left - right) * math.log(far / d)
+                ts.append(t)
+                far = d
+            elif ps == 0 and d == pd:
+                v = min(left, v)
+            left, pd, ps = v, d, 0
     return ts
 
 

@@ -26,7 +26,7 @@ from scipy.integrate import quad
 
 from conftest import contains, cover_oracle, deep_pair, extremal_oracle, random_pair, shallow_stack
 from llab import construction
-from llab.boyd import Configuration
+from llab.boyd import Configuration, compute_estimates
 from llab.construction import (
     ExtremalSum,
     _level_kinks,
@@ -47,6 +47,7 @@ from llab.intervals import (
     singleton,
     union,
 )
+from llab.rearrangement import lorentz_norm, make_step, weak_lorentz_norm
 from llab.weights import Segment, WeightModel
 
 
@@ -221,6 +222,21 @@ def test_certificate_requires_stretch():
     w = WeightModel.constant()
     with pytest.raises(PreconditionError):
         weak_type_lower_bound(u, w, 2.0, _unit_family(1.0))
+
+
+def test_nan_p_is_rejected():
+    # each entry point that takes p raises for NaN the error it raises for p
+    # out of range, not a NaN norm or a failure after the searches
+    u = WeightModel.constant(domain_kind="line")
+    w = WeightModel.constant()
+    f = make_step([((0.0, 1.0), 2.0)])
+    for norm in (lorentz_norm, weak_lorentz_norm):
+        with pytest.raises(ValueError, match="p must be positive"):
+            norm(f, u, w, math.nan)
+    with pytest.raises(PreconditionError, match="p must be positive"):
+        compute_estimates(u, w, math.nan)
+    with pytest.raises(PreconditionError, match="targets p > 1"):
+        weak_type_lower_bound(u, w, math.nan, _unit_family(math.e))
 
 
 def test_wbar_bound_consistency():

@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import maximal_grid_oracle, maximal_pairs_oracle, step_functions, truncations_sort_oracle
+from conftest import maximal_grid_oracle, maximal_pairs_oracle, step_functions, truncations_merge_oracle
 from llab.boyd import compute_estimates
 from llab.errors import PreconditionError, SingularInputError
 from llab.intervals import singleton
@@ -211,6 +211,16 @@ def test_conjugate_hardy_closed_form():
         conjugate_hardy(g, -1.0)
 
 
+def test_nan_t_is_rejected():
+    # a NaN t is rejected as a negative one is, not read as t = 0 (Q g = inf)
+    # or as a point past the last breakpoint (g = 0)
+    g = rearrange(make_step([((1.0, 2.0), 3.0)]), WeightModel.constant(domain_kind="line"))
+    with pytest.raises(PreconditionError, match="t >= 0"):
+        conjugate_hardy(g, math.nan)
+    with pytest.raises(ValueError, match=r"\[0, inf\)"):
+        g(math.nan)
+
+
 def test_conjugate_hardy_matches_quadrature():
     u = WeightModel.constant(domain_kind="line")
     rng = np.random.default_rng(43)
@@ -374,4 +384,4 @@ def test_truncations_are_the_sorted_sweep(case, x, where):
     elif where == "far":  # distances that round together on one side
         x = math.copysign(1e17, x)
     assume(_near_endpoint(ends, x) is None)
-    assert _truncations(f, x) == truncations_sort_oracle(f, x)
+    assert _truncations(f, x) == truncations_merge_oracle(f, x)

@@ -212,6 +212,17 @@ def test_a1_constant_and_failure():
     assert not check_A1(WeightModel.power(1.0, domain_kind="line")).holds
 
 
+def test_ainf_constant_is_pinned_by_its_exponent():
+    # C_u is scored on the probes that set alpha: a sloped probe cannot push
+    # it above 1, and one without a slope has u(E)/u(I) >= 0.999 or |E| = 0
+    us = [u for u, _ in search_shapes().values()]
+    us += [WeightModel.power(e, domain_kind="line") for e in (-0.9, -0.5, 0.5, 2.0, 5.0)]
+    for u in us:
+        v = check_Ainf(u)
+        assert v.exponent > 1e-6
+        assert 1.0 <= v.constant <= 0.999**-v.exponent
+
+
 def test_ainf_unit_and_abs():
     v = check_Ainf(WeightModel.constant(domain_kind="line"))
     assert v.holds
