@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 
-from llab.boyd import boyd_indices
+from llab.boyd import compute_estimates
 from llab.weights import WeightModel
 
 
@@ -31,7 +31,8 @@ def main(argv=None) -> int:
     print(f"{'a':>6} {'expected':>9} {'alpha':>9} {'err':>9} {'beta':>9} {'err':>9}")
     for a in (-0.75, -0.5, -0.25, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
         w = WeightModel.power(a)
-        alpha, beta = boyd_indices(u, w, args.p, budget=args.budget, seed=args.seed)
+        est = compute_estimates(u, w, args.p, budget=args.budget, seed=args.seed)
+        alpha, beta = est.alpha, est.beta
         expected = (a + 1.0) / args.p
         rows.append(
             {

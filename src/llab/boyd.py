@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -341,11 +341,6 @@ def underline_wu_samples(
     return _samples(underline_wu, default_lower_grid(), u, w, budget, seed)
 
 
-def exact_samples(phi: Callable[[float], float], ts: Sequence[float]) -> SubmultiplicativeSamples:
-    ts = tuple(sorted(ts))
-    return SubmultiplicativeSamples(ts, tuple(phi(t) for t in ts), "exact")
-
-
 # -- exponent fits ----------------------------------------------------------
 
 
@@ -407,8 +402,8 @@ def compute_estimates(
     budget: int = 1,
     seed: int = 0,
 ) -> BoydEstimates:
-    if not p > 0.0:
-        raise PreconditionError("p must be positive")
+    if not 0.0 < p < math.inf:  # NaN fails too
+        raise PreconditionError(f"p must be positive and finite, got {p!r}")
     upper = wbar_u_samples(u, w, budget=budget, seed=seed)
     lower = underline_wu_samples(u, w, budget=budget, seed=seed)
     return BoydEstimates(
@@ -420,18 +415,6 @@ def compute_estimates(
     )
 
 
-def boyd_indices(
-    u: WeightModel,
-    w: WeightModel,
-    p: float,
-    budget: int = 1,
-    seed: int = 0,
-) -> tuple[IndexEstimate, IndexEstimate]:
-    """(upper index estimate, lower index estimate) for the p-quasi-norm."""
-    est = compute_estimates(u, w, p, budget, seed)
-    return est.alpha, est.beta
-
-
 # -- verdicts ---------------------------------------------------------------
 
 
@@ -441,8 +424,6 @@ class VerdictRecord:
     verdict: str  # "bounded" | "not_bounded" | "inconclusive"
     alpha: float
     margin: float
-    q: float  # exponent of the certified power bound phi(t) <= q_constant t^q
-    q_constant: float
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -451,61 +432,19 @@ class VerdictRecord:
 def maximal_verdict(
     u: WeightModel, w: WeightModel, p: float, estimates: BoydEstimates
 ) -> VerdictRecord:
-    """Boundedness verdict for the maximal operator from the upper index.
+    """Boundedness verdict for the maximal operator from the upper index alpha.
 
-    Bounded evidence requires both the fitted index below 1 and a certified
-    power bound with q < p valid on all samples; an index above 1 is decisive
-    since the samples are lower bounds.
+    The margin is max(fit residual, 1e-3): alpha below 1 by the margin is
+    bounded, and alpha above 1 by it is decisive, since the samples are lower
+    bounds; anything between is inconclusive.  Only the estimates are read;
+    u, w and p are taken so that the call matches hilbert_verdict's.
     """
-    phi_fit = fit_upper_exponent(estimates.upper)
-    q, c_q = phi_fit.exponent, phi_fit.constant
     alpha = estimates.alpha.exponent
     margin = max(estimates.alpha.residual, 1e-3)
     if alpha > 1.0 + margin:
         verdict = "not_bounded"
-    elif alpha < 1.0 - margin and q < p:
+    elif alpha < 1.0 - margin:
         verdict = "bounded"
     else:
         verdict = "inconclusive"
-    return VerdictRecord(
-        operator="M", verdict=verdict, alpha=alpha, margin=margin, q=q, q_constant=c_q
-    )
-
-
-@dataclass(frozen=True)
-class SubmultReport:
-    ok: bool
-    checked: int
-    violations: tuple[tuple[float, float], ...]
-    asserted: bool
-
-
-def check_submultiplicative(
-    phi: Callable[[float], float],
-    ts: Sequence[float],
-    ss: Sequence[float],
-    direction: str = "exact",
-    tol: float = 1e-9,
-) -> SubmultReport:
-    """Check phi(t*s) <= phi(t) phi(s) (1 + tol) over the sampled pairs.
-
-    For lower-bound samples the inequality is reported, never asserted: a
-    violated pair just means the search at t*s found more than the product
-    bound, which is consistent with lower bounds.
-    """
-    violations = []
-    checked = 0
-    for t in ts:
-        for s in ss:
-            lhs = phi(t * s)
-            rhs = phi(t) * phi(s)
-            checked += 1
-            excess = lhs / rhs - 1.0 if rhs > 0.0 else math.inf
-            if excess > tol:
-                violations.append((t, s))
-    return SubmultReport(
-        ok=not violations,
-        checked=checked,
-        violations=tuple(violations),
-        asserted=direction == "exact",
-    )
+    return VerdictRecord(operator="M", verdict=verdict, alpha=alpha, margin=margin)

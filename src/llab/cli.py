@@ -127,8 +127,6 @@ def cmd_indices(args) -> int:
         "beta": est.beta.exponent,
         "beta_constant": est.beta.constant,
         "beta_residual": est.beta.residual,
-        "q": mv.q,
-        "q_constant": mv.q_constant,
         "margin": mv.margin,
         "maximal": mv.verdict,
     }

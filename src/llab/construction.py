@@ -37,7 +37,7 @@ def cover(I: Interval, S: IntervalUnion, t: float) -> list[Interval]:
     if not all(I.lo <= p.lo and p.hi <= I.hi for p in S):
         raise PreconditionError("cover needs S within I")
     limit = I.length / S.measure
-    if t < 1.0 - 1e-12 or t > limit * (1.0 + 1e-12):
+    if not 1.0 - 1e-12 <= t <= limit * (1.0 + 1e-12):  # NaN fails too
         raise PreconditionError(f"cover needs t in [1, |I|/|S|], got {t}")
     t = min(max(t, 1.0), limit)
     out: list[Interval] = []
@@ -130,8 +130,10 @@ class ExtremalFunction:
 
     def level_set(self, lam: float) -> IntervalUnion:
         """{x : f(x) >= lam} as a disjoint union of intervals."""
-        if lam > 1.0:
-            return normalize([])
+        if not lam <= 1.0:
+            if lam > 1.0:
+                return normalize([])
+            raise PreconditionError(f"level_set needs a level, got lam = {lam!r}")
         for floor, leaves, lam0, _ in self.layers:
             if lam <= floor:
                 return IntervalUnion((self.base_interval,))
@@ -141,7 +143,9 @@ class ExtremalFunction:
 
     def evaluate(self, x: float) -> float:
         I = self.base_interval
-        if x < I.lo or x > I.hi:
+        if not I.lo <= x <= I.hi:
+            if x != x:
+                raise PreconditionError(f"evaluate needs a point, got x = {x!r}")
             return 0.0
         outer = []  # the layers x is not in a block of, each giving max(floor, lam0 v) on the way out
         for floor, leaves, lam0, blocks in self.layers:
@@ -411,8 +415,8 @@ def weak_type_lower_bound(
     s = family.ratio
     if s <= 1.0:
         raise PreconditionError("certificate needs ratio s > 1")
-    if not p > 1.0:
-        raise PreconditionError("certificate machinery targets p > 1")
+    if not 1.0 < p < math.inf:  # NaN fails too
+        raise PreconditionError(f"certificate machinery targets p > 1 and finite, got {p!r}")
     summands = [build_extremal(I, S) for I, S in family.pairs]
     total = ExtremalSum(summands)
     norm_p, error = extremal_norm_p_and_error(u, w, p, total, s)

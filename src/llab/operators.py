@@ -424,22 +424,20 @@ def hilbert_verdict(u: WeightModel, w: WeightModel, p: float, estimates: BoydEst
     p <= 1 only the one-sided index implications apply, so the condition
     route is reported as informational there.
     """
-    alpha, beta = estimates.alpha.exponent, estimates.beta.exponent
-    m_alpha = max(estimates.alpha.residual, 1e-3)
+    mv = maximal_verdict(u, w, p, estimates)
+    beta = estimates.beta.exponent
     m_beta = max(estimates.beta.residual, 1e-3)
-    # alpha comes from lower-bound samples, so alpha above 1 is decisive;
-    # beta from lower-bound samples overestimates the true lower index, so
-    # beta at or below 0 is decisive as well
-    if alpha > 1.0 + m_alpha or beta < m_beta:
+    # the alpha half is the maximal verdict; beta from lower-bound samples
+    # overestimates the true lower index, so beta at or below 0 is decisive
+    if mv.verdict == "not_bounded" or beta < m_beta:
         index_route = "not_bounded"
-    elif alpha < 1.0 - m_alpha and beta > m_beta:
+    elif mv.verdict == "bounded" and beta > m_beta:
         index_route = "bounded"
     else:
         index_route = "inconclusive"
 
     ainf = check_Ainf(u)
     bstar = check_Bstar_inf(w)
-    mv = maximal_verdict(u, w, p, estimates)
     if ainf.holds and bstar.holds and mv.verdict == "bounded":
         condition_route = "bounded"
     elif mv.verdict == "inconclusive":
@@ -456,7 +454,7 @@ def hilbert_verdict(u: WeightModel, w: WeightModel, p: float, estimates: BoydEst
         index_route=index_route,
         condition_route=condition_route,
         routes_agree=agree,
-        alpha=alpha,
+        alpha=mv.alpha,
         beta=beta,
         maximal=mv,
         ainf_holds=ainf.holds,

@@ -4,6 +4,7 @@ strong/weak Lorentz quasi-norms, exact on step functions."""
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,14 +107,6 @@ class StepFunction:
             return values[j - 1]
         return 0.0
 
-    def scaled(self, c: float) -> "StepFunction":
-        if c <= 0.0:
-            raise ValueError("scaling factor must be positive")
-        out = StepFunction(self.ends, tuple(c * v if v else 0.0 for v in self.values))
-        if len(set(out.values) - {0.0}) != len(set(self.values) - {0.0}):
-            raise ValueError("scaled step values must stay positive and distinct")
-        return out
-
     def to_json(self) -> str:
         """The pieces as JSON: one region and value per distinct value."""
         return json.dumps([{"region": [[lo, hi] for lo, hi in parts], "value": v} for v, parts in self._levels])
@@ -207,8 +200,8 @@ class DecreasingStep:
         """W at every breakpoint, after checking the norm's arguments."""
         if w.domain_kind != "half_line":
             raise ConfigurationError("Lorentz norms need w on the half-line")
-        if not p > 0.0:
-            raise ValueError("p must be positive")
+        if not 0.0 < p < math.inf:  # NaN fails too
+            raise ValueError(f"p must be positive and finite, got {p!r}")
         return [w.primitive(t) for t in self.breakpoints]
 
     def norm(self, w: WeightModel, p: float) -> float:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .intervals import Interval, IntervalUnion
+from .intervals import IntervalUnion
 
 
 @dataclass(frozen=True)
@@ -394,12 +394,6 @@ def a1_ratio(u: WeightModel, x: float, lo: float, hi: float) -> float:
     if ux == 0.0:
         return math.inf
     return avg / ux
-
-
-def ainf_point(u: WeightModel, I: Interval, E: IntervalUnion) -> tuple[float, float]:
-    """(u(E)/u(I), |E|/|I|) for a probe pair E within I."""
-    uI = u.mass(I.lo, I.hi)
-    return u.weight_of_set(E) / uI, E.measure / I.length
 
 
 # -- checkers ---------------------------------------------------------------

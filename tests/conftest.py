@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from llab.boyd import Configuration, _anchors, _family_value, _scale_grid
+from llab.boyd import Configuration, SubmultiplicativeSamples, _anchors, _family_value, _scale_grid
 from llab.construction import _Leaf
 from llab.errors import PreconditionError
 from llab.intervals import Interval, IntervalUnion, normalize, union
 from llab.operators import _ENDPOINT_EPS, _near_endpoint, hilbert, hilbert_maximal, maximal, resample_step
-from llab.rearrangement import make_step
+from llab.rearrangement import StepFunction, make_step
 from llab.weights import (
     ClassVerdict,
     Segment,
@@ -24,7 +24,6 @@ from llab.weights import (
     _a1_probe_points,
     _tail_growth,
     a1_ratio,
-    ainf_point,
 )
 
 
@@ -124,6 +123,17 @@ def step_functions(draw, max_pieces=200):
     f = make_step([(cell, float(rng.choice(pool))) for cell in cells])
     parts = [(p.lo, p.hi, v) for region, v in f.pieces for p in region.parts]
     return f, parts
+
+
+def scaled(f, c):
+    """The step function c f, for c > 0, with values that stay positive and
+    distinct."""
+    if c <= 0.0:
+        raise ValueError("scaling factor must be positive")
+    out = StepFunction(f.ends, tuple(c * v if v else 0.0 for v in f.values))
+    if len(set(out.values) - {0.0}) != len(set(f.values) - {0.0}):
+        raise ValueError("scaled step values must stay positive and distinct")
+    return out
 
 
 @dataclass(frozen=True)
@@ -293,6 +303,45 @@ def maximal_grid_oracle(f, x, n=4000):
     return float((total[wide] / width[wide]).max(initial=0.0))
 
 
+def exact_samples(phi, ts):
+    """The samples phi(t) over the sorted ts, marked exact."""
+    ts = tuple(sorted(ts))
+    return SubmultiplicativeSamples(ts, tuple(phi(t) for t in ts), "exact")
+
+
+@dataclass(frozen=True)
+class SubmultReport:
+    ok: bool
+    checked: int
+    violations: tuple[tuple[float, float], ...]
+    asserted: bool
+
+
+def check_submultiplicative(phi, ts, ss, direction="exact", tol=1e-9):
+    """Check phi(t*s) <= phi(t) phi(s) (1 + tol) over the sampled pairs.
+
+    For lower-bound samples the inequality is reported, never asserted: a
+    violated pair just means the search at t*s found more than the product
+    bound, which is consistent with lower bounds.
+    """
+    violations = []
+    checked = 0
+    for t in ts:
+        for s in ss:
+            lhs = phi(t * s)
+            rhs = phi(t) * phi(s)
+            checked += 1
+            excess = lhs / rhs - 1.0 if rhs > 0.0 else math.inf
+            if excess > tol:
+                violations.append((t, s))
+    return SubmultReport(
+        ok=not violations,
+        checked=checked,
+        violations=tuple(violations),
+        asserted=direction == "exact",
+    )
+
+
 def _placements(anchor, big, small):
     """Candidate (I, S) raw pairs with |I| = big, |S| = small."""
     yield (anchor, anchor + big), (anchor, anchor + small)
@@ -458,6 +507,12 @@ def ainf_probes_oracle(u):
             lo = I.lo + rng.random() * (L - e_len)
             probes.append((I, IntervalUnion((Interval(lo, lo + e_len),))))
     return probes
+
+
+def ainf_point(u, I, E):
+    """(u(E)/u(I), |E|/|I|) for a probe pair E within I."""
+    uI = u.mass(I.lo, I.hi)
+    return u.weight_of_set(E) / uI, E.measure / I.length
 
 
 def check_Ainf_oracle(u):

@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import contains, maximal_grid_oracle, random_pair
+from conftest import check_submultiplicative, contains, exact_samples, maximal_grid_oracle, random_pair
 from llab.boyd import (
     Configuration,
     SubmultiplicativeSamples,
-    check_submultiplicative,
     compute_estimates,
-    exact_samples,
     fit_upper_exponent,
     maximal_verdict,
     underline_wu_samples,

@@ -16,16 +16,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coarse_best_oracle, search_oracle, search_shapes
+from conftest import check_submultiplicative, coarse_best_oracle, exact_samples, search_oracle, search_shapes
 from llab.boyd import (
     Configuration,
     _coarse_pass,
-    boyd_indices,
-    check_submultiplicative,
     compute_estimates,
     default_lower_grid,
     default_upper_grid,
-    exact_samples,
     fit_upper_exponent,
     maximal_verdict,
     underline_wu,
@@ -154,7 +151,8 @@ def test_boyd_indices_power_weights(a, p):
     # alpha = beta = (a+1)/p for w = t^a with u = 1
     u = WeightModel.constant(domain_kind="line")
     w = WeightModel.power(a)
-    alpha, beta = boyd_indices(u, w, p)
+    est = compute_estimates(u, w, p)
+    alpha, beta = est.alpha, est.beta
     assert alpha.exponent == pytest.approx((a + 1.0) / p, abs=1e-2)
     assert beta.exponent == pytest.approx((a + 1.0) / p, abs=1e-2)
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -165,6 +166,32 @@ def test_verdict_combined(configs, capsys):
     assert out["maximal"]["verdict"] == "bounded"
     assert out["hilbert"]["verdict"] == "bounded"
     assert out["hilbert"]["routes_agree"]
+
+
+def test_verdict_output_schema(configs, capsys, tmp_path):
+    # the exact keys of the indices summary and of verdict's maximal object
+    argv = ["--u", configs["u1"], "--w", configs["w1"], "--p", "2"]
+    assert main(["indices", *argv, "--out", str(tmp_path / "idx.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert set(summary) == {
+        "alpha", "alpha_constant", "alpha_residual", "beta", "beta_constant", "beta_residual", "margin", "maximal"
+    }
+    assert main(["verdict", *argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out["maximal"]) == {"operator", "verdict", "alpha", "margin"}
+    assert out["hilbert"]["maximal"] == out["maximal"]
+
+
+def test_scripts_and_readme_tour_run(capsys):
+    # the sweep scripts with their default arguments print their header and
+    # one row per weight or stretch, and the README's library tour runs
+    repo = Path(__file__).resolve().parents[1]
+    for name, rows in (("index_sweep.py", 9), ("certificate_sweep.py", 8)):
+        script = runpy.run_path(str(repo / "scripts" / name))
+        assert script["main"]([]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows, name
+    tour = (repo / "README.md").read_text().split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md", "exec"), {})
 
 
 def test_exit_code_config_error(configs, tmp_path, capsys):

@@ -225,18 +225,36 @@ def test_certificate_requires_stretch():
 
 
 def test_nan_p_is_rejected():
-    # each entry point that takes p raises for NaN the error it raises for p
-    # out of range, not a NaN norm or a failure after the searches
+    # each entry point that takes p raises for NaN and inf the error it raises
+    # for p out of range, not a NaN or wrong norm or a failure after the searches
     u = WeightModel.constant(domain_kind="line")
     w = WeightModel.constant()
     f = make_step([((0.0, 1.0), 2.0)])
-    for norm in (lorentz_norm, weak_lorentz_norm):
-        with pytest.raises(ValueError, match="p must be positive"):
-            norm(f, u, w, math.nan)
-    with pytest.raises(PreconditionError, match="p must be positive"):
-        compute_estimates(u, w, math.nan)
-    with pytest.raises(PreconditionError, match="targets p > 1"):
-        weak_type_lower_bound(u, w, math.nan, _unit_family(math.e))
+    for p in (math.nan, math.inf):
+        for norm in (lorentz_norm, weak_lorentz_norm):
+            with pytest.raises(ValueError, match="p must be positive"):
+                norm(f, u, w, p)
+        with pytest.raises(PreconditionError, match="p must be positive"):
+            compute_estimates(u, w, p)
+        with pytest.raises(PreconditionError, match="targets p > 1"):
+            weak_type_lower_bound(u, w, p, _unit_family(math.e))
+
+
+def test_nan_level_or_point_is_rejected():
+    # a NaN level, point or ratio names itself instead of giving an empty
+    # level set, the floor value, a zero mass or an interval error
+    I, S = Interval(0.0, 10.0), normalize([(1.0, 2.0), (4.0, 5.0)])
+    F = build_extremal(I, S)
+    total = ExtremalSum([F])
+    u = WeightModel.constant(domain_kind="line")
+    for call, name in (
+        (lambda: F.level_set(math.nan), "lam = nan"),
+        (lambda: F.evaluate(math.nan), "x = nan"),
+        (lambda: total.level_mass(u, math.nan), "lam = nan"),
+        (lambda: cover(I, S, math.nan), "got nan"),
+    ):
+        with pytest.raises(PreconditionError, match=name):
+            call()
 
 
 def test_wbar_bound_consistency():

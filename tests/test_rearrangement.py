@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import make_step_oracle, step_functions
+from conftest import make_step_oracle, scaled, step_functions
 from llab.errors import ConfigurationError
 from llab.intervals import Interval, IntervalUnion, normalize, singleton
 from llab.rearrangement import (
@@ -119,14 +119,14 @@ def test_step_function_validation():
             StepFunction(ends, values)
     f = StepFunction((0.0, 1.0, 2.0, 3.0), (2.0, 0.0, 1.0))
     assert f == make_step([((2.0, 3.0), 1.0), ((0.0, 1.0), 2.0)])
-    assert f.scaled(2.0) == StepFunction((0.0, 1.0, 2.0, 3.0), (4.0, 0.0, 2.0))
+    assert scaled(f, 2.0) == StepFunction((0.0, 1.0, 2.0, 3.0), (4.0, 0.0, 2.0))
     for c in (0.0, -1.0):
         with pytest.raises(ValueError):
-            f.scaled(c)
+            scaled(f, c)
     with pytest.raises(ValueError):  # the middle value underflows to 0
-        StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 1e-300, 2.0)).scaled(1e-300)
+        scaled(StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 1e-300, 2.0)), 1e-300)
     with pytest.raises(ValueError):  # the two values round to one
-        StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 1.0 + 2.0**-52)).scaled(1e-310)
+        scaled(StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 1.0 + 2.0**-52)), 1e-310)
 
 
 _COORDS = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2.0**-40, 1.5, 2.0, 3.0, 4.0])
@@ -326,10 +326,10 @@ def test_norm_homogeneity(c, p):
     u = WeightModel.power(1.0, domain_kind="line")
     w = WeightModel.power(0.5)
     f = make_step([((-1.0, 0.5), 2.0), ((1.0, 2.0), 1.0)])
-    assert lorentz_norm(f.scaled(c), u, w, p) == pytest.approx(
+    assert lorentz_norm(scaled(f, c), u, w, p) == pytest.approx(
         c * lorentz_norm(f, u, w, p), rel=1e-9
     )
-    assert weak_lorentz_norm(f.scaled(c), u, w, p) == pytest.approx(
+    assert weak_lorentz_norm(scaled(f, c), u, w, p) == pytest.approx(
         c * weak_lorentz_norm(f, u, w, p), rel=1e-9
     )
 

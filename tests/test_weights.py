@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import (
+    ainf_point,
     ainf_probes_oracle,
     check_A1_oracle,
     check_Ainf_oracle,
@@ -29,7 +30,6 @@ from llab.weights import (
     WeightModel,
     _ainf_probe_table,
     a1_ratio,
-    ainf_point,
     bp_ratio,
     bstar_ratio,
     check_A1,
