@@ -5,10 +5,11 @@ The inputs are seeded and built here, so two checkouts that print the same
 digest compute bit-identical values: the JSON and position table of the
 maximal, Hilbert and maximal-Hilbert images, the pointwise maximal,
 Hilbert and maximal-Hilbert values at seeded points, at the midpoints of
-mirrored endpoints and at +-1e17, the rearrangement and both
-Lorentz norms, the empirical operator-norm reports of all four operators
-on 10-, 20- and 50-piece steps, and the indicator, random and extremal
-test families; and, for sets S inside an interval I (seeded ones of 1-6
+mirrored endpoints and at +-1e17, the rearrangement, both Lorentz norms
+and the distribution at each value of the step under u = |x|, the
+three-segment u below and a half-line u, the empirical operator-norm
+reports of all four operators on 10-, 20- and 50-piece steps, and the
+indicator, random and extremal test families; and, for sets S inside an interval I (seeded ones of 1-6
 components, one component, S = I, and gaps growing geometrically), the
 extremal function's level sets on a fixed grid of levels, its values on a
 fixed grid of points, its kinks and the covers, and the weak-type
@@ -42,7 +43,7 @@ from llab.operators import (
     maximal,
     random_step_family,
 )
-from llab.rearrangement import lorentz_norm, make_step, rearrange, weak_lorentz_norm
+from llab.rearrangement import StepFunction, distribution, lorentz_norm, make_step, rearrange, weak_lorentz_norm
 from llab.weights import (
     Segment,
     WeightModel,
@@ -192,6 +193,7 @@ def step_entries():
         for op in ("maximal", "hilbert", "hstar", "q"):
             for target in ("strong", "weak"):
                 yield f"step{i}.opnorm.{op}.{target}", repr(empirical_opnorm(op, u, w, P, [("f", f)], target))
+        yield from level_entries(f"step{i}", f, w)
     families = {
         "indicators": indicator_family(6, 3),
         "random": random_step_family(6, 3),
@@ -201,6 +203,22 @@ def step_entries():
         for test_id, f in family:
             yield f"{name}.{test_id}.json", f.to_json()
             yield f"{name}.{test_id}.table", repr(f.table)
+
+
+def level_entries(name, f, w):
+    """The distribution at each value of f under u = |x|, and the
+    rearrangement, both norms and the distribution under the three-segment
+    u and under the half-line three-segment weight, with f moved to start
+    at 0 for the last."""
+    line = us()
+    half = ws()["three"]
+    moved = StepFunction(tuple(e - f.ends[0] for e in f.ends), f.values)
+    for u_name, u, g in (("abs", line["abs"], f), ("three", line["three"], f), ("half", half, moved)):
+        if u_name != "abs":
+            yield f"{name}.{u_name}.rearrange", repr(rearrange(g, u))
+            yield f"{name}.{u_name}.lorentz", repr(lorentz_norm(g, u, w, P))
+            yield f"{name}.{u_name}.weak_lorentz", repr(weak_lorentz_norm(g, u, w, P))
+        yield f"{name}.{u_name}.distribution", repr([distribution(g, u, s) for s in sorted(set(g.values))])
 
 
 def main(argv=None) -> int:

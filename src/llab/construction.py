@@ -449,4 +449,6 @@ def wbar_u_bound_from_weak(C_weak: float, p: float, s: float) -> float:
     ||f||^p <= (1 + log s) W(u(union S))."""
     if C_weak <= 0.0 or s <= 1.0:
         raise PreconditionError("bound needs C_weak > 0 and s > 1")
+    if not 0.0 < p < math.inf:  # NaN fails too
+        raise PreconditionError(f"p must be positive and finite, got {p!r}")
     return C_weak**p * 2.0**p * (1.0 + math.log(s)) ** (1.0 - p) * s**p

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +40,12 @@ class StepFunction:
         ends, values = self.ends, self.values
         if len(ends) != (len(values) + 1 if values else 0):
             raise ValueError("need one value per gap between consecutive ends")
-        if any(not a < b for a, b in zip(ends, ends[1:])):
+        if not all(map(operator.lt, ends, ends[1:])):
             raise ValueError("step ends must be strictly increasing")
-        if any(not v >= 0.0 for v in values):
+        if not all(map(operator.le, repeat(0.0), values)):
             raise ValueError("step values must be positive, or 0 between parts")
         padded = (0.0, *values, 0.0)
-        if any(padded[j] == padded[j + 1] for j in range(len(ends))):
+        if any(map(operator.eq, padded[: len(ends)], padded[1:])):
             raise ValueError("the value of a step must change at every end (use make_step)")
 
     @cached_property
@@ -57,20 +59,21 @@ class StepFunction:
         return ends, self.values, tuple(F)
 
     @cached_property
-    def _levels(self) -> list[tuple[float, list[tuple[float, float]]]]:
-        """(value, the (lo, hi) of its gaps in position order) for every
-        distinct value, largest first."""
-        by_value: dict[float, list[tuple[float, float]]] = {}
-        for lo, hi, v in zip(self.ends, self.ends[1:], self.values):
+    def _levels(self) -> list[tuple[float, list[int]]]:
+        """(value, the indices j of its gaps (ends[j], ends[j + 1]) in position
+        order) for every distinct value, largest first."""
+        by_value: dict[float, list[int]] = {}
+        for j, v in enumerate(self.values):
             if v:
-                by_value.setdefault(v, []).append((lo, hi))
+                by_value.setdefault(v, []).append(j)
         return sorted(by_value.items(), reverse=True)
 
     @cached_property
     def pieces(self) -> tuple[tuple[IntervalUnion, float], ...]:
         """(region, value) for every distinct value, largest first: the
         level sets of f, each with its parts in position order."""
-        return tuple((IntervalUnion(tuple(Interval(lo, hi) for lo, hi in parts)), v) for v, parts in self._levels)
+        e = self.ends
+        return tuple((IntervalUnion(tuple(Interval(e[j], e[j + 1]) for j in gaps)), v) for v, gaps in self._levels)
 
     @cached_property
     def spans(self) -> tuple[float, ...]:
@@ -109,7 +112,8 @@ class StepFunction:
 
     def to_json(self) -> str:
         """The pieces as JSON: one region and value per distinct value."""
-        return json.dumps([{"region": [[lo, hi] for lo, hi in parts], "value": v} for v, parts in self._levels])
+        e = self.ends
+        return json.dumps([{"region": [[e[j], e[j + 1]] for j in gaps], "value": v} for v, gaps in self._levels])
 
     @staticmethod
     def from_json(text: str) -> "StepFunction":
@@ -177,15 +181,14 @@ class DecreasingStep:
     def __post_init__(self) -> None:
         if len(self.breakpoints) != len(self.values) + 1:
             raise ValueError("need one more breakpoint than values")
-        if self.breakpoints and self.breakpoints[0] != 0.0:
+        bps, vs = self.breakpoints, self.values
+        if bps and bps[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
-        for a, b in zip(self.values, self.values[1:]):
-            if not a > b:
-                raise ValueError("values must be strictly decreasing")
-        if self.values and self.values[-1] <= 0.0:
+        if not all(map(operator.lt, bps, bps[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        if not all(map(operator.gt, vs, vs[1:])):
+            raise ValueError("values must be strictly decreasing")
+        if vs and vs[-1] <= 0.0:
             raise ValueError("values must be positive")
 
     def __call__(self, t: float) -> float:
@@ -197,12 +200,14 @@ class DecreasingStep:
         return 0.0
 
     def _primitives(self, w: WeightModel, p: float) -> list[float]:
-        """W at every breakpoint, after checking the norm's arguments."""
+        """W at every breakpoint, after checking the norm's arguments.  The
+        breakpoints start at 0 and increase, so W is read without the
+        per-call checks of `primitive`."""
         if w.domain_kind != "half_line":
             raise ConfigurationError("Lorentz norms need w on the half-line")
         if not 0.0 < p < math.inf:  # NaN fails too
             raise ValueError(f"p must be positive and finite, got {p!r}")
-        return [w.primitive(t) for t in self.breakpoints]
+        return list(map(w._radial_primitive, self.breakpoints))
 
     def norm(self, w: WeightModel, p: float) -> float:
         """L^p(w) norm (integral of g^p w)^(1/p), exact via the primitive.
@@ -229,7 +234,7 @@ def distribution(f: StepFunction, u: WeightModel, s: float) -> float:
     """u-measure of the strict superlevel set {|f| > s}, for s >= 0."""
     if not s >= 0.0:  # a NaN level too
         raise ValueError(f"levels are nonnegative, got {s!r}")
-    return sum(u.weight_of_set(region) for region, value in f.pieces if value > s)
+    return sum(mass for value, mass in _level_masses(f, u) if value > s)
 
 
 def superlevel(f: StepFunction, s: float) -> IntervalUnion:
@@ -240,13 +245,20 @@ def superlevel(f: StepFunction, s: float) -> IntervalUnion:
     return union(*regions) if regions else normalize([])
 
 
+def _level_masses(f: StepFunction, u: WeightModel) -> list[tuple[float, float]]:
+    """(value, u-mass of its level set) for every distinct value of f, largest
+    first: the masses of the level's gaps summed in position order, the
+    additions of u.weight_of_set, with one primitive per end of f."""
+    masses = u.gap_masses(f.ends)
+    return [(value, sum([masses[j] for j in gaps], 0.0)) for value, gaps in f._levels]
+
+
 def rearrange(f: StepFunction, u: WeightModel) -> DecreasingStep:
     """Decreasing rearrangement of f with respect to the measure u(x)dx."""
     breakpoints = [0.0]
     values = []
     acc = 0.0
-    for value, parts in f._levels:
-        mass = sum((u.mass(lo, hi) for lo, hi in parts), 0.0)  # u.weight_of_set of the level set
+    for value, mass in _level_masses(f, u):
         if mass <= 0.0 or acc + mass == acc:  # a step of no width in floating point
             continue
         acc += mass

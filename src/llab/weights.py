@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -214,6 +215,22 @@ class WeightModel:
         if hi <= 0.0:
             return P(-lo) - P(-hi)
         return P(-lo) + P(hi)
+
+    def gap_masses(self, ends: Sequence[float]) -> list[float]:
+        """mass(ends[j], ends[j + 1]) of every gap between the increasing ends,
+        bit for bit, with the primitive taken once per end and neighbours
+        combined by the rules of `mass`."""
+        P = self._radial_primitive
+        if self.domain_kind == "half_line":
+            if ends and ends[0] < 0.0:
+                raise ConfigurationError("set escapes the half-line domain")
+            Ps = list(map(P, ends))
+            return list(map(operator.sub, Ps[1:], Ps))
+        Ps = [P(abs(e)) for e in ends]
+        return [
+            b - a if lo >= 0.0 else a - b if hi <= 0.0 else a + b
+            for lo, hi, a, b in zip(ends, ends[1:], Ps, Ps[1:])
+        ]
 
     def primitive_array(self, t) -> np.ndarray:
         """primitive of every entry of the array t."""
@@ -428,6 +445,8 @@ def check_delta2(w: WeightModel) -> ClassVerdict:
 
 
 def check_Bp(w: WeightModel, p: float) -> ClassVerdict:
+    if not 0.0 < p < math.inf:  # NaN fails too
+        raise PreconditionError(f"p must be positive and finite, got {p!r}")
     if w.tail_exp - p >= -1.0:  # the tail integral diverges at every scale
         return _grid_verdict("Bp", w, lambda r: math.inf, r="tail", p=p)
     return _grid_verdict("Bp", w, lambda r: bp_ratio(w, p, r), p=p)

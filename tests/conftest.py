@@ -16,7 +16,7 @@ from llab.construction import _Leaf
 from llab.errors import PreconditionError
 from llab.intervals import Interval, IntervalUnion, normalize, union
 from llab.operators import _ENDPOINT_EPS, _near_endpoint, hilbert, hilbert_maximal, maximal, resample_step
-from llab.rearrangement import StepFunction, make_step
+from llab.rearrangement import DecreasingStep, StepFunction, make_step
 from llab.weights import (
     ClassVerdict,
     Segment,
@@ -204,6 +204,43 @@ def step_of_cells_oracle(grid, values):
         if v > 0.0 and math.isfinite(v):
             pieces.append((Interval(lo, hi), v))
     return make_step_oracle(pieces)
+
+
+def rearrange_oracle(f, u):
+    """rearrangement.rearrange as the loop over the level sets of f, largest
+    value first, each one's u-mass summed part by part through u.mass."""
+    breakpoints = [0.0]
+    values = []
+    acc = 0.0
+    for region, value in f.pieces:
+        mass = sum((u.mass(p.lo, p.hi) for p in region.parts), 0.0)
+        if mass <= 0.0 or acc + mass == acc:  # a step of no width in floating point
+            continue
+        acc += mass
+        breakpoints.append(acc)
+        values.append(value)
+    if not np.isfinite(acc):
+        raise PreconditionError(f"the u-masses of the level sets overflow to {acc!r}")
+    return DecreasingStep(tuple(breakpoints), tuple(values))
+
+
+def distribution_oracle(f, u, s):
+    """rearrangement.distribution as the sum of u.weight_of_set over the level
+    sets of value above s."""
+    if not s >= 0.0:
+        raise ValueError(f"levels are nonnegative, got {s!r}")
+    return sum(u.weight_of_set(region) for region, value in f.pieces if value > s)
+
+
+def lorentz_norms_oracle(f, u, w, p):
+    """(lorentz_norm, weak_lorentz_norm) of f: rearrange_oracle, then W at
+    each breakpoint through w.primitive and the sums of DecreasingStep.norm
+    and weak_norm."""
+    g = rearrange_oracle(f, u)
+    Ws = [w.primitive(t) for t in g.breakpoints]
+    direct = sum(v**p * (Ws[i + 1] - Ws[i]) for i, v in enumerate(g.values))
+    weak = max((v * Ws[i + 1] ** (1.0 / p) for i, v in enumerate(g.values)), default=0.0)
+    return direct ** (1.0 / p), weak
 
 
 def maximal_pairs_oracle(f, x):

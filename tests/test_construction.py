@@ -48,7 +48,7 @@ from llab.intervals import (
     union,
 )
 from llab.rearrangement import lorentz_norm, make_step, weak_lorentz_norm
-from llab.weights import Segment, WeightModel
+from llab.weights import Segment, WeightModel, check_Bp
 
 
 def check_cover(I, S, t):
@@ -238,6 +238,17 @@ def test_nan_p_is_rejected():
             compute_estimates(u, w, p)
         with pytest.raises(PreconditionError, match="targets p > 1"):
             weak_type_lower_bound(u, w, p, _unit_family(math.e))
+
+
+def test_bp_check_and_index_bound_reject_a_bad_p():
+    # check_Bp blamed the weight for a NaN or infinite p and gave a divergent
+    # verdict for p <= 0; the index bound returned NaN for a NaN or infinite p
+    w = WeightModel.power(0.5)
+    for p in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(PreconditionError, match="p must be positive and finite"):
+            check_Bp(w, p)
+        with pytest.raises(PreconditionError, match="p must be positive and finite"):
+            wbar_u_bound_from_weak(1.0, p, 2.0)
 
 
 def test_nan_level_or_point_is_rejected():

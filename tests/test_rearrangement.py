@@ -15,8 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import make_step_oracle, scaled, step_functions
-from llab.errors import ConfigurationError
+from conftest import (
+    distribution_oracle,
+    lorentz_norms_oracle,
+    make_step_oracle,
+    rearrange_oracle,
+    scaled,
+    step_functions,
+)
+from llab.errors import ConfigurationError, PreconditionError
 from llab.intervals import Interval, IntervalUnion, normalize, singleton
 from llab.rearrangement import (
     DecreasingStep,
@@ -29,7 +36,8 @@ from llab.rearrangement import (
     superlevel,
     weak_lorentz_norm,
 )
-from llab.weights import WeightModel
+from llab.operators import apply_operator
+from llab.weights import Segment, WeightModel
 
 
 def random_step(rng, n_pieces=4):
@@ -278,6 +286,73 @@ def test_rearrange_is_decreasing_and_equimeasurable():
                 if v > s
             )
             assert mass == pytest.approx(lebesgue, rel=1e-9, abs=1e-12)
+
+
+_ORACLE_US = {
+    "abs": WeightModel.power(1.0, domain_kind="line"),
+    "three": WeightModel(
+        (Segment(0.0, 0.8, 1.3, 0.35), Segment(0.8, 2.1, 0.7, -1.0), Segment(2.1, 3.5, 0.4, 1.2)),
+        domain_kind="line",
+        tail_coef=1.0,
+        tail_exp=0.45,
+    ),
+    "half": WeightModel(
+        (Segment(0.0, 0.5, 1.0, 0.3), Segment(0.5, 2.0, 0.8, -1.0), Segment(2.0, 6.0, 0.5, 0.6)),
+        tail_coef=0.9,
+        tail_exp=0.25,
+    ),
+}
+_ORACLE_W = WeightModel(
+    (Segment(0.0, 0.5, 1.0, 0.3), Segment(0.5, 2.0, 0.8, -0.2), Segment(2.0, 6.0, 0.5, 0.6)),
+    tail_coef=0.9,
+    tail_exp=0.25,
+)
+
+
+def _bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+def assert_level_layer_matches_oracles(f, u):
+    """rearrange, distribution at 0, at every value of f and between values,
+    and both Lorentz norms, bit for bit against the loops over the level sets."""
+    if u.domain_kind == "half_line" and f.ends:  # the same cells moved to start at 0
+        f = StepFunction(tuple(e - f.ends[0] for e in f.ends), f.values)
+    g, oracle = rearrange(f, u), rearrange_oracle(f, u)
+    assert (_bits(g.breakpoints), _bits(g.values)) == (_bits(oracle.breakpoints), _bits(oracle.values))
+    levels = sorted({0.0, *f.values})
+    for s in levels + [0.5 * (a + b) for a, b in zip(levels, levels[1:])]:
+        got, want = distribution(f, u, s), distribution_oracle(f, u, s)
+        assert repr(got) == repr(want)
+    for p in (0.5, 1.5, 3.0):
+        got = lorentz_norm(f, u, _ORACLE_W, p), weak_lorentz_norm(f, u, _ORACLE_W, p)
+        assert _bits(got) == _bits(lorentz_norms_oracle(f, u, _ORACLE_W, p))
+
+
+@given(step_functions(max_pieces=60), st.sampled_from(sorted(_ORACLE_US)))
+@settings(max_examples=150, deadline=None)
+def test_level_layer_is_the_loop_over_level_sets(case, u_name):
+    # repeated values give levels of several parts; empty cells give zero gaps
+    f, _ = case
+    assert_level_layer_matches_oracles(f, _ORACLE_US[u_name])
+
+
+@pytest.mark.parametrize("op", ["maximal", "hilbert", "hstar"])
+def test_level_layer_on_operator_images(op):
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        image = apply_operator(op, random_step(rng, n_pieces=6), _ORACLE_US["abs"])
+        for u in _ORACLE_US.values():
+            assert_level_layer_matches_oracles(image, u)
+
+
+def test_rearrange_keeps_its_overflow_and_domain_errors():
+    huge = WeightModel.constant(1e300, domain_kind="line")
+    f = make_step([((0.0, 1e10), 2.0), ((2e10, 3e10), 1.0)])
+    with pytest.raises(PreconditionError, match="level sets overflow to nan"):
+        rearrange(f, huge)
+    with pytest.raises(ConfigurationError, match="escapes the half-line"):
+        rearrange(make_step([((-1.0, 1.0), 2.0)]), WeightModel.constant())
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.5])

@@ -432,6 +432,55 @@ def test_array_kernel_is_the_scalar_kernel(case):
         assert w.primitive_array(np.array(xs)).tolist() == [w.primitive(r) for r in xs]
 
 
+@st.composite
+def weight_and_ends(draw):
+    """A one- or three-segment weight of either domain kind, the middle of
+    three segments with exp = -1 off 0, and up to 12 increasing ends drawn
+    among -0.0, 0.0, the breakpoints (both signs) and floats around 0; on
+    the half-line the first end is below 0 at times."""
+    kind = draw(st.sampled_from(["half_line", "line"]))
+    exps = [draw(st.floats(-0.5, 2.0))]
+    if draw(st.booleans()):
+        exps += [-1.0, draw(st.floats(-2.0, 2.0))]
+    segments, lo = [], 0.0
+    for exp in exps:
+        hi = lo + draw(st.floats(0.1, 3.0))
+        segments.append(Segment(lo, hi, draw(st.floats(0.1, 5.0)), exp))
+        lo = hi
+    w = WeightModel(
+        segments=tuple(segments),
+        domain_kind=kind,
+        tail_coef=draw(st.floats(0.1, 5.0)),
+        tail_exp=draw(st.one_of(st.just(-1.0), st.floats(-2.0, 2.0))),
+    )
+    special = [-0.0, 0.0, *w.breakpoints, *(-b for b in w.breakpoints)]
+    xs = draw(st.lists(st.one_of(st.sampled_from(special), st.floats(-20.0, 20.0)), max_size=12))
+    if kind == "half_line" and draw(st.integers(0, 3)):
+        xs = [abs(x) if x else x for x in xs]  # keeps -0.0
+    ends = []
+    for x in sorted(xs):
+        if not ends or x > ends[-1]:
+            ends.append(x)
+    return w, ends
+
+
+@given(weight_and_ends())
+@example((WeightModel.power(0.5, domain_kind="line"), [-2.0, -0.0, 3.0]))
+@example((WeightModel.power(0.5), [-0.0, 1.0, 2.0]))
+@settings(max_examples=300, deadline=None)
+def test_gap_masses_are_the_masses(case):
+    # bit for bit, -0.0 included: one primitive per end, mass's rules per gap
+    w, ends = case
+    if w.domain_kind == "half_line" and ends and ends[0] < 0.0:
+        with pytest.raises(ConfigurationError, match="escapes the half-line"):
+            w.gap_masses(ends)
+        with pytest.raises(ConfigurationError, match="escapes the half-line"):
+            w.mass(ends[0], ends[-1])
+        return
+    got = [x.hex() for x in w.gap_masses(ends)]
+    assert got == [w.mass(a, b).hex() for a, b in zip(ends, ends[1:])]
+
+
 # -- the class checks against their scalar loops ------------------------------
 
 
