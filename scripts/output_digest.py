@@ -15,9 +15,12 @@ extremal function's level sets on a fixed grid of levels, its values on a
 fixed grid of points, its kinks and the covers, and the weak-type
 certificate, for u = 1, |x| and a three-segment u; the verdicts of the five
 class checks for those u's and for w = t^0.4 and a three-segment w at
-p = 1.5 and 2; and the index estimates and Hilbert verdicts of two (u, w)
-pairs.  `--verbose` prints each entry's own digest as well, to find the
-one that moved.
+p = 1.5 and 2; the index estimates and Hilbert verdicts of two (u, w)
+pairs; and the value and witness of wbar_u and underline_wu for the power
+pairs u = 1.5|x|^gamma (gamma = 0, 1/2, 1, 2, on the line and the
+half-line) and w = t^a (a = -1/2, 0, 1) at t = 2^+-1, 2^+-5 and 2^+-10, or
+the error a call raises.  `--verbose` prints each entry's own digest as
+well, to find the one that moved.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py [--verbose]
@@ -29,7 +32,7 @@ import math
 
 import numpy as np
 
-from llab.boyd import Configuration, compute_estimates
+from llab.boyd import Configuration, compute_estimates, underline_wu, wbar_u
 from llab.construction import build_extremal, cover, weak_type_lower_bound
 from llab.intervals import Interval, IntervalUnion, normalize
 from llab.operators import (
@@ -137,6 +140,23 @@ def entries():
     yield from step_entries()
     yield from construction_entries()
     yield from weight_entries()
+    yield from power_pair_entries()
+
+
+def power_pair_entries():
+    """repr of (value, witness) of each power-pair sample, or of the error."""
+    for domain in ("line", "half_line"):
+        for gamma in (0.0, 0.5, 1.0, 2.0):
+            u = WeightModel.power(gamma, 1.5, domain)
+            for a in (-0.5, 0.0, 1.0):
+                w = WeightModel.power(a)
+                for k in (1, 5, 10):
+                    for search, t in ((wbar_u, 2.0**k), (underline_wu, 2.0**-k)):
+                        try:
+                            text = repr(search(u, w, t))
+                        except ValueError as exc:  # the errors of llab.errors
+                            text = f"{type(exc).__name__}: {exc}"
+                        yield f"power.{domain}.{gamma:g}.{a:g}.{search.__name__}.{t!r}", text
 
 
 def weight_entries():

@@ -6,6 +6,8 @@ length ratio.  Suprema over all finite families are not exhaustively
 computable, so the searches here return certified lower bounds (deterministic
 under a fixed seed) and verdicts use them asymmetrically: a lower-bound
 estimate above the boundary is decisive, one below it is evidence only.
+For a power pair (u = c|x|^gamma, gamma >= 0, and w = C t^a) the supremum is
+attained by one pair, which is enumerated instead of searched.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -264,20 +267,140 @@ def _search(
         ((i_lo, i_hi), (max(s_lo, i_lo), min(s_hi, i_hi)))
         for (i_lo, i_hi), (s_lo, s_hi) in best_pairs
     ]
-    config = Configuration(
-        pairs=tuple(
-            (Interval(i_lo, i_hi), IntervalUnion((Interval(s_lo, s_hi),)))
-            for (i_lo, i_hi), (s_lo, s_hi) in clamped
-        ),
-        ratio=ratio,
+    return value(clamped), _config(clamped, ratio)
+
+
+def _config(pairs, ratio: float) -> Configuration:
+    return Configuration(
+        pairs=tuple((Interval(*I), IntervalUnion((Interval(*S),))) for I, S in pairs), ratio=ratio
     )
-    return value(clamped), config
+
+
+# -- power pairs: exact by enumeration -------------------------------------
+
+
+def _is_power_pair(u: WeightModel, w: WeightModel) -> bool:
+    """u = c|x|^gamma with gamma >= 0 and w = C t^a: every row of each piece
+    table has the same (coef, exp)."""
+    return {*u.knots, *w.knots} <= {0.0} and u.tail_exp >= 0.0
+
+
+def _line_offsets(gamma: float, r: float, upper: bool) -> list[float]:
+    """The x that can place S = (x, x + 1) best in I = (x, x + r) for
+    u = |x|^gamma, gamma > 0, on the line: the candidates for the sup
+    (upper) or inf of g(x) = u((x, x + r)) / u((x, x + 1)).  They are the
+    cuts -r, -1 and 0, where an end crosses 0, and on (-r, -1) and (-1, 0)
+    every sign change of g' that makes a local maximum (upper) or minimum,
+    found by a scan of g''s numerator at 17 points of each piece and
+    bisected to adjacent floats.  g is monotone on x >= 0 and on x <= -r
+    (checked in 40-digit mpmath for gamma in {1/4, 1/2, 1, 3/2, 2, 3, 5}
+    and r in {1/0.7, 3/2, 2, 8, 64, 1024}), with limit r, which g(0)
+    exceeds and g(-r) undercuts.  S at the right end of I is the mirror
+    image x -> -x of S at the left end, so the left end covers both."""
+    scale = 1.0 / r
+
+    def rising(x: float) -> bool:
+        """g'(x) > 0: the sign of (u(c) - u(a))(Q(b) - Q(a)) - (Q(c) - Q(a))(u(b) - u(a))
+        at a = x, b = x + 1, c = x + r, where Q(y) = y u(y) is gamma + 1
+        times the odd primitive of u.  It is homogeneous in (a, b, c), and
+        x lies in [-r, 0], so they are scaled by 1/r: every |end| is at
+        most 1, and no product overflows where r^(2 gamma + 1) would."""
+        a, b, c = x * scale, (x + 1.0) * scale, (x + r) * scale
+        ua, ub, uc = abs(a) ** gamma, abs(b) ** gamma, abs(c) ** gamma
+        qa = a * ua
+        return (uc - ua) * (b * ub - qa) - (c * uc - qa) * (ub - ua) > 0.0
+
+    xs = [-r, -1.0, 0.0]
+    for lo, hi in ((-r, -1.0), (-1.0, 0.0)):
+        grid = [lo + (hi - lo) * k / 16 for k in range(16)] + [hi]
+        signs = [rising(x) for x in grid]
+        for a, b, sign, next_sign in zip(grid, grid[1:], signs, signs[1:]):
+            if sign != upper or next_sign == upper:  # no extreme of the kind sought
+                continue
+            while a < (mid := 0.5 * (a + b)) < b:
+                if rising(mid) == upper:
+                    a = mid
+                else:
+                    b = mid
+            xs += [a, b]
+    return xs
+
+
+def _conservative(pair, t: float, upper: bool):
+    """pair with one end moved by ulps until |I| <= t|S| (upper) or
+    |S| <= t|I| (lower) holds in exact arithmetic on its float ends.  The
+    end that moves is I's end beyond S, or S's end inside I; a lengthened
+    I or shortened S then scores no more than the exact ratio allows."""
+    (i_lo, i_hi), (s_lo, s_hi) = pair
+    ratio = Fraction(t)
+
+    def holds() -> bool:
+        I, S = Fraction(i_hi) - Fraction(i_lo), Fraction(s_hi) - Fraction(s_lo)
+        return I <= ratio * S if upper else S <= ratio * I
+
+    while not holds():
+        if upper:  # S sits at I's left end, and holds() once I.hi reaches S.hi
+            i_hi = math.nextafter(i_hi, -math.inf)
+        elif s_lo == i_lo:
+            s_hi = math.nextafter(s_hi, -math.inf)
+        else:
+            s_lo = math.nextafter(s_lo, math.inf)
+    return (i_lo, i_hi), (s_lo, s_hi)
+
+
+def _pair_value(u: WeightModel, w: WeightModel, pair) -> float:
+    """_family_value of one pair, bit for bit, raising the search's errors
+    where a mass or W is not finite or W(u(S)) underflows to 0."""
+    I, S = pair
+    uI, uS = u.mass(*I), u.mass(*S)
+    if uS <= 0.0 or uI <= 0.0:
+        return 0.0
+    WI, WS = w.primitive(uI), w.primitive(uS)
+    if not all(map(math.isfinite, (uI, uS, WI, WS))):
+        raise PreconditionError("a weight mass overflows the float range")
+    if WS == 0.0:
+        raise PreconditionError("the search needs W > 0 at every positive u-mass, but W underflows to 0")
+    return WI / WS
+
+
+def _power_pair(u: WeightModel, w: WeightModel, t: float, upper: bool) -> tuple[float, Configuration]:
+    """W-bar_u(t) (upper) or W-underline_u(t) for u = c|x|^gamma, gamma >= 0,
+    and w = C t^a, with a one-pair witness.
+
+    W(u(I))/W(u(S)) = (u(I)/u(S))^(a + 1), so by the mediant inequality no
+    family beats its best pair; the ratio is scale invariant, so |S| = 1 or
+    |I| = 1; and sliding I over a fixed S (upper) or S inside a fixed I
+    (lower) is quasi-convex for gamma >= 0, so S sits at an end of I.  With
+    r = |I|/|S|, gamma = 0 gives u(I)/u(S) = r for every pair, and pairs
+    that start at 0 keep their masses exact.  On the half-line the best pair
+    is I = (0, r) with S = (0, 1) (upper) or S = (r - 1, r) (lower), the
+    latter scaled here to |I| = 1.  On the line it is I = (x, x + r),
+    S = (x, x + 1) at one of _line_offsets.  The best candidate is made
+    conservative and scored by _family_value, so the value replays exactly
+    and stays a lower bound.  A power that overflows (Python's `**` raises)
+    is the search's PreconditionError."""
+    gamma = u.tail_exp
+    r = t if upper else 1.0 / t
+
+    def score(pair) -> float:
+        v = _pair_value(u, w, pair)
+        return v if upper else 1.0 / v if v > 0.0 else 0.0
+
+    try:
+        if gamma == 0.0:
+            pairs = [((0.0, t), (0.0, 1.0)) if upper else ((0.0, 1.0), (0.0, t))]
+        elif u.domain_kind == "half_line":
+            pairs = [((0.0, t), (0.0, 1.0)) if upper else ((0.0, 1.0), (1.0 - t, 1.0))]
+        else:
+            pairs = [((x, x + r), (x, x + 1.0)) for x in _line_offsets(gamma, r, upper)]
+        pair = _conservative(max(pairs, key=score), t, upper)
+        return score(pair), _config([pair], r)
+    except OverflowError:
+        raise PreconditionError("a weight mass overflows the float range") from None
 
 
 def _trivial_config() -> Configuration:
-    return Configuration(
-        pairs=((Interval(0.0, 1.0), IntervalUnion((Interval(0.0, 1.0),))),), ratio=1.0
-    )
+    return _config([((0.0, 1.0), (0.0, 1.0))], 1.0)
 
 
 def wbar_u(
@@ -291,6 +414,8 @@ def wbar_u(
         raise PreconditionError(f"wbar_u needs 1 <= t < inf, got {t!r}")
     if t == 1.0:
         return 1.0, _trivial_config()
+    if _is_power_pair(u, w):
+        return _power_pair(u, w, t, upper=True)
     return _search(u, w, t, upper=True, budget=budget, seed=seed)
 
 
@@ -302,6 +427,8 @@ def underline_wu(
         raise PreconditionError("underline_wu needs t in (0, 1]")
     if t == 1.0:
         return 1.0, _trivial_config()
+    if _is_power_pair(u, w):
+        return _power_pair(u, w, t, upper=False)
     return _search(u, w, t, upper=False, budget=budget, seed=seed)
 
 

@@ -234,7 +234,7 @@ def distribution(f: StepFunction, u: WeightModel, s: float) -> float:
     """u-measure of the strict superlevel set {|f| > s}, for s >= 0."""
     if not s >= 0.0:  # a NaN level too
         raise ValueError(f"levels are nonnegative, got {s!r}")
-    return sum(mass for value, mass in _level_masses(f, u) if value > s)
+    return sum((mass for value, mass in _level_masses(f, u) if value > s), 0.0)
 
 
 def superlevel(f: StepFunction, s: float) -> IntervalUnion:

@@ -7,6 +7,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -229,7 +230,7 @@ def distribution_oracle(f, u, s):
     sets of value above s."""
     if not s >= 0.0:
         raise ValueError(f"levels are nonnegative, got {s!r}")
-    return sum(u.weight_of_set(region) for region, value in f.pieces if value > s)
+    return sum((u.weight_of_set(region) for region, value in f.pieces if value > s), 0.0)
 
 
 def lorentz_norms_oracle(f, u, w, p):
@@ -475,6 +476,51 @@ def search_oracle(u, w, t, upper, budget, seed):
         ratio=ratio,
     )
     return value(clamped), config
+
+
+def power_pair_oracle(gamma, a, t, upper, domain):
+    """wbar_u(t) (upper) or underline_wu(t) for u = c|x|^gamma and w = C t^a
+    in 40-digit mpmath, as (rho*)^(a + 1) or (rho*)^-(a + 1) with rho* the
+    sup (upper) or inf of u(I)/u(S) over single pairs, |I| = r|S| and
+    r = t or 1/t.  A pair is enough by the mediant inequality, |S| = 1 by
+    scale invariance, and S sits at an end of I; both ends are tried, at
+    offsets x on 32-point grids over the pieces between the cuts where an
+    end crosses 0 (one unit beyond them on the line), each best grid point
+    refined by 64 golden-section steps on its two grid cells."""
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        r = mpmath.mpf(t) if upper else 1 / mpmath.mpf(t)
+        sign = 1 if upper else -1
+
+        def primitive(y):
+            return mpmath.sign(y) * abs(y) ** (g + 1)
+
+        def score(x, left):
+            s_lo = x if left else x + r - 1
+            return sign * (primitive(x + r) - primitive(x)) / (primitive(s_lo + 1) - primitive(s_lo))
+
+        if domain == "line":
+            cuts = sorted({-r - 1, -r, -mpmath.mpf(1), 1 - r, mpmath.mpf(0), mpmath.mpf(1)})
+        else:
+            cuts = [mpmath.mpf(0), mpmath.mpf(1), r + 1]
+        golden = (mpmath.sqrt(5) - 1) / 2
+        best = None
+        for left in (True, False):
+            for lo, hi in zip(cuts, cuts[1:]):
+                xs = [lo + (hi - lo) * k / 32 for k in range(33)]
+                vals = [score(x, left) for x in xs]
+                i = max(range(33), key=vals.__getitem__)
+                p, q = xs[max(i - 1, 0)], xs[min(i + 1, 32)]
+                for _ in range(64):
+                    c, d = q - golden * (q - p), p + golden * (q - p)
+                    if score(c, left) > score(d, left):
+                        q = d
+                    else:
+                        p = c
+                v = max(vals[i], score((p + q) / 2, left))
+                best = v if best is None else max(best, v)
+        rho = sign * best
+        return float(rho ** (a + 1) if upper else rho ** -(a + 1))
 
 
 def search_shapes():

@@ -6,20 +6,36 @@ half-line (so W(r) = r^{a+1}/(a+1)):
   wbar(t)              = sup_s W(st)/W(s) = t^{a+1}            (a >= -1)
   wbar_u, u = 1        = wbar                                  (single pair
                          (0, ts) over (0, s) already attains the supremum)
-  wbar_u, u = |x|      >= W(t^2 s)/W(s) at S=(0,s), I=(0,ts):  u maps
-                         lengths quadratically at the origin
+  wbar_u, u = |x|      = Phi_1(t)^{a+1}, Phi_1(t) = u(I)/u(S) at
+                         S = (x, x+1), I = (x, x+t), x = (sqrt(1+t^2)-1-t)/2:
+                         ((x+t)^2 + x^2) / ((x+1)^2 + x^2), above the t^2
+                         of S = (0,1), I = (0,t)
   underline_wu, u = 1  = sup_s W(st)/W(s) = t^{a+1} for t <= 1
 """
 
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import check_submultiplicative, coarse_best_oracle, exact_samples, search_oracle, search_shapes
+from conftest import (
+    check_submultiplicative,
+    coarse_best_oracle,
+    exact_samples,
+    power_pair_oracle,
+    search_oracle,
+    search_shapes,
+)
 from llab.boyd import (
     Configuration,
     _coarse_pass,
+    _search,
     compute_estimates,
     default_lower_grid,
     default_upper_grid,
@@ -191,9 +207,10 @@ def test_determinism_same_seed():
 def test_witness_replays_to_reported_value(t, seed):
     # rounding in the offset arithmetic can push S an ulp past I; the
     # configuration clamps it, and the reported value must be the clamped one
+    # (the search itself: underline_wu takes this power pair to _power_pair)
     u = WeightModel.constant(domain_kind="line")
     w = WeightModel.constant()
-    v, cfg = underline_wu(u, w, t, seed=seed)
+    v, cfg = _search(u, w, t, False, 1, seed)
     assert 1.0 / cfg.evaluate(u, w) == pytest.approx(v, rel=1e-12, abs=0.0)
 
 
@@ -212,10 +229,17 @@ def test_search_is_the_scalar_restart_loop(shape, t):
     # the search at t and the one at 1/t share a cached coarse pass and the
     # descent reuses u(I) on its offset steps; neither may move a result,
     # whichever direction runs first, and an equal but separately built
-    # (u, w) must find the same
+    # (u, w) must find the same.  _search is called directly, since
+    # wbar_u and underline_wu take power pairs to _power_pair instead
     u, w = search_shapes()[shape]
     upper = t > 1.0
-    search, mirror = (wbar_u, underline_wu) if upper else (underline_wu, wbar_u)
+
+    def search(u, w, t, seed):
+        return _search(u, w, t, upper, 1, seed)
+
+    def mirror(u, w, t, seed):
+        return _search(u, w, t, not upper, 1, seed)
+
     expected = {seed: search_oracle(u, w, t, upper, 1, seed) for seed in (0, 17)}
     for mirror_first in (True, False):
         _coarse_pass.cache_clear()
@@ -266,3 +290,114 @@ def test_failed_coarse_pass_is_not_cached(monkeypatch):
     with pytest.raises(PreconditionError, match="underflows"):
         underline_wu(u, w, 0.5)
     assert len(calls) == 3
+
+
+# -- power pairs: the exact route -------------------------------------------
+
+
+def _rtol(a, t, upper):
+    """1e-12 relative, plus on the lower side the rounding of the witness's
+    u(S) = P(x + 1) - P(x) at |x| up to r = 1/t, which cancels to about
+    r * eps relative and is raised to the power a + 1."""
+    return 1e-12 if upper else 1e-12 + 2.0 * (a + 1.0) * 2.0**-52 / t
+
+
+def _abs_sup():
+    """perfbench's abs_sup oracle: the single-pair supremum for u = |x|."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.abs_sup
+
+
+@pytest.mark.parametrize("domain", ["line", "half_line"])
+def test_power_pair_constant_u_is_t_to_the_a_plus_one(domain):
+    u = WeightModel.constant(domain_kind=domain)
+    for a in (-0.5, 0.0, 0.43, 1.0, 3.0):
+        w = WeightModel.power(a)
+        for k in (1, 5, 10, 20):
+            for search, t in ((wbar_u, 2.0**k), (underline_wu, 2.0**-k)):
+                want = t ** (a + 1.0)
+                assert abs(search(u, w, t)[0] - want) <= 4 * math.ulp(want)
+
+
+def test_power_pair_abs_u_closed_forms():
+    # u = |x| on the line, w = 1: the sup of u(I)/u(S) is at
+    # x* = (sqrt(1 + r^2) - 1 - r)/2 and the inf at -(1 + sqrt(2r^2 - 2r + 1))/2,
+    # with S = (x*, x* + 1) and I = (x*, x* + r)
+    abs_sup = _abs_sup()
+    u, w = WeightModel.power(1.0, domain_kind="line"), WeightModel.constant()
+    with mpmath.workdps(40):
+        for r in (2.0, 8.0, 64.0, 1024.0):
+            R = mpmath.mpf(r)
+
+            def ratio(x):
+                return ((x + R) * abs(x + R) - x * abs(x)) / ((x + 1) * abs(x + 1) - x * abs(x))
+
+            sup = ratio((mpmath.sqrt(1 + R**2) - 1 - R) / 2)
+            inf_ = ratio(-(1 + mpmath.sqrt(2 * R**2 - 2 * R + 1)) / 2)
+            for t, upper, want in ((r, True, sup), (1.0 / r, False, 1 / inf_)):
+                got = (wbar_u if upper else underline_wu)(u, w, t)[0]
+                assert abs(got - want) <= _rtol(0.0, t, upper) * want
+                assert abs(abs_sup(t, upper) - want) <= 5e-15 * want
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.3])
+def test_power_pair_half_line_closed_forms(gamma):
+    # upper: I = (0, r), S = (0, 1), rho = r^(gamma+1); lower: I = (0, r),
+    # S = (r - 1, r), rho = r^(gamma+1) / (r^(gamma+1) - (r - 1)^(gamma+1))
+    u = WeightModel.power(gamma, 1.5)
+    for a in (-0.5, 0.0, 1.0):
+        w = WeightModel.power(a, 0.7)
+        for k in (1, 5, 10):
+            r = 2.0**k
+            with mpmath.workdps(40):
+                R, e1 = mpmath.mpf(r), gamma + 1.0
+                upper = float((R**e1) ** (a + 1))
+                lower = float((R**e1 / (R**e1 - (R - 1) ** e1)) ** -(a + 1))
+            assert abs(wbar_u(u, w, r)[0] - upper) <= _rtol(a, r, True) * upper
+            assert abs(underline_wu(u, w, 1.0 / r)[0] - lower) <= _rtol(a, 1.0 / r, False) * lower
+
+
+@pytest.mark.parametrize("t", [2.0**15, 2.0**-15])
+def test_power_pair_steep_u_on_the_line(t):
+    # u = |x|^50: unscaled, the sign scan's products reach r^101 and
+    # overflow, and the lower side missed its interior minimum by 47 %
+    u, w = WeightModel.power(50.0, domain_kind="line"), WeightModel.constant()
+    upper = t > 1.0
+    want = power_pair_oracle(50.0, 0.0, t, upper, "line")
+    value = (wbar_u if upper else underline_wu)(u, w, t)[0]
+    assert abs(value - want) <= _rtol(0.0, t, upper) * want
+
+
+@given(
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    a=st.floats(-1.0, 3.0, exclude_min=True),
+    k=st.integers(1, 20),
+    upper=st.booleans(),
+    domain=st.sampled_from(["line", "half_line"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_power_pair_is_the_exact_single_pair_optimum(gamma, a, k, upper, domain):
+    t = 2.0**k if upper else 2.0**-k
+    u, w = WeightModel.power(gamma, 1.5, domain), WeightModel.power(a, 0.7)
+    value, config = (wbar_u if upper else underline_wu)(u, w, t)
+    want = power_pair_oracle(gamma, a, t, upper, domain)
+    assert abs(value - want) <= _rtol(a, t, upper) * want
+    # the search places intervals left of 0, outside a half-line u; its
+    # witness drifts past the exact ratio, so its value can pass the sup,
+    # and at large t it can fail its own ratio check
+    if domain == "line":
+        try:
+            searched = _search(u, w, t, upper, 1, 0)[0]
+        except PreconditionError as exc:
+            assert "ratio violated" in str(exc) and k >= 15
+        else:
+            assert value >= min(searched, want) * (1.0 - _rtol(a, t, upper))
+    ((I, S),) = config.pairs
+    (S,) = S.parts
+    long, short = Fraction(I.hi) - Fraction(I.lo), Fraction(S.hi) - Fraction(S.lo)
+    assert long <= Fraction(t) * short if upper else short <= Fraction(t) * long
+    replay = config.evaluate(u, w)
+    assert (replay if upper else 1.0 / replay) == value

@@ -225,10 +225,22 @@ def test_csv_seventeen_digit_format(configs, capsys):
 
 
 def test_half_line_u_in_search_is_config_error(configs, capsys):
-    # the search places intervals on both sides of 0, outside a half-line u
-    rc = main(["indices", "--u", configs["w1"], "--w", configs["w1"]])
+    # the search places intervals on both sides of 0, outside a half-line u;
+    # a power u takes the exact route instead, so this u has two pieces
+    two_piece = configs["dir"] / "u_two_piece_half.json"
+    two_piece.write_text(json.dumps(dict(UNIT_HALF, tail={"coef": 2.0, "exp": 0.0})))
+    rc = main(["indices", "--u", str(two_piece), "--w", configs["w1"]])
     assert rc == EXIT_CONFIG
     assert "half-line" in capsys.readouterr().err
+
+
+def test_half_line_power_u_takes_the_exact_route(configs, capsys):
+    # u = 1 on the half-line: every pair has u(I)/u(S) = t, so with w = 1
+    # both columns are t itself
+    rc = main(["indices", "--u", configs["w1"], "--w", configs["w1"]])
+    assert rc == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert [float(row[1] or row[2]) for row in rows] == [float(row[0]) for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -522,6 +534,14 @@ _STEEP_COEF = json.dumps(
 _TINY_HEAD_W = json.dumps(dict(UNIT_HALF, segments=[{"from": 0.0, "to": 5.0, "coef": 5e-324, "exp": 0.0}]))
 _TINY_HEAD_U = json.dumps(dict(UNIT_LINE, segments=[{"from": 0.0, "to": 1.0, "coef": 5e-324, "exp": 0.0}]))
 _STEEP_TAIL_U = json.dumps(dict(UNIT_LINE, tail={"coef": 1e300, "exp": 2.5}))
+# power pairs on the exact route: u = |x|^120, whose masses overflow from
+# t = 2^9, and w = 5e-324, whose W(u(S)) underflows to 0 at |S| = 1
+_HUGE_POWER_U = json.dumps(
+    dict(ABS_LINE, segments=[dict(ABS_LINE["segments"][0], exp=120.0)], tail={"coef": 1.0, "exp": 120.0})
+)
+_TINY_POWER_W = json.dumps(
+    dict(UNIT_HALF, segments=[dict(UNIT_HALF["segments"][0], coef=5e-324)], tail={"coef": 5e-324, "exp": 0.0})
+)
 
 
 @given(_cli_argv())
@@ -542,7 +562,8 @@ def test_cli_exits_cleanly_on_any_input(argv):
 
 def _exits_cleanly(argv):
     """Run main on argv, with the weight configs it holds as text written to
-    files first: exit 0, 2 or 3, and on 0 a last line of standard JSON."""
+    files first: exit 0, 2 or 3, and on 0 a last line of standard JSON.
+    Returns the exit code and stdout."""
     argv = list(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for flag in ("--u", "--w"):
@@ -561,6 +582,7 @@ def _exits_cleanly(argv):
     if rc == 0:
         last = out.getvalue().splitlines()[-1]
         assert isinstance(json.loads(last, parse_constant=_reject_constant), dict)
+    return rc, out.getvalue()
 
 
 @st.composite
@@ -606,6 +628,11 @@ def _search_argv(draw):
 @example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--operator", "hstar", "--seed=-2"])
 @example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--operator", "hstar", "--family", "extremals", "--ratio=0.0"])
 @example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--operator", "hstar", "--family", "extremals", "--ratio=1e308"])
+@example(["indices", "--u", _HUGE_POWER_U, "--w", _UNIT_HALF_TEXT])
+@example(["verdict", "--u", _ABS_LINE_TEXT, "--w", _TINY_POWER_W])
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_search_commands_exit_cleanly_on_any_input(argv):
-    _exits_cleanly(argv)
+    rc, stdout = _exits_cleanly(argv)
+    if _HUGE_POWER_U in argv or _TINY_POWER_W in argv:
+        assert rc == EXIT_PRECONDITION
+        assert "NaN" not in stdout and "Infinity" not in stdout

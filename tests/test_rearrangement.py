@@ -218,6 +218,13 @@ def test_distribution_unit_weight():
     assert distribution(f, u, 2.5) == 0.0
 
 
+def test_distribution_above_every_level_is_float_zero():
+    # the sum over no level used to start from the int 0
+    f = make_step([((0.0, 1.0), 2.0)])
+    got = distribution(f, WeightModel.power(1.0, domain_kind="line"), 5.0)
+    assert type(got) is float and got == 0.0
+
+
 def test_superlevel_sets():
     f = make_step([((0.0, 1.0), 2.0), ((1.0, 3.0), 1.0)])
     assert superlevel(f, 1.5) == normalize([(0.0, 1.0)])
