@@ -18,9 +18,11 @@ class checks for those u's and for w = t^0.4 and a three-segment w at
 p = 1.5 and 2; the index estimates and Hilbert verdicts of two (u, w)
 pairs; and the value and witness of wbar_u and underline_wu for the power
 pairs u = 1.5|x|^gamma (gamma = 0, 1/2, 1, 2, on the line and the
-half-line) and w = t^a (a = -1/2, 0, 1) at t = 2^+-1, 2^+-5 and 2^+-10, or
-the error a call raises.  `--verbose` prints each entry's own digest as
-well, to find the one that moved.
+half-line) and w = t^a (a = -1/2, 0, 1) at t = 2^+-1, 2^+-5 and 2^+-10, and
+for the three-segment u and w and for a line u with an exp = -1 row against
+that w at t = 3, 1000.1 and 2^5.5 and their inverses, in an order that is
+not monotone, or the error a call raises.  `--verbose` prints each entry's
+own digest as well, to find the one that moved.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py [--verbose]
@@ -141,6 +143,33 @@ def entries():
     yield from construction_entries()
     yield from weight_entries()
     yield from power_pair_entries()
+    yield from search_entries()
+
+
+def _sample(search, u, w, t) -> str:
+    """repr of search(u, w, t), or of the error it raises."""
+    try:
+        return repr(search(u, w, t))
+    except ValueError as exc:  # the errors of llab.errors
+        return f"{type(exc).__name__}: {exc}"
+
+
+def search_entries():
+    """repr of (value, witness) of the configuration search on two line
+    pairs, or of the error, at ratios that are not powers of 2 in an order
+    that is not monotone; the index estimates above have searched the
+    first pair at the powers of 2 before."""
+    log_u = WeightModel(
+        (Segment(0.0, 0.6, 1.1, 0.4), Segment(0.6, 1.7, 0.9, -1.0), Segment(1.7, 2.9, 0.5, 0.8)),
+        domain_kind="line",
+        tail_coef=1.0,
+        tail_exp=0.3,
+    )
+    w = ws()["three"]
+    for u_name, u in (("three", us()["three"]), ("log", log_u)):
+        for t in (3.0, 1.0 / 1000.1, 2.0**5.5, 1.0 / 3.0, 1000.1, 2.0**-5.5):
+            search = wbar_u if t > 1.0 else underline_wu
+            yield f"search.{u_name}.three.{search.__name__}.{t!r}", _sample(search, u, w, t)
 
 
 def power_pair_entries():
@@ -152,11 +181,7 @@ def power_pair_entries():
                 w = WeightModel.power(a)
                 for k in (1, 5, 10):
                     for search, t in ((wbar_u, 2.0**k), (underline_wu, 2.0**-k)):
-                        try:
-                            text = repr(search(u, w, t))
-                        except ValueError as exc:  # the errors of llab.errors
-                            text = f"{type(exc).__name__}: {exc}"
-                        yield f"power.{domain}.{gamma:g}.{a:g}.{search.__name__}.{t!r}", text
+                        yield f"power.{domain}.{gamma:g}.{a:g}.{search.__name__}.{t!r}", _sample(search, u, w, t)
 
 
 def weight_entries():

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConfigurationError, PreconditionError
 from .intervals import Interval, IntervalUnion
 from .weights import WeightModel
 
@@ -133,48 +133,128 @@ def _family_value(
     return w.primitive(uI) / w.primitive(uS)
 
 
+_GRID_PAIRS = 1  # weight pairs whose coarse-grid tables are kept
+_GRID_OFFSETS = 8192  # offsets a table holds; a full table takes no more
+
+
+class _GridTable:
+    """The u-masses of one (u, w) pair's coarse grid, shared by every ratio.
+
+    For each nonnegative anchor a of u (rows) the columns of `mass` hold
+    u((a, a + x)) for each x of `side`, then u((a - x, a)) for each x of
+    `side`, then u((a - x, a + x)) for each x of `centre`; both key arrays
+    are sorted.  `W` holds W of each mass, NaN until a pass needs it."""
+
+    def __init__(self, u: WeightModel) -> None:
+        anchors = np.array(_anchors(u))
+        self.anchors, self.rows = anchors, anchors[anchors >= 0.0][:, None]
+        self.side = self.centre = np.empty(0)
+        self.mass = self.W = np.empty((self.rows.size, 0))
+
+
+@functools.lru_cache(maxsize=_GRID_PAIRS)
+def _grid_table(u: WeightModel, w: WeightModel) -> _GridTable:
+    return _GridTable(u)
+
+
+def _missing(keys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The distinct values of xs that the sorted array keys lacks, sorted."""
+    found = np.append(keys, np.nan)[np.searchsorted(keys, xs)] == xs
+    return np.unique(xs[~found])
+
+
+def _placement(a: float, small: float, ratio: float, p: int):
+    """The pair (I, S) of placement p (0: S at I's left end, 1: at its right
+    end, 2: centred) at anchor a with |S| = small, |I| = small * ratio."""
+    big = small * ratio
+    if p == 0:
+        return (a, a + big), (a, a + small)
+    if p == 1:
+        return (a - big, a), (a - small, a)
+    half = (big - small) / 2.0
+    left, right = a - big / 2.0, a + big / 2.0
+    return (left, right), (left + half, right - half)
+
+
 @functools.lru_cache(maxsize=64)
 def _coarse_pass(u: WeightModel, w: WeightModel, ratio: float):
     """((value, pair) of the upper search, (value, pair) of the lower one):
-    the first best single pair (I, S) of the coarse grid at |I| = ratio |S|,
-    scored in one array pass.  For each anchor a of u, each scale small of
-    the scale grid and big = small * ratio, in that loop order, it places
-    I = (a, a + big) with S at its left end, I = (a - big, a) with S at its
-    right end, and I centred on a with S centred in it.  The values are
-    _family_value's bit for bit (inverted for the lower search); as in a
-    scan with a strict `>`, a NaN is never best and the first of equal
-    maxima wins.
+    the first best single pair (I, S) of the coarse grid at |I| = ratio |S|.
+    For each anchor a of u, each scale small of the scale grid and
+    big = small * ratio, in that loop order, it places I = (a, a + big)
+    with S at its left end, I = (a - big, a) with S at its right end, and
+    I centred on a with S centred in it.  The values are _family_value's
+    bit for bit (inverted for the lower search); as in a scan with a strict
+    `>`, a NaN is never best and the first of equal maxima wins.
+
+    The masses come from the pair's _GridTable.  The pass makes one
+    mass_array call, over the offsets the table lacks and the centred S
+    ((a - big/2) + half is not a - small/2 in floats, so it is this
+    ratio's own), and one primitive_array call, over the W that its live
+    pairs need and the table lacks, with W(1.0) for the pairs that are not
+    live, as their score before it is zeroed.  Only nonnegative anchors
+    are computed: u on the line is even and negation is exact, so anchor
+    -b's left, right and centred pairs have the masses of b's right, left
+    and centred ones.  The table takes the pass's columns and W once the
+    pass has succeeded, so it never saves an error a pass would raise.
 
     The upper search at t and the lower one at 1/t share the ratio, so they
     share the pass, and the pass is cached.  Weights are frozen and every
     closed form reads only their fields, so equal weights give equal passes;
     a pass that raises is not cached and raises again."""
-    a = np.array(_anchors(u))[:, None]
+    if u.domain_kind == "half_line":  # anchor 0's right placement starts below 0
+        raise ConfigurationError("set escapes the half-line domain")
+    grid = _grid_table(u, w)
+    a, m = grid.rows, grid.rows.size
     small = np.array(_scale_grid(w, u, ratio))
     big = small * ratio
-    half = (big - small) / 2.0
-    left, right = a - big / 2.0, a + big / 2.0
-
-    def stacked(*cols):
-        return np.stack(np.broadcast_arrays(*cols), axis=-1).ravel()
-
-    i_lo, i_hi = stacked(a, a - big, left), stacked(a + big, a, right)
-    s_lo, s_hi = stacked(a, a - small, left + half), stacked(a + small, a, right - half)
-    # one kernel pass for u over the ends of every I and S, one for W over
-    # every u(I) and u(S): the grid shares most radii, each is evaluated once
-    uI, uS = u.mass_array(np.stack([i_lo, s_lo]), np.stack([i_hi, s_hi]))
-    # _family_value's test, which a NaN mass passes; the others are scored
-    # at 1.0 and then zeroed, so that no 0/0 is computed
+    half, x = (big - small) / 2.0, big / 2.0
+    new_side = _missing(grid.side, np.concatenate([small, big]))
+    new_centre = _missing(grid.centre, x)
+    rows = np.broadcast_to(a, (m, new_side.size))
+    lo = np.concatenate([rows, a - new_side, a - new_centre, (a - x) + half], axis=1)
+    hi = np.concatenate([a + new_side, rows, a + new_centre, (a + x) - half], axis=1)
+    masses = u.mass_array(lo, hi)
+    n_new = 2 * new_side.size + new_centre.size
+    side, centre, mass, W = grid.side, grid.centre, grid.mass, grid.W
+    if n_new:
+        at_side, at_centre = np.searchsorted(side, new_side), np.searchsorted(centre, new_centre)
+        at = np.concatenate([at_side, side.size + at_side, 2 * side.size + at_centre])
+        side, centre = np.insert(side, at_side, new_side), np.insert(centre, at_centre, new_centre)
+        mass = np.insert(mass, at, masses[:, :n_new], axis=1)
+        W = np.insert(W, at, np.nan, axis=1)
+    at_small, at_big = np.searchsorted(side, small), np.searchsorted(side, big)
+    cols_I = np.stack([at_big, side.size + at_big, 2 * side.size + np.searchsorted(centre, x)], axis=-1)
+    cols_S = np.stack([at_small, side.size + at_small], axis=-1)
+    uI, WI = mass[:, cols_I], W[:, cols_I]  # axes: anchor, scale, placement
+    uS = np.concatenate([mass[:, cols_S], masses[:, n_new:, None]], axis=-1)
+    WS = np.concatenate([W[:, cols_S], np.full((m, small.size, 1), np.nan)], axis=-1)
+    # _family_value's test; no 0/0 is computed
     live = ~((uS <= 0.0) | (uI <= 0.0))
-    WI, WS = w.primitive_array(np.where(live, np.stack([uI, uS]), 1.0))
-    if np.any(WS == 0.0):  # _family_value would divide by zero
+    need_I, need_S = live & np.isnan(WI), live & np.isnan(WS)
+    n_I, n_S, dead = int(need_I.sum()), int(need_S.sum()), not live.all()
+    todo = np.concatenate([uI[need_I], uS[need_S], [1.0] if dead else []])
+    if todo.size:
+        got = w.primitive_array(todo)
+        WI[need_I], WS[need_S] = got[:n_I], got[n_I : n_I + n_S]
+    if np.any(WS[live] == 0.0) or dead and got[-1] == 0.0:  # _family_value would divide by zero
         raise PreconditionError("the search needs W > 0 at every positive u-mass, but W underflows to 0")
+    v = np.zeros(live.shape)
     with np.errstate(over="ignore"):  # an overflowed ratio is inf, as in _family_value
-        v = np.where(live, WI / WS, 0.0)
+        np.divide(WI, WS, out=v, where=live)
+    # anchors in _anchors order: -b's placements are b's, left and right swapped
+    v = np.concatenate([v[:0:-1, :, [1, 0, 2]], v])
+
+    if side.size + centre.size <= _GRID_OFFSETS:
+        r, j, p = np.nonzero(need_I)
+        W[r, cols_I[j, p]] = WI[r, j, p]
+        r, j, p = np.nonzero(need_S[..., :2])  # the centred S is not kept
+        W[r, cols_S[j, p]] = WS[r, j, p]
+        grid.side, grid.centre, grid.mass, grid.W = side, centre, mass, W
 
     def best(scores):
-        k = int(np.nanargmax(scores))
-        return float(scores[k]), ((float(i_lo[k]), float(i_hi[k])), (float(s_lo[k]), float(s_hi[k])))
+        i, j, p = np.unravel_index(int(np.nanargmax(scores)), scores.shape)
+        return float(scores[i, j, p]), _placement(float(grid.anchors[i]), float(small[j]), ratio, int(p))
 
     return best(v), best(np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0))
 

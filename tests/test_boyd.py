@@ -33,8 +33,10 @@ from conftest import (
     search_shapes,
 )
 from llab.boyd import (
+    _GRID_OFFSETS,
     Configuration,
     _coarse_pass,
+    _grid_table,
     _search,
     compute_estimates,
     default_lower_grid,
@@ -46,7 +48,7 @@ from llab.boyd import (
     wbar_u,
     wbar_u_samples,
 )
-from llab.errors import PreconditionError
+from llab.errors import ConfigurationError, PreconditionError
 from llab.intervals import Interval, IntervalUnion, singleton
 from llab.weights import Segment, WeightModel
 
@@ -290,6 +292,110 @@ def test_failed_coarse_pass_is_not_cached(monkeypatch):
     with pytest.raises(PreconditionError, match="underflows"):
         underline_wu(u, w, 0.5)
     assert len(calls) == 3
+
+
+def _clear_coarse_caches():
+    _coarse_pass.cache_clear()
+    _grid_table.cache_clear()
+
+
+@st.composite
+def _piecewise_weights(draw, domain, min_segments):
+    """A weight of min_segments..3 segments on the domain; a row off 0 may
+    have exp = -1, and any row may be constant."""
+    n = draw(st.integers(min_segments, 3))
+    ends = np.cumsum(draw(st.lists(st.floats(0.2, 2.5), min_size=n, max_size=n))).tolist()
+
+    def exponent(lo):
+        return draw(st.one_of(st.just(0.0), st.just(-1.0) if lo > 0.0 else st.nothing(), st.floats(-0.8, 1.5)))
+
+    segments, lo = [], 0.0
+    for hi in ends:
+        segments.append(Segment(lo, hi, draw(st.floats(0.3, 3.0)), exponent(lo)))
+        lo = hi
+    return WeightModel(tuple(segments), domain, draw(st.floats(0.3, 3.0)), exponent(lo))
+
+
+@given(
+    u=_piecewise_weights("line", 1),
+    w=_piecewise_weights("half_line", 2),
+    ratios=st.lists(
+        st.one_of(
+            st.integers(1, 10).map(lambda k: 2.0**k),
+            st.floats(1.0, 1500.0, exclude_min=True, exclude_max=True),
+        ),
+        min_size=3,
+        max_size=6,
+        unique=True,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=12, deadline=None)
+def test_coarse_pass_matches_the_scan_in_any_ratio_order(u, w, ratios, data):
+    # every ratio after the first reads masses and W that earlier ratios put
+    # in the pair's table; no order may move a value or a witness
+    _clear_coarse_caches()
+    for ratio in data.draw(st.permutations(ratios)):
+        for upper in (True, False):
+            assert _coarse_pass(u, w, ratio)[0 if upper else 1] == coarse_best_oracle(u, w, ratio, upper)
+
+
+_U3, _W3 = search_shapes()["multi"]
+_TWO_PIECE = (Segment(0.0, 1.0, 1.0, 0.5), Segment(1.0, 2.0, 1.0, 3.0))
+_UNDERFLOW = (PreconditionError, "the search needs W > 0 at every positive u-mass, but W underflows to 0")
+_RANGE = (OverflowError, "math range error")
+
+
+@pytest.mark.parametrize(
+    "u,w,before,bad,after,error",
+    [
+        # W = 5e-324 t underflows to 0 at the grid's small u-masses
+        (WeightModel.constant(domain_kind="line"), WeightModel((Segment(0.0, 5.0, 5e-324, 0.0),)),
+         [4.0, 700.5], 2.0, [], _UNDERFLOW),
+        # libm's pow overflows on u's masses: at every ratio for tail_exp 40, from 64 on for 30
+        (WeightModel(_TWO_PIECE, "line", 1.0, 40.0), _W3, [4.0, 700.5], 2.0, [], _RANGE),
+        (WeightModel(_TWO_PIECE, "line", 1.0, 30.0), _W3, [2.0, 700.5], 64.0, [8.0], _RANGE),
+        # and on W of the masses, from 1024 on
+        (_U3, WeightModel(_W3.segments[:2], "half_line", 1.0, 25.0), [2.0, 4096.0], 1024.0, [16.0], _RANGE),
+        # W(1.0), the score of the pairs whose S has no u-mass, underflows to 0
+        (WeightModel((Segment(0.0, 1.0, 5e-324, 3.0),), "line", 1e17, 0.0),
+         WeightModel((Segment(0.0, 1.0, 5e-324, 2.0),)), [5.0, 700.5], 2.0, [], _UNDERFLOW),
+        (WeightModel(_TWO_PIECE, "half_line", 1.0, 0.5), _W3, [4.0], 2.0, [],
+         (ConfigurationError, "set escapes the half-line domain")),
+    ],
+)
+def test_failed_coarse_pass_raises_whatever_ran_before(u, w, before, bad, after, error):
+    # a pass raises the same error on a fresh table and on one that other
+    # ratios of the pair have filled, and leaves the table valid for later ones
+    kind, message = error
+    for warm in (False, True):
+        _clear_coarse_caches()
+        for ratio in before if warm else ():
+            try:
+                _coarse_pass(u, w, ratio)
+            except kind as exc:
+                assert str(exc) == message
+        with pytest.raises(kind) as info:
+            _coarse_pass(u, w, bad)
+        assert type(info.value) is kind and str(info.value) == message
+    for ratio in after:
+        assert _coarse_pass(u, w, ratio) == tuple(coarse_best_oracle(u, w, ratio, upper) for upper in (True, False))
+
+
+def test_grid_table_stays_under_its_cap():
+    # 300 ratios of about 1,000 new offsets each would hold 300,000; a full
+    # table takes no more, and passes past that point still match the scan
+    u = WeightModel((Segment(0.0, 1.3, 0.8, 0.6),), "line", 1.4, 0.2)
+    w = WeightModel((Segment(0.0, 0.9, 1.0, 0.3), Segment(0.9, 2.0, 0.5, 0.0)), "half_line", 1.2, 0.7)
+    _clear_coarse_caches()
+    ratios = 1.0 + 1499.0 * np.random.default_rng(3).random(300)
+    for k, ratio in enumerate(ratios.tolist()):
+        got = _coarse_pass(u, w, ratio)
+        table = _grid_table(u, w)
+        assert table.side.size + table.centre.size <= _GRID_OFFSETS
+        if k in (0, 150, 299):
+            assert got == tuple(coarse_best_oracle(u, w, ratio, upper) for upper in (True, False))
+    assert table.side.size + table.centre.size > _GRID_OFFSETS // 2
 
 
 # -- power pairs: the exact route -------------------------------------------
