@@ -123,14 +123,40 @@ def wbar(w: WeightModel, t: float) -> float:
 # -- configuration searches ------------------------------------------------
 
 
-def _family_value(
-    u: WeightModel, w: WeightModel, pairs: Sequence[tuple[tuple[float, float], tuple[float, float]]]
-) -> float:
-    uI = sum(u.mass(lo, hi) for (lo, hi), _ in pairs)
-    uS = sum(u.mass(lo, hi) for _, (lo, hi) in pairs)
+_OVERFLOW = "a weight mass overflows the float range"
+_UNDERFLOW = "the search needs W > 0 at every positive u-mass, but W underflows to 0"
+
+
+def _score(w: WeightModel, uI: float, uS: float, upper: bool, WI: Optional[float] = None):
+    """(W(uI)/W(uS), inverted for the lower search, and W(uI)): the score of
+    every candidate family, from its masses uI = u(union I) and uS = u(union S);
+    WI, when given, is W(uI).  A mass that is not positive scores 0.0 and W is
+    not taken; a mass or W that is not finite, and W(uS) = 0, raise.  W skips
+    `primitive`'s checks: the masses are positive, and _index_sample checks
+    that w lives on the half-line."""
     if uS <= 0.0 or uI <= 0.0:
-        return 0.0
-    return w.primitive(uI) / w.primitive(uS)
+        return 0.0, WI
+    P = w._radial_primitive
+    if WI is None:
+        WI = P(uI)
+    WS = P(uS)
+    if not (uI < math.inf and uS < math.inf and WI < math.inf and WS < math.inf):  # W >= 0, NaN fails
+        raise PreconditionError(_OVERFLOW)
+    if WS == 0.0:
+        raise PreconditionError(_UNDERFLOW)
+    v = WI / WS
+    return v if upper else 1.0 / v if v > 0.0 else 0.0, WI
+
+
+def _family_value(
+    u: WeightModel, w: WeightModel, pairs: Sequence[tuple[tuple[float, float], tuple[float, float]]], upper: bool = True
+) -> float:
+    """The _score of the family of pairs (I, S)."""
+    uI = uS = 0.0
+    for (i_lo, i_hi), (s_lo, s_hi) in pairs:
+        uI += u.mass(i_lo, i_hi)
+        uS += u.mass(s_lo, s_hi)
+    return _score(w, uI, uS, upper)[0]
 
 
 _GRID_PAIRS = 1  # weight pairs whose coarse-grid tables are kept
@@ -183,19 +209,19 @@ def _coarse_pass(u: WeightModel, w: WeightModel, ratio: float):
     For each anchor a of u, each scale small of the scale grid and
     big = small * ratio, in that loop order, it places I = (a, a + big)
     with S at its left end, I = (a - big, a) with S at its right end, and
-    I centred on a with S centred in it.  The values are _family_value's
-    bit for bit (inverted for the lower search); as in a scan with a strict
-    `>`, a NaN is never best and the first of equal maxima wins.
+    I centred on a with S centred in it.  The values are _score's bit for
+    bit, and W(u(S)) = 0 at a pair with positive masses raises its error; as
+    in a scan with a strict `>`, a NaN is never best and the first of equal
+    maxima wins.
 
     The masses come from the pair's _GridTable.  The pass makes one
     mass_array call, over the offsets the table lacks and the centred S
     ((a - big/2) + half is not a - small/2 in floats, so it is this
     ratio's own), and one primitive_array call, over the W that its live
-    pairs need and the table lacks, with W(1.0) for the pairs that are not
-    live, as their score before it is zeroed.  Only nonnegative anchors
-    are computed: u on the line is even and negation is exact, so anchor
-    -b's left, right and centred pairs have the masses of b's right, left
-    and centred ones.  The table takes the pass's columns and W once the
+    pairs (both masses positive) need and the table lacks.  Only
+    nonnegative anchors are computed: u on the line is even and negation is
+    exact, so anchor -b's left, right and centred pairs have the masses of
+    b's right, left and centred ones.  The table takes the pass's columns and W once the
     pass has succeeded, so it never saves an error a pass would raise.
 
     The upper search at t and the lower one at 1/t share the ratio, so they
@@ -229,18 +255,18 @@ def _coarse_pass(u: WeightModel, w: WeightModel, ratio: float):
     uI, WI = mass[:, cols_I], W[:, cols_I]  # axes: anchor, scale, placement
     uS = np.concatenate([mass[:, cols_S], masses[:, n_new:, None]], axis=-1)
     WS = np.concatenate([W[:, cols_S], np.full((m, small.size, 1), np.nan)], axis=-1)
-    # _family_value's test; no 0/0 is computed
+    # _score's rules: W only at positive masses, and W(uS) = 0 raises
     live = ~((uS <= 0.0) | (uI <= 0.0))
     need_I, need_S = live & np.isnan(WI), live & np.isnan(WS)
-    n_I, n_S, dead = int(need_I.sum()), int(need_S.sum()), not live.all()
-    todo = np.concatenate([uI[need_I], uS[need_S], [1.0] if dead else []])
+    n_I = int(need_I.sum())
+    todo = np.concatenate([uI[need_I], uS[need_S]])
     if todo.size:
         got = w.primitive_array(todo)
-        WI[need_I], WS[need_S] = got[:n_I], got[n_I : n_I + n_S]
-    if np.any(WS[live] == 0.0) or dead and got[-1] == 0.0:  # _family_value would divide by zero
-        raise PreconditionError("the search needs W > 0 at every positive u-mass, but W underflows to 0")
+        WI[need_I], WS[need_S] = got[:n_I], got[n_I:]
+    if np.any(WS[live] == 0.0):
+        raise PreconditionError(_UNDERFLOW)
     v = np.zeros(live.shape)
-    with np.errstate(over="ignore"):  # an overflowed ratio is inf, as in _family_value
+    with np.errstate(over="ignore"):  # an overflowed ratio is inf, as in _score
         np.divide(WI, WS, out=v, where=live)
     # anchors in _anchors order: -b's placements are b's, left and right swapped
     v = np.concatenate([v[:0:-1, :, [1, 0, 2]], v])
@@ -272,23 +298,13 @@ def _search(
         raise PreconditionError("search budget must be positive")
     ratio = t if upper else 1.0 / t
 
-    def value(pairs) -> float:
-        v = _family_value(u, w, pairs)
-        return v if upper else 1.0 / v if v > 0.0 else 0.0
-
     def one(I, S, known=None):
-        """(value([(I, S)]) bit for bit, (u(I), W(u(I)) or None)).  known, when
+        """(_family_value of [(I, S)], (u(I), W(u(I)) or None)).  known, when
         given, is that second item from a pair with the same I and saves its
-        kernel calls; as in _family_value, W(u(I)) is taken only when both
-        masses are positive."""
+        kernel calls."""
         uI, WI = known if known is not None else (u.mass(*I), None)
-        uS = u.mass(*S)
-        if uS <= 0.0 or uI <= 0.0:
-            return 0.0, (uI, WI)
-        if WI is None:
-            WI = w.primitive(uI)
-        v = WI / w.primitive(uS)
-        return v if upper else 1.0 / v if v > 0.0 else 0.0, (uI, WI)
+        v, WI = _score(w, uI, u.mass(*S), upper, WI)
+        return v, (uI, WI)
 
     def replicated(val: float, pair):
         """(value, pairs): the best of the pair, scored val, and its 2, 4, 8
@@ -301,7 +317,7 @@ def _search(
                 ((i_lo + j * span, i_hi + j * span), (s_lo + j * span, s_hi + j * span))
                 for j in range(count)
             ]
-            v = value(pairs)
+            v = _family_value(u, w, pairs, upper)
             if v > best[0]:
                 best = v, pairs
         return best
@@ -347,7 +363,7 @@ def _search(
         ((i_lo, i_hi), (max(s_lo, i_lo), min(s_hi, i_hi)))
         for (i_lo, i_hi), (s_lo, s_hi) in best_pairs
     ]
-    return value(clamped), _config(clamped, ratio)
+    return _family_value(u, w, clamped, upper), _config(clamped, ratio)
 
 
 def _config(pairs, ratio: float) -> Configuration:
@@ -428,21 +444,6 @@ def _conservative(pair, t: float, upper: bool):
     return (i_lo, i_hi), (s_lo, s_hi)
 
 
-def _pair_value(u: WeightModel, w: WeightModel, pair) -> float:
-    """_family_value of one pair, bit for bit, raising the search's errors
-    where a mass or W is not finite or W(u(S)) underflows to 0."""
-    I, S = pair
-    uI, uS = u.mass(*I), u.mass(*S)
-    if uS <= 0.0 or uI <= 0.0:
-        return 0.0
-    WI, WS = w.primitive(uI), w.primitive(uS)
-    if not all(map(math.isfinite, (uI, uS, WI, WS))):
-        raise PreconditionError("a weight mass overflows the float range")
-    if WS == 0.0:
-        raise PreconditionError("the search needs W > 0 at every positive u-mass, but W underflows to 0")
-    return WI / WS
-
-
 def _power_pair(u: WeightModel, w: WeightModel, t: float, upper: bool) -> tuple[float, Configuration]:
     """W-bar_u(t) (upper) or W-underline_u(t) for u = c|x|^gamma, gamma >= 0,
     and w = C t^a, with a one-pair witness.
@@ -457,30 +458,34 @@ def _power_pair(u: WeightModel, w: WeightModel, t: float, upper: bool) -> tuple[
     latter scaled here to |I| = 1.  On the line it is I = (x, x + r),
     S = (x, x + 1) at one of _line_offsets.  The best candidate is made
     conservative and scored by _family_value, so the value replays exactly
-    and stays a lower bound.  A power that overflows (Python's `**` raises)
-    is the search's PreconditionError."""
+    and stays a lower bound."""
     gamma = u.tail_exp
     r = t if upper else 1.0 / t
+    if gamma == 0.0:
+        pairs = [((0.0, t), (0.0, 1.0)) if upper else ((0.0, 1.0), (0.0, t))]
+    elif u.domain_kind == "half_line":
+        pairs = [((0.0, t), (0.0, 1.0)) if upper else ((0.0, 1.0), (1.0 - t, 1.0))]
+    else:
+        pairs = [((x, x + r), (x, x + 1.0)) for x in _line_offsets(gamma, r, upper)]
+    pair = _conservative(max(pairs, key=lambda c: _family_value(u, w, [c], upper)), t, upper)
+    return _family_value(u, w, [pair], upper), _config([pair], r)
 
-    def score(pair) -> float:
-        v = _pair_value(u, w, pair)
-        return v if upper else 1.0 / v if v > 0.0 else 0.0
 
+def _index_sample(u: WeightModel, w: WeightModel, t: float, upper: bool, budget: int, seed: int):
+    """wbar_u (upper) or underline_wu at a checked t: 1.0 and the trivial
+    witness at t = 1, else the power pair's enumeration or the search.  A
+    power that overflows (Python's `**` or libm raises) is a violated
+    precondition."""
+    if t == 1.0:
+        return 1.0, _config([((0.0, 1.0), (0.0, 1.0))], 1.0)
+    if w.domain_kind != "half_line":  # _score reads W without this check
+        raise ConfigurationError("primitive is defined for half-line weights")
     try:
-        if gamma == 0.0:
-            pairs = [((0.0, t), (0.0, 1.0)) if upper else ((0.0, 1.0), (0.0, t))]
-        elif u.domain_kind == "half_line":
-            pairs = [((0.0, t), (0.0, 1.0)) if upper else ((0.0, 1.0), (1.0 - t, 1.0))]
-        else:
-            pairs = [((x, x + r), (x, x + 1.0)) for x in _line_offsets(gamma, r, upper)]
-        pair = _conservative(max(pairs, key=score), t, upper)
-        return score(pair), _config([pair], r)
+        if _is_power_pair(u, w):
+            return _power_pair(u, w, t, upper)
+        return _search(u, w, t, upper, budget, seed)
     except OverflowError:
-        raise PreconditionError("a weight mass overflows the float range") from None
-
-
-def _trivial_config() -> Configuration:
-    return _config([((0.0, 1.0), (0.0, 1.0))], 1.0)
+        raise PreconditionError(_OVERFLOW) from None
 
 
 def wbar_u(
@@ -492,11 +497,7 @@ def wbar_u(
     """
     if not 1.0 <= t < math.inf:  # NaN fails too
         raise PreconditionError(f"wbar_u needs 1 <= t < inf, got {t!r}")
-    if t == 1.0:
-        return 1.0, _trivial_config()
-    if _is_power_pair(u, w):
-        return _power_pair(u, w, t, upper=True)
-    return _search(u, w, t, upper=True, budget=budget, seed=seed)
+    return _index_sample(u, w, t, True, budget, seed)
 
 
 def underline_wu(
@@ -505,11 +506,7 @@ def underline_wu(
     """Best W(u(union S))/W(u(union I)) found with |S_j| = t |I_j|, t in (0, 1]."""
     if not 0.0 < t <= 1.0:
         raise PreconditionError("underline_wu needs t in (0, 1]")
-    if t == 1.0:
-        return 1.0, _trivial_config()
-    if _is_power_pair(u, w):
-        return _power_pair(u, w, t, upper=False)
-    return _search(u, w, t, upper=False, budget=budget, seed=seed)
+    return _index_sample(u, w, t, False, budget, seed)
 
 
 def default_upper_grid() -> tuple[float, ...]:

@@ -13,6 +13,7 @@ half-line (so W(r) = r^{a+1}/(a+1)):
   underline_wu, u = 1  = sup_s W(st)/W(s) = t^{a+1} for t <= 1
 """
 
+import dataclasses
 import importlib.util
 import math
 from fractions import Fraction
@@ -21,7 +22,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -357,9 +358,10 @@ _RANGE = (OverflowError, "math range error")
         (WeightModel(_TWO_PIECE, "line", 1.0, 30.0), _W3, [2.0, 700.5], 64.0, [8.0], _RANGE),
         # and on W of the masses, from 1024 on
         (_U3, WeightModel(_W3.segments[:2], "half_line", 1.0, 25.0), [2.0, 4096.0], 1024.0, [16.0], _RANGE),
-        # W(1.0), the score of the pairs whose S has no u-mass, underflows to 0
+        # W(1.0) underflows to 0, but no pair with positive masses needs it:
+        # the pass raises nothing and is the scalar scan (error None)
         (WeightModel((Segment(0.0, 1.0, 5e-324, 3.0),), "line", 1e17, 0.0),
-         WeightModel((Segment(0.0, 1.0, 5e-324, 2.0),)), [5.0, 700.5], 2.0, [], _UNDERFLOW),
+         WeightModel((Segment(0.0, 1.0, 5e-324, 2.0),)), [5.0, 700.5], 2.0, [], (None, None)),
         (WeightModel(_TWO_PIECE, "half_line", 1.0, 0.5), _W3, [4.0], 2.0, [],
          (ConfigurationError, "set escapes the half-line domain")),
     ],
@@ -375,6 +377,9 @@ def test_failed_coarse_pass_raises_whatever_ran_before(u, w, before, bad, after,
                 _coarse_pass(u, w, ratio)
             except kind as exc:
                 assert str(exc) == message
+        if kind is None:
+            assert _coarse_pass(u, w, bad) == tuple(coarse_best_oracle(u, w, bad, upper) for upper in (True, False))
+            continue
         with pytest.raises(kind) as info:
             _coarse_pass(u, w, bad)
         assert type(info.value) is kind and str(info.value) == message
@@ -396,6 +401,85 @@ def test_grid_table_stays_under_its_cap():
         if k in (0, 150, 299):
             assert got == tuple(coarse_best_oracle(u, w, ratio, upper) for upper in (True, False))
     assert table.side.size + table.centre.size > _GRID_OFFSETS // 2
+
+
+# W = 1e-246 t^5 near 0: the coarse pass succeeds, and at these t a restart's
+# W(u(S)) underflows to 0 (it used to end in a ZeroDivisionError)
+_SUBNORMAL_U = WeightModel((Segment(0.0, 1.0, 1.0, 1.0), Segment(1.0, 2.0, 1.0, 0.0)), "line", 1.0, 0.0)
+_SUBNORMAL_W = WeightModel((Segment(0.0, 1.0, 1e-246, 5.0), Segment(1.0, 2.0, 1e-246, 0.0)), "half_line", 1e-246, 0.5)
+
+
+@pytest.mark.parametrize("t", [2.0, 4.0, 8.0, 32.0, 128.0])
+def test_restart_underflow_is_a_precondition(t):
+    _clear_coarse_caches()
+    _coarse_pass(_SUBNORMAL_U, _SUBNORMAL_W, t)
+    with pytest.raises(PreconditionError) as info:
+        wbar_u(_SUBNORMAL_U, _SUBNORMAL_W, t)
+    assert str(info.value) == _UNDERFLOW[1]
+
+
+def _outcome(call):
+    """call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _underflowing_weights(draw):
+    """A half-line w whose first row is 10^U(-300, -100) t^U(2, 12), so that
+    W underflows to 0 at small u-masses."""
+    w = draw(_piecewise_weights("half_line", 1))
+    head = dataclasses.replace(w.segments[0], coef=10.0 ** draw(st.floats(-300, -100)), exp=draw(st.floats(2, 12)))
+    return WeightModel((head, *w.segments[1:]), "half_line", w.tail_coef, w.tail_exp)
+
+
+@given(
+    u=_piecewise_weights("line", 1),
+    w=_underflowing_weights(),
+    ratios=st.lists(st.integers(1, 10).map(lambda k: 2.0**k), min_size=2, max_size=3, unique=True),
+)
+@example(u=_SUBNORMAL_U, w=_SUBNORMAL_W, ratios=[2.0, 16.0])
+@settings(max_examples=6, deadline=None)
+def test_scan_parity_with_errors(u, w, ratios):
+    # the coarse pass and the search raise where the scalar scan and the
+    # scalar restart loop do, with the same error, and else return the same
+    _clear_coarse_caches()
+    for ratio in ratios:
+        for upper in (True, False):
+            assert _outcome(lambda: _coarse_pass(u, w, ratio)[0 if upper else 1]) == _outcome(
+                lambda: coarse_best_oracle(u, w, ratio, upper)
+            )
+            t = ratio if upper else 1.0 / ratio
+            for seed in (0, 17):
+                assert _outcome(lambda: _search(u, w, t, upper, 1, seed)) == _outcome(
+                    lambda: search_oracle(u, w, t, upper, 1, seed)
+                )
+
+
+def test_index_functions_raise_one_overflow_error():
+    # libm's pow overflows on u's masses in the coarse pass (test above);
+    # wbar_u and underline_wu report it as a violated precondition
+    u = WeightModel(_TWO_PIECE, "line", 1.0, 40.0)
+    for search, t in ((wbar_u, 2.0), (underline_wu, 0.5)):
+        _clear_coarse_caches()
+        with pytest.raises(PreconditionError) as info:
+            search(u, _W3, t)
+        assert str(info.value) == "a weight mass overflows the float range"
+
+
+@pytest.mark.parametrize("u", [WeightModel.power(1.0, domain_kind="line"), _U3], ids=["power", "multi"])
+def test_index_functions_need_w_on_the_half_line(u):
+    trivial = Configuration(pairs=((Interval(0.0, 1.0), singleton(0.0, 1.0)),), ratio=1.0)
+    line_w = WeightModel.power(0.5, domain_kind="line")
+    for search, t in ((wbar_u, 2.0), (underline_wu, 0.5)):
+        _clear_coarse_caches()
+        with pytest.raises(ConfigurationError) as info:
+            search(u, line_w, t)
+        assert str(info.value) == "primitive is defined for half-line weights"
+        for w in (line_w, _W3, _SUBNORMAL_W):
+            assert search(u, w, 1.0) == (1.0, trivial)
 
 
 # -- power pairs: the exact route -------------------------------------------

@@ -542,6 +542,17 @@ _HUGE_POWER_U = json.dumps(
 _TINY_POWER_W = json.dumps(
     dict(UNIT_HALF, segments=[dict(UNIT_HALF["segments"][0], coef=5e-324)], tail={"coef": 5e-324, "exp": 0.0})
 )
+# a search pair whose coarse pass succeeds while a restart's W(u(S)) underflows to 0
+_KINKED_U = json.dumps(
+    dict(UNIT_LINE, segments=[*ABS_LINE["segments"], {"from": 1.0, "to": 2.0, "coef": 1.0, "exp": 0.0}])
+)
+_SUBNORMAL_W = json.dumps(
+    dict(
+        UNIT_HALF,
+        segments=[{"from": 0.0, "to": 1.0, "coef": 1e-246, "exp": 5.0}, {"from": 1.0, "to": 2.0, "coef": 1e-246, "exp": 0.0}],
+        tail={"coef": 1e-246, "exp": 0.5},
+    )
+)
 
 
 @given(_cli_argv())
@@ -630,9 +641,12 @@ def _search_argv(draw):
 @example(["opnorm", "--u", _UNIT_LINE_TEXT, "--w", _UNIT_HALF_TEXT, "--operator", "hstar", "--family", "extremals", "--ratio=1e308"])
 @example(["indices", "--u", _HUGE_POWER_U, "--w", _UNIT_HALF_TEXT])
 @example(["verdict", "--u", _ABS_LINE_TEXT, "--w", _TINY_POWER_W])
+# a ZeroDivisionError in the search's restarts
+@example(["indices", "--u", _KINKED_U, "--w", _SUBNORMAL_W])
+@example(["verdict", "--u", _KINKED_U, "--w", _SUBNORMAL_W])
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_search_commands_exit_cleanly_on_any_input(argv):
     rc, stdout = _exits_cleanly(argv)
-    if _HUGE_POWER_U in argv or _TINY_POWER_W in argv:
+    if _HUGE_POWER_U in argv or _TINY_POWER_W in argv or _SUBNORMAL_W in argv:
         assert rc == EXIT_PRECONDITION
         assert "NaN" not in stdout and "Infinity" not in stdout
