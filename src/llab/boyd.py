@@ -109,14 +109,16 @@ def _anchors(u: WeightModel) -> list[float]:
 
 
 def wbar(w: WeightModel, t: float) -> float:
-    """sup_s W(st)/W(s) over a refined geometric grid; exact for power w."""
+    """sup_s W(st)/W(s) over a refined geometric grid, each ratio scored by
+    _score, so under the search's error rules; exact for power w."""
     if not 0.0 < t < math.inf:  # NaN fails too
         raise PreconditionError(f"wbar needs 0 < t < inf, got {t!r}")
     if t == 1.0:
         return 1.0
+    _check_half_line(w)
     best = 0.0
     for s in _scale_grid(w, None, t):
-        best = max(best, w.primitive(s * t) / w.primitive(s))
+        best = max(best, _score(w, s * t, s, True)[0])
     return best
 
 
@@ -132,8 +134,8 @@ def _score(w: WeightModel, uI: float, uS: float, upper: bool, WI: Optional[float
     every candidate family, from its masses uI = u(union I) and uS = u(union S);
     WI, when given, is W(uI).  A mass that is not positive scores 0.0 and W is
     not taken; a mass or W that is not finite, and W(uS) = 0, raise.  W skips
-    `primitive`'s checks: the masses are positive, and _index_sample checks
-    that w lives on the half-line."""
+    `primitive`'s checks: the masses are positive, and wbar and _index_sample
+    run _check_half_line."""
     if uS <= 0.0 or uI <= 0.0:
         return 0.0, WI
     P = w._radial_primitive
@@ -146,6 +148,12 @@ def _score(w: WeightModel, uI: float, uS: float, upper: bool, WI: Optional[float
         raise PreconditionError(_UNDERFLOW)
     v = WI / WS
     return v if upper else 1.0 / v if v > 0.0 else 0.0, WI
+
+
+def _check_half_line(w: WeightModel) -> None:
+    """`primitive`'s domain check, which _score skips: its callers run it once."""
+    if w.domain_kind != "half_line":
+        raise ConfigurationError("primitive is defined for half-line weights")
 
 
 def _family_value(
@@ -335,23 +343,30 @@ def _search(
         small = big / ratio
         x0 = bi_lo + rng.normal(0.0, base_len)
         offset = rng.random() * (big - small)
-        pair = ((x0, x0 + big), (x0 + offset, x0 + offset + small))
+        pair, left = ((x0, x0 + big), (x0 + offset, x0 + offset + small)), None
         v, known = one(*pair)
-        for _ in range(8):  # local descent on anchor and offset
+        # Local descent on anchor and offset.  A candidate equal to the pair
+        # (it scores v) or to the pair it last left (it scored below v) can
+        # never pass `cv > v`, and was scored without raising, so it is skipped.
+        for _ in range(8):
             improved = False
             for dx in (-0.25 * big, 0.25 * big):
                 cand = ((pair[0][0] + dx, pair[0][1] + dx), (pair[1][0] + dx, pair[1][1] + dx))
+                if cand == pair or cand == left:
+                    continue
                 cv, cknown = one(*cand)
                 if cv > v:
-                    v, pair, known, improved = cv, cand, cknown, True
+                    v, left, pair, known, improved = cv, pair, cand, cknown, True
             i_lo = pair[0][0]
             off = pair[1][0] - i_lo
             for doff in (-0.25 * (big - small), 0.25 * (big - small)):
                 noff = min(max(off + doff, 0.0), big - small)
                 cand = (pair[0], (i_lo + noff, i_lo + noff + small))
+                if cand == pair or cand == left:
+                    continue
                 cv, known = one(*cand, known)  # I stays, so u(I) does too
                 if cv > v:
-                    v, pair, improved = cv, cand, True
+                    v, left, pair, improved = cv, pair, cand, True
             if not improved:
                 break
         if v > best_val:
@@ -478,8 +493,7 @@ def _index_sample(u: WeightModel, w: WeightModel, t: float, upper: bool, budget:
     precondition."""
     if t == 1.0:
         return 1.0, _config([((0.0, 1.0), (0.0, 1.0))], 1.0)
-    if w.domain_kind != "half_line":  # _score reads W without this check
-        raise ConfigurationError("primitive is defined for half-line weights")
+    _check_half_line(w)
     try:
         if _is_power_pair(u, w):
             return _power_pair(u, w, t, upper)

@@ -61,12 +61,15 @@ class StepFunction:
     @cached_property
     def _levels(self) -> list[tuple[float, list[int]]]:
         """(value, the indices j of its gaps (ends[j], ends[j + 1]) in position
-        order) for every distinct value, largest first."""
-        by_value: dict[float, list[int]] = {}
-        for j, v in enumerate(self.values):
-            if v:
-                by_value.setdefault(v, []).append(j)
-        return sorted(by_value.items(), reverse=True)
+        order) for every distinct value, largest first: one stable sort of the
+        gaps by decreasing value, cut where the value changes, with the gaps
+        of value 0 (sorted last) left out."""
+        values = np.array(self.values)
+        gaps = np.argsort(-values, kind="stable")[: np.count_nonzero(values)]
+        values = values[gaps]
+        starts = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()] if gaps.size else []
+        values, gaps = values.tolist(), gaps.tolist()
+        return [(values[a], gaps[a:b]) for a, b in zip(starts, [*starts[1:], len(gaps)])]
 
     @cached_property
     def pieces(self) -> tuple[tuple[IntervalUnion, float], ...]:
@@ -248,9 +251,13 @@ def superlevel(f: StepFunction, s: float) -> IntervalUnion:
 def _level_masses(f: StepFunction, u: WeightModel) -> list[tuple[float, float]]:
     """(value, u-mass of its level set) for every distinct value of f, largest
     first: the masses of the level's gaps summed in position order, the
-    additions of u.weight_of_set, with one primitive per end of f."""
+    additions of u.weight_of_set, with one primitive per end of f.  A level
+    of one gap takes its mass plus 0.0, which is that sum bit for bit."""
     masses = u.gap_masses(f.ends)
-    return [(value, sum([masses[j] for j in gaps], 0.0)) for value, gaps in f._levels]
+    return [
+        (value, masses[gaps[0]] + 0.0 if len(gaps) == 1 else sum([masses[j] for j in gaps], 0.0))
+        for value, gaps in f._levels
+    ]
 
 
 def rearrange(f: StepFunction, u: WeightModel) -> DecreasingStep:

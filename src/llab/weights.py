@@ -18,7 +18,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +96,11 @@ class WeightModel:
         if self.tail_coef <= 0.0:
             raise ConfigurationError("tail coefficient must be positive")
 
+    def __getstate__(self) -> dict:
+        """The instance dict without the bound kernels, which are local
+        functions, so pickle and deepcopy work; they are rebuilt on use."""
+        return {k: v for k, v in vars(self).items() if k not in ("_radial_primitive", "mass")}
+
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -165,16 +170,24 @@ class WeightModel:
             return math.inf
         return coef * r**exp
 
-    def _radial_primitive(self, r: float) -> float:
-        if r < 0.0:
-            raise PreconditionError("radius must be nonnegative")
-        if r == 0.0:
-            return 0.0
-        # the row with lo < r <= hi (bisect_left), else the tail
-        lo, coef, _, e1, lo_pow, base = self._pieces[bisect_left(self.breakpoints, r)]
-        if e1 == 0.0:
-            return base + coef * math.log(r / lo)
-        return base + coef * (r**e1 - lo_pow) / e1
+    @cached_property
+    def _radial_primitive(self) -> Callable[[float], float]:
+        """W(r), the integral of the weight over radii (0, r), as a function
+        bound once per weight to the piece table and breakpoints."""
+        pieces, bps, log = self._pieces, self.breakpoints, math.log
+
+        def P(r: float) -> float:
+            if r < 0.0:
+                raise PreconditionError("radius must be nonnegative")
+            if r == 0.0:
+                return 0.0
+            # the row with lo < r <= hi (bisect_left), else the tail
+            lo, coef, _, e1, lo_pow, base = pieces[bisect_left(bps, r)]
+            if e1 == 0.0:
+                return base + coef * log(r / lo)
+            return base + coef * (r**e1 - lo_pow) / e1
+
+        return P
 
     def _radial_primitive_array(self, r: np.ndarray) -> np.ndarray:
         """_radial_primitive of every radius in r, bit for bit: the same row
@@ -203,18 +216,28 @@ class WeightModel:
             raise PreconditionError("primitive needs t >= 0")
         return self._radial_primitive(t)
 
-    def mass(self, lo: float, hi: float) -> float:
-        """Integral of the weight over (lo, hi), lo <= hi."""
+    @cached_property
+    def mass(self) -> Callable[[float, float], float]:
+        """mass(lo, hi), the integral of the weight over (lo, hi), lo <= hi,
+        as a function bound once per weight to its primitive and domain."""
         P = self._radial_primitive
         if self.domain_kind == "half_line":
-            if lo < 0.0:
-                raise ConfigurationError("set escapes the half-line domain")
-            return P(hi) - P(lo)
-        if lo >= 0.0:
-            return P(hi) - P(lo)
-        if hi <= 0.0:
-            return P(-lo) - P(-hi)
-        return P(-lo) + P(hi)
+
+            def mass(lo: float, hi: float) -> float:
+                if lo < 0.0:
+                    raise ConfigurationError("set escapes the half-line domain")
+                return P(hi) - P(lo)
+
+            return mass
+
+        def mass(lo: float, hi: float) -> float:
+            if lo >= 0.0:
+                return P(hi) - P(lo)
+            if hi <= 0.0:
+                return P(-lo) - P(-hi)
+            return P(-lo) + P(hi)
+
+        return mass
 
     def gap_masses(self, ends: Sequence[float]) -> list[float]:
         """mass(ends[j], ends[j + 1]) of every gap between the increasing ends,

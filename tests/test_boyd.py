@@ -33,6 +33,7 @@ from conftest import (
     search_oracle,
     search_shapes,
 )
+from llab import boyd
 from llab.boyd import (
     _GRID_OFFSETS,
     Configuration,
@@ -77,6 +78,17 @@ def test_wbar_power_closed_form(a):
     w = WeightModel.power(a)
     for t in (2.0, 8.0, 100.0):
         assert wbar(w, t) == pytest.approx(t ** (a + 1.0), rel=1e-9)
+
+
+def test_wbar_has_the_search_error_rules():
+    # W = 5e-324 t underflows to 0 at the grid's small scales; wbar used to
+    # divide by that 0 and raise ZeroDivisionError
+    w = WeightModel((Segment(0.0, 5.0, 5e-324, 0.0),))
+    with pytest.raises(PreconditionError, match="W underflows to 0"):
+        wbar(w, 2.0)
+    with pytest.raises(ConfigurationError, match="half-line"):
+        wbar(WeightModel.power(0.5, domain_kind="line"), 2.0)
+    assert wbar(WeightModel.power(0.5, domain_kind="line"), 1.0) == 1.0
 
 
 def test_wbar_u_needs_t_at_least_one():
@@ -255,6 +267,28 @@ def test_search_is_the_scalar_restart_loop(shape, t):
     assert twin_u is not u and twin_w is not w
     for seed in (0, 17):
         assert search(twin_u, twin_w, t, seed=seed) == expected[seed]
+
+
+@pytest.mark.parametrize("t", [2.0**3, 2.0**-3])
+def test_descent_skips_pairs_it_has_scored(t, monkeypatch):
+    # the descent does not re-score the pair it stands on or the one it just
+    # left; the oracle scores every candidate, so it makes more _score calls
+    # than the search outside its coarse scan (the coarse pass calls none)
+    u, w = search_shapes()["multi"]
+    upper = t > 1.0
+    calls = []
+    score = boyd._score
+    monkeypatch.setattr(boyd, "_score", lambda *args: calls.append(None) or score(*args))
+
+    def count(run):
+        calls.clear()
+        return run(), len(calls)
+
+    found, n_search = count(lambda: _search(u, w, t, upper, 1, 0))
+    expected, n_oracle = count(lambda: search_oracle(u, w, t, upper, 1, 0))
+    _, n_coarse = count(lambda: coarse_best_oracle(u, w, t if upper else 1.0 / t, upper))
+    assert found == expected
+    assert n_search < n_oracle - n_coarse
 
 
 def _count_mass_passes(monkeypatch):

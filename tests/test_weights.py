@@ -8,7 +8,9 @@ hand-derived constants for pure powers w(t) = t^a:
   B*_inf ratio        (int_0^r W/t) / W  = 1/(a+1)
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -139,6 +141,19 @@ def test_json_round_trip():
     assert WeightModel.from_json(w.to_json()) == w
     with pytest.raises(ConfigurationError):
         WeightModel.from_json('{"domain": "half_line"}')
+
+
+@pytest.mark.parametrize("shape", sorted(search_shapes()))
+def test_weight_with_built_kernels_round_trips(shape):
+    # mass and the scalar primitive are local functions cached on the
+    # instance; pickle and deepcopy drop them, and the copy rebuilds them
+    ends = [-3.0, -0.7, 0.0, 0.4, 1.1, 2.5, 9.0]
+    for weight in search_shapes()[shape]:
+        xs = ends if weight.domain_kind == "line" else ends[2:]
+        masses = [weight.mass(lo, hi).hex() for lo, hi in zip(xs, xs[1:])]
+        for twin in (pickle.loads(pickle.dumps(weight)), copy.deepcopy(weight)):
+            assert twin == weight and hash(twin) == hash(weight)
+            assert [twin.mass(lo, hi).hex() for lo, hi in zip(xs, xs[1:])] == masses
 
 
 def test_json_non_number_rejected():
