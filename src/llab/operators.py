@@ -75,6 +75,13 @@ def maximal(f: StepFunction, x: float) -> float:
     )
 
 
+def _held(held: float, v: float, tied: bool) -> float:
+    """The value one side of the Hilbert sweep holds after an endpoint whose
+    gap value is v.  Of one side's endpoints whose distances from x round
+    together (tied), the smallest value stays."""
+    return min(held, v) if tied else v
+
+
 def _truncations(f: StepFunction, x: float) -> list[float]:
     """T(d), the integral of f(y)/(x - y) over |x - y| > d (no 1/pi factor),
     at every distance d from x to an endpoint of f, largest first.
@@ -83,6 +90,11 @@ def _truncations(f: StepFunction, x: float) -> list[float]:
     f(x - r) and f(x + r) are constant, and T(near) - T(far) is their
     difference times log(far/near).  Below the smallest distance f is
     constant around x, so T stops changing: the last entry is pi Hf(x).
+
+    Each side's distances come presorted: x - ends[i] falls as i rises to
+    k - 1, ends[j] - x falls as j drops to k.  The sweep merges the two
+    sides in place, the larger distance first and the right side first at
+    an equal one: O(m) for m endpoints.
     """
     if x != x:
         raise PreconditionError("the Hilbert transform needs a point x that is a number, not NaN")
@@ -90,29 +102,45 @@ def _truncations(f: StepFunction, x: float) -> list[float]:
     e = _near_endpoint(ends, x)
     if e is not None:
         raise SingularInputError(f"Hilbert transform is singular at endpoint {e}")
-    k = bisect.bisect_left(ends, x)
+    k = bisect.bisect_left(ends, x)  # ends[:k] < x <= ends[k:]
     gap = (0.0, *values, 0.0)  # gap[j]: f between ends[j - 1] and ends[j]
-    # As r falls past |x - e_j|, f(x - r) (side 0) or f(x + r) (side 1) takes
-    # the value of the gap on x's side of e_j.  Sorted in reverse, distances
-    # fall, and of one side's events at an equal distance the smallest value
-    # comes last and stays.
-    events = sorted(
-        [(x - ends[j], 0, gap[j + 1]) for j in range(k)]
-        + [(ends[j] - x, 1, gap[j]) for j in range(k, len(ends))],
-        reverse=True,
-    )
-    far = events[0][0] if events else 0.0
+    i, j = 0, len(ends) - 1  # the next endpoint on the left and on the right
+    dl = x - ends[i] if i < k else -1.0  # their distances, -1 once a side is done
+    dr = ends[j] - x if j >= k else -1.0
+    far = max(dl, dr)
     if not math.isfinite(far):
         raise PreconditionError(
             f"the Hilbert transform at {x!r} needs finite distances to the endpoints; the largest overflows"
         )
-    side = [0.0, 0.0]
-    ts = [0.0]
-    for d, s, v in events:
-        if d < far:
-            ts.append(ts[-1] + (side[0] - side[1]) * math.log(far / d))
-            far = d
-        side[s] = v
+    # As r falls past |x - e|, f(x - r) (left) or f(x + r) (right) takes the
+    # value of the gap on x's side of e.  T steps only where the distance
+    # falls.  At an equal distance the endpoint may tie with its side's last
+    # one, which _held settles.
+    left = right = t = 0.0
+    ts = [t]
+    for _ in ends:
+        if dr >= dl:
+            d, v = dr, gap[j]
+            if d < far:
+                t += (left - right) * math.log(far / d)
+                ts.append(t)
+                far = d
+            else:
+                v = _held(right, v, j + 1 < len(ends) and ends[j + 1] - x == d)
+            right = v
+            j -= 1
+            dr = ends[j] - x if j >= k else -1.0
+        else:
+            d, v = dl, gap[i + 1]
+            if d < far:
+                t += (left - right) * math.log(far / d)
+                ts.append(t)
+                far = d
+            else:
+                v = _held(left, v, i > 0 and x - ends[i - 1] == d)
+            left = v
+            i += 1
+            dl = x - ends[i] if i < k else -1.0
     return ts
 
 
@@ -192,13 +220,14 @@ def _nudged_array(xs: np.ndarray, ends: Sequence[float]) -> np.ndarray:
 def _hilbert_array(f: StepFunction, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(hilbert(f, x), hilbert_maximal(f, x)) at every x of xs.
 
-    Each row holds the m events of _truncations in the scalar sweep's
-    order on each side: distance descending, then value descending.  T
-    steps only where the distance falls, so within one distance only the
+    Each row holds the m events of _truncations in the merge's order on
+    each side, ties included: distance descending, then value descending.
+    T steps only where the distance falls, so within one distance only the
     value each side is left with counts: its last event there, the
-    smallest.  The value each side holds after a column is its last
-    event's, forward-filled.  The logs go through libm, as in the scalar
-    kernel, and T is accumulated column by column.
+    smallest, which is the value _held keeps.  The value each side holds
+    after a column is its last event's, forward-filled.  The logs go
+    through libm, as in the scalar kernel, and T is accumulated column by
+    column.
     """
     ends, values, _ = f.table
     e, m = np.array(ends), len(ends)
@@ -428,8 +457,9 @@ def hilbert_verdict(u: WeightModel, w: WeightModel, p: float, estimates: BoydEst
     beta = estimates.beta.exponent
     m_beta = max(estimates.beta.residual, 1e-3)
     # the alpha half is the maximal verdict; beta from lower-bound samples
-    # overestimates the true lower index, so beta at or below 0 is decisive
-    if mv.verdict == "not_bounded" or beta < m_beta:
+    # overestimates the true lower index, so beta at or below 0 is decisive,
+    # and a beta within its margin above 0 decides nothing
+    if mv.verdict == "not_bounded" or beta <= 0.0:
         index_route = "not_bounded"
     elif mv.verdict == "bounded" and beta > m_beta:
         index_route = "bounded"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from llab.boyd import Configuration, SubmultiplicativeSamples, _anchors, _family_value, _scale_grid
 from llab.construction import _Leaf
-from llab.errors import PreconditionError
+from llab.errors import PreconditionError, SingularInputError
 from llab.intervals import Interval, IntervalUnion, normalize, union
 from llab.operators import _ENDPOINT_EPS, _near_endpoint, hilbert, hilbert_maximal, maximal, resample_step
 from llab.rearrangement import DecreasingStep, StepFunction, make_step
@@ -263,43 +263,41 @@ def maximal_pairs_oracle(f, x):
     return best
 
 
-def truncations_merge_oracle(f, x):
-    """operators._truncations as a merge of the two sides without a sort:
-    walking in from each end gives falling distances on each side, so at an
-    equal distance the right side goes first, and of equal distances on one
-    side the smallest value stays, by a tie-break on the distance and side
-    of the last event."""
+def truncations_sort_oracle(f, x):
+    """operators._truncations as one sorted list of events: each endpoint is
+    (distance, side, value), side 0 left of x and 1 right of it, sorted in
+    reverse, so distances fall, the right side goes first at an equal
+    distance and of one side's events at an equal distance the smallest
+    value comes last and stays."""
+    if x != x:
+        raise PreconditionError("the Hilbert transform needs a point x that is a number, not NaN")
     ends, values, _ = f.table
+    e = _near_endpoint(ends, x)
+    if e is not None:
+        raise SingularInputError(f"Hilbert transform is singular at endpoint {e}")
     k = bisect.bisect_left(ends, x)
-    gap = (0.0, *values, 0.0)
-    dl, vl = [x - e for e in ends[:k]], gap[1 : k + 1]
-    dr, vr = [e - x for e in reversed(ends[k:])], gap[k : len(ends)][::-1]
-    a, b, nl, nr = 0, 0, len(dl), len(dr)
-    left = right = t = 0.0
-    ts = [t]
-    far = max(x - ends[0], ends[-1] - x) if ends else 0.0
-    pd = ps = None  # distance and side of the last event
-    while a < nl or b < nr:
-        if b < nr and (a == nl or dr[b] >= dl[a]):
-            d, v = dr[b], vr[b]
-            b += 1
-            if d < far:
-                t += (left - right) * math.log(far / d)
-                ts.append(t)
-                far = d
-            elif ps == 1 and d == pd:
-                v = min(right, v)
-            right, pd, ps = v, d, 1
-        else:
-            d, v = dl[a], vl[a]
-            a += 1
-            if d < far:
-                t += (left - right) * math.log(far / d)
-                ts.append(t)
-                far = d
-            elif ps == 0 and d == pd:
-                v = min(left, v)
-            left, pd, ps = v, d, 0
+    gap = (0.0, *values, 0.0)  # gap[j]: f between ends[j - 1] and ends[j]
+    # As r falls past |x - e_j|, f(x - r) (side 0) or f(x + r) (side 1) takes
+    # the value of the gap on x's side of e_j.  Sorted in reverse, distances
+    # fall, and of one side's events at an equal distance the smallest value
+    # comes last and stays.
+    events = sorted(
+        [(x - ends[j], 0, gap[j + 1]) for j in range(k)]
+        + [(ends[j] - x, 1, gap[j]) for j in range(k, len(ends))],
+        reverse=True,
+    )
+    far = events[0][0] if events else 0.0
+    if not math.isfinite(far):
+        raise PreconditionError(
+            f"the Hilbert transform at {x!r} needs finite distances to the endpoints; the largest overflows"
+        )
+    side = [0.0, 0.0]
+    ts = [0.0]
+    for d, s, v in events:
+        if d < far:
+            ts.append(ts[-1] + (side[0] - side[1]) * math.log(far / d))
+            far = d
+        side[s] = v
     return ts
 
 

@@ -19,11 +19,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import maximal_grid_oracle, maximal_pairs_oracle, step_functions, truncations_merge_oracle
+from conftest import maximal_grid_oracle, maximal_pairs_oracle, step_functions, truncations_sort_oracle
 from llab.boyd import compute_estimates
 from llab.errors import PreconditionError, SingularInputError
 from llab.intervals import singleton
@@ -292,6 +292,19 @@ def test_hilbert_verdict_bad_weight():
     assert hv.verdict == "not_bounded"
 
 
+@pytest.mark.parametrize("a", [-0.999, -0.9985])
+def test_hilbert_verdict_beta_within_its_margin_is_inconclusive(a):
+    # u = 1, w = t^a: the lower index a + 1 fits to 5e-4 and 7.5e-4, above
+    # 0 but within the margin 1e-3, which decides neither way
+    u = WeightModel.constant(domain_kind="line")
+    w = WeightModel.power(a)
+    est = compute_estimates(u, w, 2.0)
+    assert 0.0 < est.beta.exponent < 1e-3
+    hv = hilbert_verdict(u, w, 2.0, est)
+    assert hv.index_route == "inconclusive"
+    assert hv.verdict == "inconclusive"
+
+
 # -- properties on large multi-part step functions --------------------------
 
 
@@ -373,7 +386,24 @@ def test_span_table_memory_is_linear():
     assert peak < 8 * 2**20  # an m x m float64 array alone is about 72 MB
 
 
+def _case(pieces):
+    f = make_step(pieces)
+    return f, [(p.lo, p.hi, v) for region, v in f.pieces for p in region.parts]
+
+
+# two runs of ends closer than ulp(1e17) = 16, abutting so that each run's
+# smallest value differs from its last on both sides of x = +-1e17
+_TIED_RUNS = _case(
+    [((0.0, 1.0), 1.0), ((1.0, 2.0), 3.0), ((2.0, 1024.0), 4.0), ((1024.0, 1025.0), 2.0), ((1025.0, 1026.0), 5.0)]
+)
+# ends mirrored about 0, so the midpoint of ends[0] and ends[-1] ties the sides
+_MIRRORED = _case([((-4.0, -3.0), 1.0), ((-3.0, -1.0), 2.0), ((1.0, 3.0), 3.0), ((3.0, 4.0), 5.0)])
+
+
 @given(step_functions(), st.floats(-60.0, 60.0), st.sampled_from(["plain", "midpoint", "far"]))
+@example(case=_TIED_RUNS, x=1.0, where="far")
+@example(case=_TIED_RUNS, x=-1.0, where="far")
+@example(case=_MIRRORED, x=0.0, where="midpoint")
 @settings(max_examples=100, deadline=None)
 def test_truncations_are_the_sorted_sweep(case, x, where):
     f, _ = case
@@ -384,4 +414,4 @@ def test_truncations_are_the_sorted_sweep(case, x, where):
     elif where == "far":  # distances that round together on one side
         x = math.copysign(1e17, x)
     assume(_near_endpoint(ends, x) is None)
-    assert _truncations(f, x) == truncations_merge_oracle(f, x)
+    assert _truncations(f, x) == truncations_sort_oracle(f, x)
