@@ -49,10 +49,12 @@ class Configuration:
                 raise PreconditionError("configuration ratio violated")
 
     def evaluate(self, u: WeightModel, w: WeightModel) -> float:
-        """W(u(union I_j)) / W(u(union S_j)) for this family."""
+        """W(u(union I_j)) / W(u(union S_j)) for this family, scored by
+        _score: an overflow or W(u(union S_j)) = 0 raises."""
+        _check_half_line(w)
         uI = sum(u.mass(I.lo, I.hi) for I, _ in self.pairs)
         uS = sum(u.weight_of_set(S) for _, S in self.pairs)
-        return w.primitive(uI) / w.primitive(uS)
+        return _score(w, uI, uS, True)[0]
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,8 @@ def _score(w: WeightModel, uI: float, uS: float, upper: bool, WI: Optional[float
     every candidate family, from its masses uI = u(union I) and uS = u(union S);
     WI, when given, is W(uI).  A mass that is not positive scores 0.0 and W is
     not taken; a mass or W that is not finite, and W(uS) = 0, raise.  W skips
-    `primitive`'s checks: the masses are positive, and wbar and _index_sample
-    run _check_half_line."""
+    `primitive`'s checks: the masses are positive, and wbar, _index_sample
+    and Configuration.evaluate run _check_half_line."""
     if uS <= 0.0 or uI <= 0.0:
         return 0.0, WI
     P = w._radial_primitive

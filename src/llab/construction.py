@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
@@ -386,20 +386,10 @@ class WeakTypeCertificate:
     log_bound_constant: float  # test_norm^p / ((1 + log s) W(u(union S)))
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "s": self.s,
-            "threshold": self.threshold,
-            "test_norm": self.test_norm,
-            "quadrature_error": self.quadrature_error,
-            "superset_mass": self.superset_mass,
-            "lower_bound": self.lower_bound,
-            "log_bound_constant": self.log_bound_constant,
-            "pairs": [
-                {"I": [I.lo, I.hi], "S": [[c.lo, c.hi] for c in S.parts]}
-                for I, S in self.family.pairs
-            ],
-        }
+        """Every field but the family, in field order, then its pairs."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "family"}
+        out["pairs"] = [{"I": [I.lo, I.hi], "S": [[c.lo, c.hi] for c in S.parts]} for I, S in self.family.pairs]
+        return out
 
 
 def weak_type_lower_bound(

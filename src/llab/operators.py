@@ -20,7 +20,6 @@ from .construction import build_extremal
 from .errors import PreconditionError, SingularInputError
 from .intervals import Interval, singleton
 from .rearrangement import (
-    _SPAN_BLOCK,
     DecreasingStep,
     StepFunction,
     _from_cells,
@@ -32,9 +31,10 @@ from .rearrangement import (
 from .weights import WeightModel, _libm, check_Ainf, check_Bstar_inf
 
 _ENDPOINT_EPS = 1e-9
+_MAXIMAL_BLOCK = 1 << 16  # entries per block of rows of _maximal_array
 # entries per block of rows of _hilbert_array: at its peak an entry holds about
 # 120 bytes, a third of them its log as a Python float on the way through libm
-_SWEEP_BLOCK = _SPAN_BLOCK // 4
+_SWEEP_BLOCK = 1 << 14
 
 
 # -- pointwise operators ----------------------------------------------------
@@ -57,9 +57,10 @@ def maximal(f: StepFunction, x: float) -> float:
     For a step function the average over (a, b) is a ratio of piecewise
     linear functions of each endpoint, so the supremum over intervals
     containing x is attained with both endpoints in breakpoints(f) + {x}.
-    The pairs of two breakpoints depend only on the gap x lies in and are
-    read from f.spans; the pairs with x itself take O(m).  A NaN average
-    never counts.
+    For a < x < b the average over (a, b) is the mediant of those over
+    (a, x) and (x, b), so it never exceeds the larger of the two: only the
+    averages from each endpoint below x to x and from x to each endpoint
+    above x count, O(m) per point.  A NaN average never counts.
     """
     if x != x:
         raise PreconditionError("the maximal function needs a point x that is a number, not NaN")
@@ -67,12 +68,9 @@ def maximal(f: StepFunction, x: float) -> float:
     i = bisect.bisect_right(ends, x)  # ends[:i] <= x < ends[i:]
     k = bisect.bisect_left(ends, x)  # ends[:k] < x
     Fx = F[i - 1] + f.value_at(x) * (x - ends[i - 1]) if i else 0.0
-    return max(
-        0.0,
-        f.spans[i],
-        *[(Fx - Fa) / (x - a) for a, Fa in zip(ends[:k], F[:k])],
-        *[(Fb - Fx) / (b - x) for b, Fb in zip(ends[i:], F[i:])],
-    )
+    left = [(Fx - Fa) / (x - a) for a, Fa in zip(ends[:k], F[:k])]
+    right = [(Fb - Fx) / (b - x) for b, Fb in zip(ends[i:], F[i:])]
+    return max([0.0, *left, *right])  # 0.0 first, so a NaN never replaces it
 
 
 def _held(held: float, v: float, tied: bool) -> float:
@@ -166,34 +164,34 @@ def hilbert_maximal(f: StepFunction, x: float) -> float:
 # Each evaluates maximal or _truncations at every x of an array in one pass,
 # with the same IEEE operations as the scalar kernel, so every value matches
 # it bit for bit; the first point the scalar kernel rejects raises its error.
-# Rows go in blocks of at most _SPAN_BLOCK entries, so memory is O(block) for
-# any number m of endpoints.  They need m >= 2, as resampling does.  Overflow
-# and 0/0 are left to IEEE, as in the scalar kernels, and the values of
-# masked entries are never read.
+# Rows go in blocks of at most _MAXIMAL_BLOCK or _SWEEP_BLOCK entries, so
+# memory is O(block) for any number m of endpoints.  They need m >= 2, as
+# resampling does.  Overflow and 0/0 are left to IEEE, as in the scalar
+# kernels, and the values of masked entries are never read.
 
 
 @np.errstate(all="ignore")
 def _maximal_array(f: StepFunction, xs: np.ndarray) -> np.ndarray:
-    """maximal(f, x) at every x of xs."""
+    """maximal(f, x) at every x of xs: the averages from x to every endpoint,
+    one row per point, with the endpoints at x masked."""
     nan = np.isnan(xs)
     if nan.any():
         maximal(f, float(xs[nan.argmax()]))  # raises the scalar's error
     ends, values, F = f.table
     e, F, m = np.array(ends), np.array(F), len(ends)
     gap = np.array((0.0, *values, 0.0))  # gap[k]: f between ends[k - 1] and ends[k]
-    spans = np.array(f.spans)
     i = np.searchsorted(e, xs, side="right")
     k = np.searchsorted(e, xs, side="left")
     value_at = np.where(e[np.minimum(k, m - 1)] == xs, 0.0, gap[k])  # f.value_at, 0 at an endpoint
     Fx = np.where(i > 0, F[i - 1] + value_at * (xs - e[i - 1]), 0.0)
     cols = np.arange(m)
     out = np.empty(xs.size)
-    rows = max(1, _SPAN_BLOCK // m)
+    rows = max(1, _MAXIMAL_BLOCK // m)
     for r in range(0, xs.size, rows):
         x, fx, ir, kr = (a[r : r + rows, None] for a in (xs, Fx, i, k))
         avg = np.where(cols < kr, (fx - F) / (x - e), np.where(cols >= ir, (F - fx) / (e - x), -np.inf))
         # the max from 0.0 with a NaN never counting, as in maximal
-        out[r : r + rows] = np.fmax(np.fmax(0.0, spans[ir[:, 0]]), np.fmax.reduce(avg, axis=1))
+        out[r : r + rows] = np.fmax(0.0, np.fmax.reduce(avg, axis=1))
     return out
 
 

@@ -19,7 +19,6 @@ from .intervals import Interval, IntervalUnion, _as_pairs, normalize, union
 from .weights import WeightModel
 
 _CROSSCHECK_RTOL = 1e-10
-_SPAN_BLOCK = 1 << 16  # entries per block of rows of StepFunction.spans
 
 
 @dataclass(frozen=True)
@@ -77,33 +76,6 @@ class StepFunction:
         level sets of f, each with its parts in position order."""
         e = self.ends
         return tuple((IntervalUnion(tuple(Interval(e[j], e[j + 1]) for j in gaps)), v) for v, gaps in self._levels)
-
-    @cached_property
-    def spans(self) -> tuple[float, ...]:
-        """For each gap i = 0, ..., m between the sorted endpoints e_j (x in
-        gap i when e_j <= x < e_k for j < i <= k), the largest average
-        (F_k - F_j)/(e_k - e_j) of f over (e_j, e_k) with j < i <= k; -inf
-        where there is no such pair, and a NaN average never counts.
-
-        These averages do not depend on where in the gap x lies, so the
-        table is built once: O(m^2) time in blocks of rows, O(m) memory.
-        """
-        ends, _, F = self.table
-        m = len(ends)
-        e, F = np.array(ends), np.array(F)
-        best = np.full(m + 1, -np.inf)
-        cols = np.arange(m)
-        step = max(1, _SPAN_BLOCK // max(m, 1))
-        with np.errstate(all="ignore"):  # 0/0 at k = j is masked; fmax skips inf - inf
-            for j0 in range(0, m, step):
-                j = cols[j0 : j0 + step, None]
-                avg = (F - F[j]) / (e - e[j])  # avg[j, k]
-                avg[cols <= j] = -np.inf
-                # reach[j, i]: the best avg[j, k] over k >= i, kept for i > j
-                reach = np.fmax.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
-                reach[cols <= j] = -np.inf
-                best[:m] = np.fmax(best[:m], np.fmax.reduce(reach, axis=0))
-        return tuple(best.tolist())
 
     def value_at(self, x: float) -> float:
         """f(x); 0 at every endpoint and outside the support."""

@@ -245,9 +245,11 @@ def lorentz_norms_oracle(f, u, w, p):
 
 
 def maximal_pairs_oracle(f, x):
-    """maximal as the loop over every pair of candidate endpoints a < b with
+    """Mf(x) as the loop over every pair of candidate endpoints a < b with
     a in ends(f) <= x or x, b in ends(f) > x or x: the best average from
-    0.0 by a strict `>`, so a NaN average never counts."""
+    0.0 by a strict `>`, so a NaN average never counts.  `maximal` takes
+    only the pairs with x itself, so it is at most this, and below it by
+    no more than the rounding of a mediant."""
     ends, _, F = f.table
     i = bisect.bisect_right(ends, x)  # ends[:i] <= x < ends[i:]
     Fx = F[i - 1] + f.value_at(x) * (x - ends[i - 1]) if i else 0.0

@@ -73,6 +73,20 @@ def test_configuration_evaluate():
     assert cfg.evaluate(u, w) == pytest.approx(4.0)
 
 
+def test_configuration_evaluate_has_the_search_error_rules():
+    # evaluate used to divide W's values: 0/0 raised ZeroDivisionError when W
+    # underflows, and inf/inf returned NaN when it overflows
+    u = WeightModel.constant(domain_kind="line")
+    tiny = Configuration(pairs=((Interval(0.0, 0.2), singleton(0.0, 0.1)),), ratio=2.0)
+    with pytest.raises(PreconditionError, match="W underflows to 0"):
+        tiny.evaluate(u, WeightModel((Segment(0.0, 5.0, 5e-324, 0.0),)))
+    huge = Configuration(pairs=((Interval(0.0, 4e10), singleton(0.0, 2e10)),), ratio=2.0)
+    with pytest.raises(PreconditionError, match="overflows"):
+        huge.evaluate(u, WeightModel.power(1.0, 1e300))
+    with pytest.raises(ConfigurationError, match="half-line"):
+        tiny.evaluate(u, WeightModel.constant(domain_kind="line"))
+
+
 @pytest.mark.parametrize("a", [-0.5, 0.0, 0.7, 2.0])
 def test_wbar_power_closed_form(a):
     w = WeightModel.power(a)
