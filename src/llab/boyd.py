@@ -83,13 +83,10 @@ class IndexEstimate:
 _OCTAVE_SCALES = frozenset(2.0 ** (k / 8) for k in range(-160, 161))
 
 
-def _scale_grid(w: WeightModel, u: Optional[WeightModel], t: float) -> list[float]:
+def _scale_grid(w: WeightModel, u: WeightModel, t: float) -> list[float]:
     """Geometric grid of scales, 8 per octave over 2^-20..2^20, refined around the weights' breakpoints."""
     scales = set(_OCTAVE_SCALES)
-    refine: list[float] = list(w.breakpoints)
-    if u is not None:
-        refine.extend(u.breakpoints)
-    for b in refine:
+    for b in (*w.breakpoints, *u.breakpoints):
         for j in range(-8, 9):
             s = b * 2.0 ** (j / 64.0)
             if s > 0.0:
@@ -119,7 +116,7 @@ def wbar(w: WeightModel, t: float) -> float:
         return 1.0
     _check_half_line(w)
     best = 0.0
-    for s in _scale_grid(w, None, t):
+    for s in _scale_grid(w, w, t):
         best = max(best, _score(w, s * t, s, True)[0])
     return best
 

@@ -60,17 +60,19 @@ def maximal(f: StepFunction, x: float) -> float:
     For a < x < b the average over (a, b) is the mediant of those over
     (a, x) and (x, b), so it never exceeds the larger of the two: only the
     averages from each endpoint below x to x and from x to each endpoint
-    above x count, O(m) per point.  A NaN average never counts.
+    above x count, O(m) per point.  The max starts from f(x) <= Mf(x), which
+    rounded averages can miss, and a NaN average never counts.
     """
     if x != x:
         raise PreconditionError("the maximal function needs a point x that is a number, not NaN")
     ends, _, F = f.table
     i = bisect.bisect_right(ends, x)  # ends[:i] <= x < ends[i:]
     k = bisect.bisect_left(ends, x)  # ends[:k] < x
-    Fx = F[i - 1] + f.value_at(x) * (x - ends[i - 1]) if i else 0.0
+    value_at = f.value_at(x)
+    Fx = F[i - 1] + value_at * (x - ends[i - 1]) if i else 0.0
     left = [(Fx - Fa) / (x - a) for a, Fa in zip(ends[:k], F[:k])]
     right = [(Fb - Fx) / (b - x) for b, Fb in zip(ends[i:], F[i:])]
-    return max([0.0, *left, *right])  # 0.0 first, so a NaN never replaces it
+    return max([value_at, *left, *right])  # f(x) first, so a NaN never replaces it
 
 
 def _held(held: float, v: float, tied: bool) -> float:
@@ -190,8 +192,8 @@ def _maximal_array(f: StepFunction, xs: np.ndarray) -> np.ndarray:
     for r in range(0, xs.size, rows):
         x, fx, ir, kr = (a[r : r + rows, None] for a in (xs, Fx, i, k))
         avg = np.where(cols < kr, (fx - F) / (x - e), np.where(cols >= ir, (F - fx) / (e - x), -np.inf))
-        # the max from 0.0 with a NaN never counting, as in maximal
-        out[r : r + rows] = np.fmax(0.0, np.fmax.reduce(avg, axis=1))
+        # the max from f(x) with a NaN never counting, as in maximal
+        out[r : r + rows] = np.fmax(value_at[r : r + rows], np.fmax.reduce(avg, axis=1))
     return out
 
 

@@ -480,22 +480,22 @@ def check_Bstar_inf(w: WeightModel) -> ClassVerdict:
 
 
 def _a1_probe_points(u: WeightModel) -> list[float]:
-    pts = [s * 2.0**m for m in range(-10, 11) for s in (1.0, -1.0)]
-    for b in u.breakpoints:
-        pts.extend([b * 1.01, -b * 1.01, b * 0.99, -b * 0.99])
-    return [x for x in pts if x != 0.0]
+    """2^-10 .. 2^10, then 1.01 b and 0.99 b per breakpoint b.  No -x: u is
+    even and negation exact, so -x scores as x, with its windows swapped."""
+    return [2.0**m for m in range(-10, 11)] + [x for b in u.breakpoints for x in (b * 1.01, b * 0.99)]
 
 
 def check_A1(u: WeightModel) -> ClassVerdict:
     """A1 ratios avg_J(u) / u(x) over every scale r = 2^-12 .. 2^12, probe
-    point x and window J = (x - r, x + r), (x, x + r), (x - r, x), scored in
-    one array pass in that loop order.  As in a scan from 0 with a strict
-    `>`, a NaN never counts and the first of equal maxima is the witness."""
+    point x > 0 and window J = (x, x + r), (x - r, x), scored in one array
+    pass in that loop order.  As in a scan from 0 with a strict `>`, a NaN
+    never counts and the first of equal maxima is the witness.  No centred
+    window: it averages u as the mediant of its halves, never above both."""
     scales = tuple(2.0**k for k in range(-12, 13))
     points = _a1_probe_points(u)
     r, x = np.array(scales)[:, None], np.array(points)[None, :]
-    lo = np.stack(np.broadcast_arrays(x - r, x, x - r), axis=-1)
-    hi = np.stack(np.broadcast_arrays(x + r, x + r, x), axis=-1)
+    lo = np.stack(np.broadcast_arrays(x, x - r), axis=-1)
+    hi = np.stack(np.broadcast_arrays(x + r, x), axis=-1)
     if not np.all(lo < hi):
         raise PreconditionError("A1 needs x - r < x < x + r at every probe point")
     avg = u.mass_array(lo, hi) / (hi - lo)  # first, so a half-line u fails as the scan did

@@ -247,7 +247,7 @@ def lorentz_norms_oracle(f, u, w, p):
 def maximal_pairs_oracle(f, x):
     """Mf(x) as the loop over every pair of candidate endpoints a < b with
     a in ends(f) <= x or x, b in ends(f) > x or x: the best average from
-    0.0 by a strict `>`, so a NaN average never counts.  `maximal` takes
+    f(x) by a strict `>`, so a NaN average never counts.  `maximal` takes
     only the pairs with x itself, so it is at most this, and below it by
     no more than the rounding of a mediant."""
     ends, _, F = f.table
@@ -255,7 +255,7 @@ def maximal_pairs_oracle(f, x):
     Fx = F[i - 1] + f.value_at(x) * (x - ends[i - 1]) if i else 0.0
     left = [*zip(ends[:i], F[:i]), (x, Fx)]
     right = [(x, Fx), *zip(ends[i:], F[i:])]
-    best = 0.0
+    best = f.value_at(x)
     for a, Fa in left:
         for b, Fb in right:
             if b > a:
@@ -546,17 +546,16 @@ def search_shapes():
     }
 
 
-def check_A1_oracle(u):
-    """check_A1 as a scalar scan: every scale, point and window in loop
-    order, a strict `>` from 0.0."""
+def _a1_scan(u, points, windows):
+    """The A1 verdict of a scalar scan over every scale, point of points and
+    window of windows(x, r), in loop order, by a strict `>` from 0.0."""
     scales = tuple(2.0**k for k in range(-12, 13))
-    points = _a1_probe_points(u)
     best_ratio, best_witness = 0.0, {}
     per_scale = []
     for r in scales:
         scale_max = 0.0
         for x in points:
-            for lo, hi in ((x - r, x + r), (x, x + r), (x - r, x)):
+            for lo, hi in windows(x, r):
                 ratio = a1_ratio(u, x, lo, hi)
                 if ratio > scale_max:
                     scale_max = ratio
@@ -566,6 +565,25 @@ def check_A1_oracle(u):
         per_scale.append(scale_max)
     holds = math.isfinite(best_ratio) and not _tail_growth(scales, per_scale, factor=1.1)
     return ClassVerdict("A1", holds, best_ratio, best_witness)
+
+
+def check_A1_oracle(u):
+    """check_A1 as a scalar scan: the windows (x, x + r) and (x - r, x) at
+    the probe points right of 0."""
+    return _a1_scan(u, _a1_probe_points(u), lambda x, r: ((x, x + r), (x - r, x)))
+
+
+def check_A1_full_scan(u):
+    """The A1 scan with both signs of every probe point and the centred
+    window too: (x - r, x + r), (x, x + r), (x - r, x) at 2^-10 .. 2^10 and
+    1.01 b, 0.99 b for each breakpoint b, each followed by its negative.
+    check_A1 leaves out what cannot set the constant: the centred window,
+    a mediant of its halves, and -x, the mirror of x under an even u."""
+    points = [s * 2.0**m for m in range(-10, 11) for s in (1.0, -1.0)]
+    for b in u.breakpoints:
+        points.extend([b * 1.01, -b * 1.01, b * 0.99, -b * 0.99])
+    points = [x for x in points if x != 0.0]
+    return _a1_scan(u, points, lambda x, r: ((x - r, x + r), (x, x + r), (x - r, x)))
 
 
 def ainf_probes_oracle(u):

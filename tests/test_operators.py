@@ -351,12 +351,16 @@ def assert_maximal_is_the_pair_loop(f, y):
     # first inequality is exact.  The second is the mediant bound: an average
     # over (a, b) with a < y < b never exceeds the larger of those over (a, y)
     # and (y, b), and each computed average is within about 1.5 eps of its
-    # exact value, so the pair loop is at most about 3 eps above.
+    # exact value, so the pair loop is at most about 3 eps above.  Both start
+    # from f(y), so Mf >= f holds in floats too.
     assert maximal(f, y) <= maximal_pairs_oracle(f, y) <= maximal(f, y) * (1 + 4 * 2**-52)
+    assert maximal(f, y) >= f.value_at(y)
 
 
 # the pair (-2, 7) averages 3.0, the averages from x 2.9999999999999996
 @example(case=_case([((-2.0, 7.0), 3.0)]), x=-1.3)
+# the averages from x are 3.6999999999999997, below f(x) = 3.7
+@example(case=_case([((-1.35, 0.21), 3.7)]), x=0.07)
 @example(case=_case([]), x=0.5)  # no ends: only the 0.0 candidate
 @given(step_functions(max_pieces=40), st.floats(-60.0, 60.0))
 @settings(max_examples=100, deadline=None)

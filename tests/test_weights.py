@@ -21,6 +21,7 @@ from scipy.integrate import quad
 from conftest import (
     ainf_point,
     ainf_probes_oracle,
+    check_A1_full_scan,
     check_A1_oracle,
     check_Ainf_oracle,
     search_shapes,
@@ -225,6 +226,36 @@ def test_a1_constant_and_failure():
         vh.witness["hi"],
     ) == pytest.approx(vh.constant, rel=1e-12)
     assert not check_A1(WeightModel.power(1.0, domain_kind="line")).holds
+
+
+def test_a1_witness_of_constant_u_is_the_first_right_window():
+    # every window ties at 1.0, so the first scored one wins: (x, x + r) at
+    # the first point and scale; the full scan picks its centred window
+    v = check_A1(WeightModel.constant(domain_kind="line"))
+    assert v.witness == {"x": 2**-10, "lo": 2**-10, "hi": 2**-10 + 2**-12}
+    assert check_A1_full_scan(WeightModel.constant(domain_kind="line")).witness["lo"] == 2**-10 - 2**-12
+
+
+@st.composite
+def line_weight(draw):
+    """A line u of 1-3 segments over 0.05-50 each, head exponent in
+    (-0.9, 2), inner ones in (-2.5, 2.5), tail exponent in (-0.9, 1.5)."""
+    segments, lo = [], 0.0
+    for j in range(draw(st.integers(1, 3))):
+        hi = lo + draw(st.floats(0.05, 50.0))
+        exp = draw(st.floats(-0.9, 2.0) if j == 0 else st.floats(-2.5, 2.5))
+        segments.append(Segment(lo, hi, draw(st.floats(0.1, 5.0)), exp))
+        lo = hi
+    return WeightModel(tuple(segments), "line", draw(st.floats(0.1, 5.0)), draw(st.floats(-0.9, 1.5)))
+
+
+@given(line_weight())
+@settings(max_examples=40, deadline=None)
+def test_a1_is_the_full_scan(u):
+    # neither the centred window nor a point left of 0 ever sets the constant
+    v, full = check_A1(u), check_A1_full_scan(u)
+    assert (v.constant.hex(), v.holds) == (full.constant.hex(), full.holds)
+    assert a1_ratio(u, **v.witness) == v.constant
 
 
 def test_ainf_constant_is_pinned_by_its_exponent():
