@@ -305,14 +305,6 @@ def _search(
         raise PreconditionError("search budget must be positive")
     ratio = t if upper else 1.0 / t
 
-    def one(I, S, known=None):
-        """(_family_value of [(I, S)], (u(I), W(u(I)) or None)).  known, when
-        given, is that second item from a pair with the same I and saves its
-        kernel calls."""
-        uI, WI = known if known is not None else (u.mass(*I), None)
-        v, WI = _score(w, uI, u.mass(*S), upper, WI)
-        return v, (uI, WI)
-
     def replicated(val: float, pair):
         """(value, pairs): the best of the pair, scored val, and its 2, 4, 8
         and 16 disjoint translates."""
@@ -337,39 +329,45 @@ def _search(
     rng = np.random.default_rng([seed & 0x7FFFFFFF, tkey, int(upper)])
     (bi_lo, bi_hi), _ = best_pair
     base_len = bi_hi - bi_lo
+    mass = u.mass
     for _ in range(32 * budget):
         big = base_len * math.exp(rng.normal(0.0, 0.5))
         small = big / ratio
-        x0 = bi_lo + rng.normal(0.0, base_len)
+        a = bi_lo + rng.normal(0.0, base_len)
         offset = rng.random() * (big - small)
-        pair, left = ((x0, x0 + big), (x0 + offset, x0 + offset + small)), None
-        v, known = one(*pair)
-        # Local descent on anchor and offset.  A candidate equal to the pair
+        b, c = a + big, a + offset
+        d, left = c + small, None
+        uI = mass(a, b)
+        v, WI = _score(w, uI, mass(c, d), upper)
+        step, shift = 0.25 * big, 0.25 * (big - small)
+        # Local descent on anchor and offset of the pair I = (a, b), S = (c, d),
+        # with uI = u(I) and WI = W(uI) or None.  A candidate equal to the pair
         # (it scores v) or to the pair it last left (it scored below v) can
         # never pass `cv > v`, and was scored without raising, so it is skipped.
         for _ in range(8):
             improved = False
-            for dx in (-0.25 * big, 0.25 * big):
-                cand = ((pair[0][0] + dx, pair[0][1] + dx), (pair[1][0] + dx, pair[1][1] + dx))
-                if cand == pair or cand == left:
+            for dx in (-step, step):
+                cand = na, nb, nc, nd = a + dx, b + dx, c + dx, d + dx
+                if cand == (a, b, c, d) or cand == left:
                     continue
-                cv, cknown = one(*cand)
+                nuI = mass(na, nb)
+                cv, nWI = _score(w, nuI, mass(nc, nd), upper)
                 if cv > v:
-                    v, left, pair, known, improved = cv, pair, cand, cknown, True
-            i_lo = pair[0][0]
-            off = pair[1][0] - i_lo
-            for doff in (-0.25 * (big - small), 0.25 * (big - small)):
-                noff = min(max(off + doff, 0.0), big - small)
-                cand = (pair[0], (i_lo + noff, i_lo + noff + small))
-                if cand == pair or cand == left:
+                    v, left, uI, WI, improved = cv, (a, b, c, d), nuI, nWI, True
+                    a, b, c, d = cand
+            off = c - a
+            for doff in (-shift, shift):
+                nc = a + min(max(off + doff, 0.0), big - small)
+                nd = nc + small
+                if (nc == c and nd == d) or left == (a, b, nc, nd):
                     continue
-                cv, known = one(*cand, known)  # I stays, so u(I) does too
+                cv, WI = _score(w, uI, mass(nc, nd), upper, WI)  # I stays, so u(I) does too
                 if cv > v:
-                    v, left, pair, improved = cv, pair, cand, True
+                    v, left, c, d, improved = cv, (a, b, c, d), nc, nd, True
             if not improved:
                 break
         if v > best_val:
-            best_val, best_pairs = replicated(v, pair)
+            best_val, best_pairs = replicated(v, ((a, b), (c, d)))
 
     # rounding in the offset arithmetic can push S an ulp past I; the value
     # returned is that of the clamped pairs, so the witness replays exactly

@@ -33,7 +33,7 @@ from .weights import WeightModel, _libm, check_Ainf, check_Bstar_inf
 _ENDPOINT_EPS = 1e-9
 _MAXIMAL_BLOCK = 1 << 16  # entries per block of rows of _maximal_array
 # entries per block of rows of _hilbert_array: at its peak an entry holds about
-# 120 bytes, a third of them its log as a Python float on the way through libm
+# 83 bytes of numpy columns (a 300-piece block under tracemalloc)
 _SWEEP_BLOCK = 1 << 14
 
 

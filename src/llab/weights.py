@@ -18,6 +18,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,11 +58,15 @@ def _finite(masses: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _libm(fn, *columns: np.ndarray) -> np.ndarray:
-    """fn (math.pow or math.log) per element of 1-d arrays.  numpy's own pow
-    and log round an ulp away from libm's on a few percent of inputs, and the
-    searches break near-ties on such ulps, so the array path calls libm too."""
-    return np.fromiter(map(fn, *(c.tolist() for c in columns)), dtype=float, count=columns[0].size)
+def _libm(fn, *args) -> np.ndarray:
+    """fn (math.pow or math.log) per element of the 1-d float arrays among
+    args, each float among them repeated.  numpy's own pow and log round an
+    ulp away from libm's on a few percent of inputs, and the searches break
+    near-ties on such ulps, so the array path calls libm too, streaming each
+    array's buffer: no column is copied into a list."""
+    cols = [repeat(a) if isinstance(a, float) else memoryview(np.ascontiguousarray(a, dtype=float)) for a in args]
+    n = next(len(c) for c in cols if isinstance(c, memoryview))
+    return np.fromiter(map(fn, *cols), dtype=float, count=n)
 
 
 @dataclass(frozen=True)
@@ -151,14 +156,6 @@ class WeightModel:
         r = max(abs(lo), abs(hi))
         return self._pieces[bisect_left(self.breakpoints, r)][2] == 0.0
 
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """The piece table transposed into numpy columns for the array path:
-        breakpoints, then lo, coef, e1, lo^e1, W(lo) and the log-row mask
-        (e1 = 0)."""
-        lo, coef, _, e1, lo_pow, base = (np.array(col) for col in zip(*self._pieces))
-        return np.array(self.breakpoints), lo, coef, e1, lo_pow, base, e1 == 0.0
-
     # -- pointwise and primitive -------------------------------------------
 
     def value(self, x: float) -> float:
@@ -190,23 +187,26 @@ class WeightModel:
         return P
 
     def _radial_primitive_array(self, r: np.ndarray) -> np.ndarray:
-        """_radial_primitive of every radius in r, bit for bit: the same row
-        rule (searchsorted side="left" is bisect_left), the same libm calls
-        and the same order of operations.  Each distinct radius is evaluated
-        once and the results gathered back, which is exact because equal
-        radii give equal values (0.0 and -0.0 both give 0.0)."""
+        """_radial_primitive of every radius in r, bit for bit: the same rows,
+        libm calls and order of operations.  Each distinct radius is evaluated
+        once and gathered back, exact as equal radii give equal values (0.0
+        and -0.0 both give 0.0).  Sorted, the distinct radii fall into the
+        rows of _pieces in runs, cut after 0 and each breakpoint (bisect_left:
+        a radius at a breakpoint is its left row's); one libm pass per run."""
         if np.any(r < 0.0):
             raise PreconditionError("radius must be nonnegative")
         shape = r.shape
         r, back = np.unique(r, return_inverse=True)
-        bps, lo, coef, e1, lo_pow, base, is_log = self._columns
-        k = np.searchsorted(bps, r, side="left")
-        term = np.empty_like(r)
-        log_row = is_log[k]
-        kp, kq = k[~log_row], k[log_row]
-        term[~log_row] = coef[kp] * (_libm(math.pow, r[~log_row], e1[kp]) - lo_pow[kp]) / e1[kp]
-        term[log_row] = coef[kq] * _libm(math.log, r[log_row] / lo[kq])
-        return np.where(r == 0.0, 0.0, base[k] + term)[back].reshape(shape)
+        cuts = np.searchsorted(r, (0.0, *self.breakpoints), side="right").tolist()
+        out = np.zeros_like(r)
+        for (lo, coef, _, e1, lo_pow, base), i, j in zip(self._pieces, cuts, [*cuts[1:], r.size]):
+            if i == j:
+                continue
+            if e1 == 0.0:
+                out[i:j] = base + coef * _libm(math.log, r[i:j] / lo)
+            else:
+                out[i:j] = base + coef * (_libm(math.pow, r[i:j], e1) - lo_pow) / e1
+        return out[back].reshape(shape)
 
     def primitive(self, t: float) -> float:
         """W(t), the integral of the weight over (0, t).  Half-line only."""
@@ -535,7 +535,7 @@ def _ainf_probe_table(u: WeightModel) -> np.ndarray:
     fixed = np.stack(np.broadcast_arrays(start, i_hi, lo, lo + e_len), axis=-1).reshape(L.size, -1, 4)
     draws = rng.random((L.size, 32, 3))
     start = (draws[..., 0] - 0.5) * 4.0 * L
-    frac = _libm(math.pow, np.full(start.size, 2.0), (-8.0 * draws[..., 1]).ravel()).reshape(start.shape)
+    frac = _libm(math.pow, 2.0, (-8.0 * draws[..., 1]).ravel()).reshape(start.shape)
     e_len = np.maximum(frac * L, 1e-12 * L)
     lo = start + draws[..., 2] * (L - e_len)
     randoms = np.stack([start, start + L, lo, lo + e_len], axis=-1)
@@ -572,7 +572,7 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     alpha = max(alpha, 1e-6)
     scored = ~(x <= 0.0)  # as `if x <= 0.0: continue`, which a NaN passes
     c = np.full(n, -math.inf)
-    c[scored] = y[scored] / _libm(math.pow, x[scored], np.full(int(scored.sum()), alpha))
+    c[scored] = y[scored] / _libm(math.pow, x[scored], alpha)
     c = np.where(c > 1.0, c, -math.inf)  # C_u starts at 1; a NaN never wins
     best = int(np.argmax(c))
     c_u, witness = 1.0, {}

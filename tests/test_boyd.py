@@ -389,6 +389,22 @@ def test_coarse_pass_matches_the_scan_in_any_ratio_order(u, w, ratios, data):
             assert _coarse_pass(u, w, ratio)[0 if upper else 1] == coarse_best_oracle(u, w, ratio, upper)
 
 
+@given(
+    u=_piecewise_weights("line", 1),
+    w=_piecewise_weights("half_line", 2),
+    k=st.integers(1, 10),
+    upper=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=15, deadline=None)
+def test_descent_is_the_scalar_restart_loop_on_any_pair(u, w, k, upper, seed):
+    # the descent holds its pair as four floats and u(I) and W(u(I)) beside
+    # them; on any weights and seed it must walk the oracle's candidates
+    t = 2.0**k if upper else 2.0**-k
+    _clear_coarse_caches()
+    assert _search(u, w, t, upper, 1, seed) == search_oracle(u, w, t, upper, 1, seed)
+
+
 _U3, _W3 = search_shapes()["multi"]
 _TWO_PIECE = (Segment(0.0, 1.0, 1.0, 0.5), Segment(1.0, 2.0, 1.0, 3.0))
 _UNDERFLOW = (PreconditionError, "the search needs W > 0 at every positive u-mass, but W underflows to 0")

@@ -11,6 +11,7 @@ hand-derived constants for pure powers w(t) = t^a:
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from llab.weights import (
     Segment,
     WeightModel,
     _ainf_probe_table,
+    _libm,
     a1_ratio,
     bp_ratio,
     bstar_ratio,
@@ -451,14 +453,16 @@ def test_mass_and_primitive_match_quadrature(case):
 @st.composite
 def weight_and_probe_points(draw):
     """A weight of either domain kind and points of its domain full of
-    repeated radii: up to 12 drawn among 0.0, -0.0, the breakpoints (both
-    signs on the line) and floats, then on the line the mirror -x of each,
-    then every value twice."""
+    repeated radii: up to 12 drawn among 0.0, -0.0, the breakpoints and
+    their neighbouring floats on each side, where the array kernel's rows
+    are cut (all with both signs on the line), and floats, then on the line
+    the mirror -x of each, then every value twice."""
     kind = draw(st.sampled_from(["half_line", "line"]))
     w = draw(multi_segment(kind))
-    special = [0.0, -0.0, *w.breakpoints]
+    near = [x for b in w.breakpoints for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+    special = [0.0, -0.0, *near]
     if kind == "line":
-        special += [-b for b in w.breakpoints]
+        special += [-x for x in near]
     bottom = 0.0 if kind == "half_line" else -20.0
     point = st.one_of(st.sampled_from(special), st.floats(bottom, 20.0))
     xs = draw(st.lists(point, min_size=1, max_size=12))
@@ -476,6 +480,31 @@ def test_array_kernel_is_the_scalar_kernel(case):
     assert w.mass_array(lo, hi).tolist() == [w.mass(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
     if w.domain_kind == "half_line":
         assert w.primitive_array(np.array(xs)).tolist() == [w.primitive(r) for r in xs]
+
+
+def test_primitive_array_of_no_radii_is_empty():
+    out = two_segment().primitive_array(np.array([]))
+    assert out.shape == (0,) and out.dtype == float
+
+
+def test_libm_streams_each_column_in_place():
+    # a float argument repeated is the column of that float, bit for bit, and
+    # a strided view gives what its copy gives
+    x = np.random.default_rng(3).uniform(0.0, 8.0, 1000)
+    assert _libm(math.pow, x, 0.7).tolist() == _libm(math.pow, x, np.full(x.size, 0.7)).tolist()
+    assert _libm(math.pow, 2.0, -x).tolist() == _libm(math.pow, np.full(x.size, 2.0), -x).tolist()
+    assert _libm(math.pow, x, 0.7).tolist() == [math.pow(v, 0.7) for v in x.tolist()]
+    assert _libm(math.log, x[::3]).tolist() == _libm(math.log, x[::3].copy()).tolist()
+    assert _libm(math.log, np.empty(0)).shape == (0,)
+    # no copy of the column as Python floats: the peak is the result alone
+    c = np.linspace(1.0, 2.0, 1 << 16)
+    tracemalloc.start()
+    try:
+        _libm(math.log, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * c.nbytes
 
 
 @st.composite
