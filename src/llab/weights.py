@@ -5,9 +5,11 @@ the last breakpoint by a single power tail.  Weights on the whole line are
 taken even: the segment description applies to |x|.  Every integral used by
 the class checkers (doubling, B_p, B*_inf, averages) then has a closed form.
 
-The class checkers are finite certifications, not proofs: each verdict
-reports the best constant found over a probe grid together with the witness
-probe, and the boolean `holds` encodes a bounded-trend heuristic.
+Each class checker reports the best constant over a probe grid, a lower
+bound of the class constant, with its witness probe.  `holds` is exact: with
+positive coefficients a weight is bounded above and below on every compact
+set away from 0, so the exps of the first and the tail rows of its piece
+table, γ0 and γ∞, decide each class (see each checker).
 """
 
 from __future__ import annotations
@@ -399,17 +401,6 @@ def default_grid() -> tuple[float, ...]:
     return tuple(2.0**k for k in range(-20, 21))
 
 
-def _tail_growth(scales: Sequence[float], values: Sequence[float], factor: float = 1.05) -> bool:
-    """True if the values show a growth trend across the two largest decades."""
-    pairs = sorted(zip(scales, values))
-    top = pairs[-1][0]
-    last = [v for s, v in pairs if s >= top / 10.0]
-    prev = [v for s, v in pairs if top / 100.0 <= s < top / 10.0]
-    if not prev or not last:
-        return False
-    return max(last) > max(prev) * factor
-
-
 # ratio helpers: every verdict witness can be re-evaluated through these.
 
 
@@ -439,13 +430,19 @@ def a1_ratio(u: WeightModel, x: float, lo: float, hi: float) -> float:
 # -- checkers ---------------------------------------------------------------
 
 
-def _grid_verdict(name: str, w: WeightModel, ratio, **witness) -> ClassVerdict:
+def _end_exps(w: WeightModel) -> tuple[float, float]:
+    """(γ0, γ∞): the exps of the first and the tail rows of w's piece table."""
+    return w._pieces[0][2], w._pieces[-1][2]
+
+
+def _grid_verdict(name: str, w: WeightModel, holds: bool, ratio, **witness) -> ClassVerdict:
     """The verdict of one scale class of w: ratio(r) at every r of the
     default grid, the first of equal maxima as the witness {"r": r,
-    **witness}, and `holds` from a finite maximum without a growth trend.
-    Every ratio divides by W(r), so W must not underflow to 0 at any grid
-    scale; W increases, so the smallest scale decides.  Nor may a ratio
-    overflow, unless the witness is r = "tail": B_p's divergent tail."""
+    **witness} and its ratio as the constant, a lower bound of the class
+    constant, the sup over all r.  Every ratio divides by W(r), so W must
+    not underflow to 0 at any grid scale; W increases, so the smallest
+    scale decides.  Nor may a ratio overflow, unless the witness is
+    r = "tail": B_p's divergent tail."""
     grid = default_grid()
     if w.primitive(grid[0]) == 0.0:
         raise PreconditionError(f"{name} needs W(r) > 0 on its grid, but W({grid[0]!r}) = 0")
@@ -454,29 +451,35 @@ def _grid_verdict(name: str, w: WeightModel, ratio, **witness) -> ClassVerdict:
     if over and witness.get("r") != "tail":  # np.argmax would pick a NaN, and an inf is no divergence
         raise PreconditionError(f"{name} ratio overflows to {over[0][1]!r} at r = {over[0][0]!r}: W or its integral overflows")
     best = int(np.argmax(ratios))
-    holds = math.isfinite(max(ratios)) and not _tail_growth(grid, ratios)
-    return ClassVerdict(
-        class_name=name,
-        holds=holds,
-        constant=ratios[best],
-        witness={"r": grid[best], **witness},
-    )
+    return ClassVerdict(name, holds, ratios[best], {"r": grid[best], **witness})
 
 
 def check_delta2(w: WeightModel) -> ClassVerdict:
-    return _grid_verdict("Delta2", w, lambda r: delta2_ratio(w, r))
+    """Δ2, W(2r) <= C W(r), always holds: the ratio is continuous and
+    positive, and tends to 2^(γ0 + 1) at 0 and to 2^max(γ∞ + 1, 0) at ∞."""
+    return _grid_verdict("Delta2", w, True, lambda r: delta2_ratio(w, r))
 
 
 def check_Bp(w: WeightModel, p: float) -> ClassVerdict:
+    """B_p, r^p ∫_r^∞ w(t) t^-p dt <= C W(r), holds iff γ0 < p - 1 and
+    γ∞ < p - 1 (for w = t^a, Ariño and Muckenhoupt 1990).  The integral
+    diverges once γ∞ >= p - 1.  At 0 the ratio tends to (γ0 + 1)/(p - γ0 - 1)
+    below the threshold, grows like p log(1/r) at it and like r^(p-1-γ0)
+    above it; at ∞ it tends to (γ∞ + 1)/(p - γ∞ - 1), or 0 if γ∞ <= -1."""
     if not 0.0 < p < math.inf:  # NaN fails too
         raise PreconditionError(f"p must be positive and finite, got {p!r}")
+    holds = all(g - p < -1.0 for g in _end_exps(w))  # as the divergence test below
     if w.tail_exp - p >= -1.0:  # the tail integral diverges at every scale
-        return _grid_verdict("Bp", w, lambda r: math.inf, r="tail", p=p)
-    return _grid_verdict("Bp", w, lambda r: bp_ratio(w, p, r), p=p)
+        return _grid_verdict("Bp", w, holds, lambda r: math.inf, r="tail", p=p)
+    return _grid_verdict("Bp", w, holds, lambda r: bp_ratio(w, p, r), p=p)
 
 
 def check_Bstar_inf(w: WeightModel) -> ClassVerdict:
-    return _grid_verdict("BstarInf", w, lambda r: bstar_ratio(w, r))
+    """B*_∞, ∫_0^r W(t)/t dt <= C W(r), holds iff γ∞ > -1 (Neugebauer 1991).
+    W(t) ~ c t^(γ0+1) at 0, so there the ratio tends to 1/(γ0 + 1), and at ∞
+    to 1/(γ∞ + 1) if γ∞ > -1.  Otherwise W grows like log r or stays bounded,
+    and the integral grows like log² r or log r, beyond W."""
+    return _grid_verdict("BstarInf", w, _end_exps(w)[1] > -1.0, lambda r: bstar_ratio(w, r))
 
 
 def _a1_probe_points(u: WeightModel) -> list[float]:
@@ -489,8 +492,15 @@ def check_A1(u: WeightModel) -> ClassVerdict:
     """A1 ratios avg_J(u) / u(x) over every scale r = 2^-12 .. 2^12, probe
     point x > 0 and window J = (x, x + r), (x - r, x), scored in one array
     pass in that loop order.  As in a scan from 0 with a strict `>`, a NaN
-    never counts and the first of equal maxima is the witness.  No centred
-    window: it averages u as the mediant of its halves, never above both."""
+    never counts and the first of equal maxima is the witness, whose ratio,
+    the constant, bounds the A1 constant from below.  No centred window: it
+    averages u as the mediant of its halves, never above both.
+
+    A1 holds iff γ0 <= 0 and -1 < γ∞ <= 0, as u is comparable to
+    |x|^γ0 (1 + |x|)^(γ∞ - γ0) (for |x|^γ, Muckenhoupt 1972).  If γ0 > 0,
+    u(x) -> 0 as x -> 0 while its average over (x, 1) does not; if γ∞ > 0,
+    the average over (x, R) grows like R^γ∞; if γ∞ <= -1, u is not A_inf.
+    A u that underflows at a probe has an inf constant and never holds."""
     scales = tuple(2.0**k for k in range(-12, 13))
     points = _a1_probe_points(u)
     r, x = np.array(scales)[:, None], np.array(points)[None, :]
@@ -508,14 +518,9 @@ def check_A1(u: WeightModel) -> ClassVerdict:
     if best_ratio > 0.0:
         point = points[np.unravel_index(best, ratio.shape)[1]]
         best_witness = {"x": point, "lo": float(lo.flat[best]), "hi": float(hi.flat[best])}
-    per_scale = ratio.max(axis=(1, 2)).tolist()
-    holds = math.isfinite(best_ratio) and not _tail_growth(scales, per_scale, factor=1.1)
-    return ClassVerdict(
-        class_name="A1",
-        holds=holds,
-        constant=best_ratio,
-        witness=best_witness,
-    )
+    g0, ginf = _end_exps(u)
+    holds = math.isfinite(best_ratio) and g0 <= 0.0 and -1.0 < ginf <= 0.0
+    return ClassVerdict("A1", holds, best_ratio, best_witness)
 
 
 def _ainf_probe_table(u: WeightModel) -> np.ndarray:
@@ -551,11 +556,15 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     pow.  A NaN is never the best constant, and the first of equal maxima
     is the witness.
 
-    C_u is scored on the probes that set alpha, so it carries no
-    information: a probe with a slope has |E|/|I| <= (u(E)/u(I))^alpha by
-    the choice of alpha, and one without has u(E)/u(I) >= 0.999 or
-    |E| = 0, so 1 <= C_u <= 0.999^-alpha whenever alpha is above its 1e-6
-    floor.  Only exponent and holds say anything about u."""
+    alpha, the least probe slope, is an estimate, and C_u a lower bound of
+    the constant at alpha that carries no information: a probe with a slope
+    has |E|/|I| <= (u(E)/u(I))^alpha by the choice of alpha, and one
+    without has u(E)/u(I) >= 0.999 or |E| = 0, so 1 <= C_u <= 0.999^-alpha
+    whenever alpha is above its 1e-6 floor.
+
+    A_inf holds iff γ∞ > -1, as u is comparable to |x|^γ0 (1 + |x|)^(γ∞ - γ0)
+    and γ0 > -1 (for |x|^γ, Muckenhoupt 1972).  If γ∞ <= -1, E = (R/2, R)
+    in I = (0, R) has |E|/|I| = 1/2 while u(E)/u(I) -> 0 as R -> ∞."""
     i_lo, i_hi, e_lo, e_hi = _ainf_probe_table(u).T
     if not np.all((i_lo <= e_lo) & (e_hi <= i_hi)):
         raise PreconditionError("A_inf probe needs E within I")
@@ -564,8 +573,7 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     uI, uE = mass[:n], mass[n:]
     if np.any(uI == 0.0):
         raise PreconditionError("A_inf probe needs u(I) > 0")
-    length = i_hi - i_lo
-    x, y = uE / uI, (e_hi - e_lo) / length
+    x, y = uE / uI, (e_hi - e_lo) / (i_hi - i_lo)
     sloped = (0.0 < x) & (x < 0.999) & (0.0 < y)
     slopes = _libm(math.log, y[sloped]) / _libm(math.log, x[sloped])
     alpha = min(1.0, float(slopes.min())) if slopes.size else 1.0
@@ -578,21 +586,5 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     c_u, witness = 1.0, {}
     if c[best] > 1.0:
         c_u = float(c[best])
-        witness = {
-            "I": [float(i_lo[best]), float(i_hi[best])],
-            "E": [[float(e_lo[best]), float(e_hi[best])]],
-        }
-    holds = True
-    if slopes.size:
-        scales = length[sloped]
-        last, first = slopes[scales >= scales.max() / 10.0], slopes[scales <= scales.min() * 10.0]
-        m_last, m_first = last.min(), first.min()
-        if m_last < 0.25 and m_last < 0.5 * m_first:
-            holds = False
-    return ClassVerdict(
-        class_name="AInf",
-        holds=holds,
-        constant=c_u,
-        witness=witness,
-        exponent=alpha,
-    )
+        witness = {"I": [float(i_lo[best]), float(i_hi[best])], "E": [[float(e_lo[best]), float(e_hi[best])]]}
+    return ClassVerdict("AInf", _end_exps(u)[1] > -1.0, c_u, witness, exponent=alpha)

@@ -23,7 +23,6 @@ from llab.weights import (
     Segment,
     WeightModel,
     _a1_probe_points,
-    _tail_growth,
     a1_ratio,
 )
 
@@ -548,22 +547,18 @@ def search_shapes():
 
 def _a1_scan(u, points, windows):
     """The A1 verdict of a scalar scan over every scale, point of points and
-    window of windows(x, r), in loop order, by a strict `>` from 0.0."""
-    scales = tuple(2.0**k for k in range(-12, 13))
+    window of windows(x, r), in loop order, by a strict `>` from 0.0, with
+    holds from A1's theorem, exponent at 0 at most 0 and tail one in (-1, 0],
+    unless the constant diverges."""
     best_ratio, best_witness = 0.0, {}
-    per_scale = []
-    for r in scales:
-        scale_max = 0.0
+    for r in (2.0**k for k in range(-12, 13)):
         for x in points:
             for lo, hi in windows(x, r):
                 ratio = a1_ratio(u, x, lo, hi)
-                if ratio > scale_max:
-                    scale_max = ratio
                 if ratio > best_ratio:
                     best_ratio = ratio
                     best_witness = {"x": x, "lo": lo, "hi": hi}
-        per_scale.append(scale_max)
-    holds = math.isfinite(best_ratio) and not _tail_growth(scales, per_scale, factor=1.1)
+    holds = math.isfinite(best_ratio) and u.segments[0].exp <= 0.0 and -1.0 < u.tail_exp <= 0.0
     return ClassVerdict("A1", holds, best_ratio, best_witness)
 
 
@@ -618,7 +613,8 @@ def ainf_point(u, I, E):
 
 def check_Ainf_oracle(u):
     """check_Ainf as a scalar loop over the probes: containment through
-    `contains`, one ainf_point per probe, a strict `>` from C_u = 1."""
+    `contains`, one ainf_point per probe, a strict `>` from C_u = 1, and
+    holds from A_inf's theorem: the tail exponent is above -1."""
     probes = ainf_probes_oracle(u)
     slopes, cloud = [], []
     for I, E in probes:
@@ -627,8 +623,8 @@ def check_Ainf_oracle(u):
         x, y = ainf_point(u, I, E)
         cloud.append((x, y))
         if 0.0 < x < 0.999 and 0.0 < y:
-            slopes.append((I.length, math.log(y) / math.log(x)))
-    alpha = max(min(1.0, min(s for _, s in slopes)) if slopes else 1.0, 1e-6)
+            slopes.append(math.log(y) / math.log(x))
+    alpha = max(min(1.0, min(slopes)) if slopes else 1.0, 1e-6)
     c_u, witness = 1.0, {}
     for (I, E), (x, y) in zip(probes, cloud):
         if x <= 0.0:
@@ -637,14 +633,7 @@ def check_Ainf_oracle(u):
         if c > c_u:
             c_u = c
             witness = {"I": [I.lo, I.hi], "E": [[p.lo, p.hi] for p in E.parts]}
-    holds = True
-    if slopes:
-        top, bottom = max(s for s, _ in slopes), min(s for s, _ in slopes)
-        m_last = min(v for s, v in slopes if s >= top / 10.0)
-        m_first = min(v for s, v in slopes if s <= bottom * 10.0)
-        if m_last < 0.25 and m_last < 0.5 * m_first:
-            holds = False
-    return ClassVerdict("AInf", holds, c_u, witness, exponent=alpha)
+    return ClassVerdict("AInf", u.tail_exp > -1.0, c_u, witness, exponent=alpha)
 
 
 def cover_oracle(I, S, t):

@@ -252,6 +252,7 @@ def line_weight(draw):
 
 
 @given(line_weight())
+@example(WeightModel((Segment(0.0, 1.0, 1.0, 1.0),), "line", 1.0, 0.0))
 @settings(max_examples=40, deadline=None)
 def test_a1_is_the_full_scan(u):
     # neither the centred window nor a point left of 0 ever sets the constant
@@ -302,6 +303,110 @@ def test_ainf_closed_form_probe():
         x, y = ainf_point(u, Interval(0.0, 1.0), singleton(0.0, eps))
         assert x == pytest.approx(eps**2, rel=1e-12)
         assert y == pytest.approx(eps, rel=1e-12)
+
+
+# -- class flags from the theorems --------------------------------------------
+
+
+def head_tail(g0, ginf, domain_kind="half_line"):
+    """g0 on (0, 1), then the tail ginf."""
+    return WeightModel((Segment(0.0, 1.0, 1.0, g0),), domain_kind, 1.0, ginf)
+
+
+def line_power(g):
+    return WeightModel.power(g, domain_kind="line")
+
+
+CHECKS = {
+    "Delta2": check_delta2,
+    "Bp": lambda w: check_Bp(w, 2.0),
+    "BstarInf": check_Bstar_inf,
+    "A1": check_A1,
+    "AInf": check_Ainf,
+}
+
+# weights near the class boundaries, p = 2; growth trends over a probe grid
+# misjudge the first nine
+BOUNDARY_FLAGS = [
+    ("A1", "|x|^0.01", line_power(0.01), False),
+    ("A1", "1,|x|^0.02", head_tail(0.0, 0.02, "line"), False),
+    ("AInf", "1,|x|^-0.95", head_tail(0.0, -0.95, "line"), True),
+    ("BstarInf", "1,t^-0.95", head_tail(0.0, -0.95), True),
+    ("Bp", "t,1", head_tail(1.0, 0.0), False),
+    ("Bp", "t^1.05,1", head_tail(1.05, 0.0), False),
+    ("A1", "|x|,1", head_tail(1.0, 0.0, "line"), False),
+    ("A1", "1,|x|^-0.95", head_tail(0.0, -0.95, "line"), True),
+    ("AInf", "|x|^-0.999", line_power(-0.999), True),
+    ("A1", "|x|^0.05", line_power(0.05), False),
+    ("A1", "|x|^-0.5", line_power(-0.5), True),
+    ("A1", "|x|^-0.999", line_power(-0.999), True),
+    ("AInf", "|x|^-0.99", line_power(-0.99), True),
+    ("AInf", "|x|^3", line_power(3.0), True),
+    ("AInf", "1,|x|^-1.5", head_tail(0.0, -1.5, "line"), False),
+    ("AInf", "1,|x|^-1", head_tail(0.0, -1.0, "line"), False),
+    ("BstarInf", "1,t^-1", head_tail(0.0, -1.0), False),
+    ("BstarInf", "1,t^-1.2", head_tail(0.0, -1.2), False),
+    ("BstarInf", "1,t^-3", head_tail(0.0, -3.0), False),
+    ("BstarInf", "t^-0.999", WeightModel.power(-0.999), True),
+    ("Delta2", "1,t^-3", head_tail(0.0, -3.0), True),
+    ("Bp", "t^0.99", WeightModel.power(0.99), True),
+    ("Bp", "t^0.999,1", head_tail(0.999, 0.0), True),
+]
+
+
+@pytest.mark.parametrize(
+    "name,w,holds", [pytest.param(n, w, h, id=f"{n}-{label}") for n, label, w, h in BOUNDARY_FLAGS]
+)
+def test_boundary_weights_get_the_theorems_flags(name, w, holds):
+    assert CHECKS[name](w).holds is holds
+
+
+@st.composite
+def weight_at_thresholds(draw):
+    """(w, g0, ginf, p): a weight of 1-3 segments whose exponent at 0, g0, and
+    tail exponent, ginf, each sit on a class threshold or 0.01 to either
+    side of it, on the half-line or the line."""
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+
+    def near(thresholds):
+        return draw(st.sampled_from([t + d for t in thresholds for d in (-0.01, 0.0, 0.01)]))
+
+    g0, ginf = near([0.0, p - 1.0]), near([-1.0, 0.0, p - 1.0])
+    segments, lo = [], 0.0
+    for j in range(draw(st.integers(1, 3))):
+        hi = lo + draw(st.floats(0.05, 50.0))
+        segments.append(Segment(lo, hi, draw(st.floats(0.1, 5.0)), g0 if j == 0 else draw(st.floats(-2.5, 2.5))))
+        lo = hi
+    domain_kind = draw(st.sampled_from(["half_line", "line"]))
+    return WeightModel(tuple(segments), domain_kind, draw(st.floats(0.1, 5.0)), ginf), g0, ginf, p
+
+
+@given(weight_at_thresholds())
+@settings(max_examples=60, deadline=None)
+def test_flags_are_the_theorems(case):
+    w, g0, ginf, p = case
+    if w.domain_kind == "half_line":
+        got = (check_delta2(w).holds, check_Bp(w, p).holds, check_Bstar_inf(w).holds)
+        assert got == (True, g0 < p - 1.0 and ginf < p - 1.0, ginf > -1.0)
+    else:
+        assert (check_A1(w).holds, check_Ainf(w).holds) == (g0 <= 0.0 and -1.0 < ginf <= 0.0, ginf > -1.0)
+
+
+def test_ratios_off_the_grid_side_with_the_theorems():
+    # w = t, then 1: the B_2 ratio is 2(log(1/r) + 1), past any grid constant
+    w = head_tail(1.0, 0.0)
+    v = check_Bp(w, 2.0)
+    far = bp_ratio(w, 2.0, 2.0**-60)
+    assert far == pytest.approx(2.0 * (60.0 * math.log(2.0) + 1.0), rel=1e-12)
+    assert far > v.constant and not v.holds
+    # w = 1, then t^-0.95: the B*_inf ratio rises, slowly, to 1/0.05 = 20
+    w = head_tail(0.0, -0.95)
+    v = check_Bstar_inf(w)
+    assert v.constant < bstar_ratio(w, 2.0**200) < 20.0 and v.holds
+    # u = |x|, then 1: avg u / u(x) near 0 is about 1 / (2x)
+    u = head_tail(1.0, 0.0, "line")
+    v = check_A1(u)
+    assert a1_ratio(u, 2.0**-40, 2.0**-40, 1.0) > 5e11 > v.constant and not v.holds
 
 
 @given(st.floats(-0.9, 3.0), st.floats(0.01, 0.99))
