@@ -80,20 +80,22 @@ class IndexEstimate:
 
 # -- grids and anchors ------------------------------------------------------
 
-_OCTAVE_SCALES = frozenset(2.0 ** (k / 8) for k in range(-160, 161))
+_OCTAVE_SCALES = np.array([2.0 ** (k / 8) for k in range(-160, 161)])
+
+
+def _scale_parts(w: WeightModel, u: WeightModel) -> tuple[np.ndarray, np.ndarray]:
+    """(the scales of the grid that no ratio changes, sorted: 8 per octave
+    over 2^-20..2^20 and b 2^(j/64) for j = -8..8 at each breakpoint b of w
+    and u, where positive; those refined ones, which a ratio t adds divided by t)."""
+    refined = [b * 2.0 ** (j / 64.0) for b in (*w.breakpoints, *u.breakpoints) for j in range(-8, 9)]
+    refined = np.array([s for s in refined if s > 0.0])
+    return np.union1d(_OCTAVE_SCALES, refined), refined
 
 
 def _scale_grid(w: WeightModel, u: WeightModel, t: float) -> list[float]:
-    """Geometric grid of scales, 8 per octave over 2^-20..2^20, refined around the weights' breakpoints."""
-    scales = set(_OCTAVE_SCALES)
-    for b in (*w.breakpoints, *u.breakpoints):
-        for j in range(-8, 9):
-            s = b * 2.0 ** (j / 64.0)
-            if s > 0.0:
-                scales.add(s)
-                if t > 0.0:
-                    scales.add(s / t)
-    return sorted(scales)
+    """Geometric grid of scales for ratio t > 0, refined around the weights' breakpoints (_scale_parts)."""
+    scales, refined = _scale_parts(w, u)
+    return np.union1d(scales, refined / t).tolist()
 
 
 def _anchors(u: WeightModel) -> list[float]:
@@ -171,29 +173,26 @@ _GRID_OFFSETS = 8192  # offsets a table holds; a full table takes no more
 
 
 class _GridTable:
-    """The u-masses of one (u, w) pair's coarse grid, shared by every ratio.
+    """What every coarse pass of one (u, w) pair shares: the nonnegative
+    anchors a of u (`rows`), _scale_parts, and columns of u-masses, one cell
+    per row, for each offset x of `keys` (sorted; a centre offset negated):
+    u((a, a + x)) and then u((a - x, a)) for a side offset, u((a - x, a + x))
+    for a centre one, the first of them at `cols`.  Columns are appended and
+    never move: cell (row r, column c) of `mass` and of `W` (W of each mass,
+    NaN until a pass needs it) is at c * m + r.  The first `n_cols` columns
+    are the table's; a pass writes its own after them."""
 
-    For each nonnegative anchor a of u (rows) the columns of `mass` hold
-    u((a, a + x)) for each x of `side`, then u((a - x, a)) for each x of
-    `side`, then u((a - x, a + x)) for each x of `centre`; both key arrays
-    are sorted.  `W` holds W of each mass, NaN until a pass needs it."""
-
-    def __init__(self, u: WeightModel) -> None:
+    def __init__(self, u: WeightModel, w: WeightModel) -> None:
         anchors = np.array(_anchors(u))
-        self.anchors, self.rows = anchors, anchors[anchors >= 0.0][:, None]
-        self.side = self.centre = np.empty(0)
-        self.mass = self.W = np.empty((self.rows.size, 0))
+        self.anchors, self.rows = anchors, anchors[anchors >= 0.0]
+        self.scales, self.refined = _scale_parts(w, u)
+        self.keys, self.cols, self.n_cols = np.empty(0), np.empty(0, dtype=np.intp), 0
+        self.mass = self.W = np.empty(0)
 
 
 @functools.lru_cache(maxsize=_GRID_PAIRS)
 def _grid_table(u: WeightModel, w: WeightModel) -> _GridTable:
-    return _GridTable(u)
-
-
-def _missing(keys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The distinct values of xs that the sorted array keys lacks, sorted."""
-    found = np.append(keys, np.nan)[np.searchsorted(keys, xs)] == xs
-    return np.unique(xs[~found])
+    return _GridTable(u, w)
 
 
 def _placement(a: float, small: float, ratio: float, p: int):
@@ -221,15 +220,17 @@ def _coarse_pass(u: WeightModel, w: WeightModel, ratio: float):
     in a scan with a strict `>`, a NaN is never best and the first of equal
     maxima wins.
 
-    The masses come from the pair's _GridTable.  The pass makes one
-    mass_array call, over the offsets the table lacks and the centred S
-    ((a - big/2) + half is not a - small/2 in floats, so it is this
-    ratio's own), and one primitive_array call, over the W that its live
-    pairs (both masses positive) need and the table lacks.  Only
-    nonnegative anchors are computed: u on the line is even and negation is
-    exact, so anchor -b's left, right and centred pairs have the masses of
-    b's right, left and centred ones.  The table takes the pass's columns and W once the
-    pass has succeeded, so it never saves an error a pass would raise.
+    The masses come from the pair's _GridTable: the pass appends the columns
+    of the offsets it lacks and one per centred S ((a - big/2) + half is not
+    a - small/2 in floats, so it is this ratio's own), all from one
+    mass_array call, then takes W of each cell that its live pairs (both
+    masses positive) need and the table lacks, once per cell, in one
+    primitive_array call.  Only nonnegative anchors are computed: u on the
+    line is even and negation is exact, so anchor -b's left, right and
+    centred pairs have b's right, left and centred masses.  The table keeps
+    the columns once the pass has succeeded, up to _GRID_OFFSETS offsets,
+    so it never saves an error a pass would raise; a W, a finite value of a
+    finite mass, is kept once taken.
 
     The upper search at t and the lower one at 1/t share the ratio, so they
     share the pass, and the pass is cached.  Weights are frozen and every
@@ -238,38 +239,45 @@ def _coarse_pass(u: WeightModel, w: WeightModel, ratio: float):
     if u.domain_kind == "half_line":  # anchor 0's right placement starts below 0
         raise ConfigurationError("set escapes the half-line domain")
     grid = _grid_table(u, w)
-    a, m = grid.rows, grid.rows.size
-    small = np.array(_scale_grid(w, u, ratio))
+    a, m, c0 = grid.rows, grid.rows.size, grid.n_cols
+    small = np.union1d(grid.scales, grid.refined / ratio)
     big = small * ratio
     half, x = (big - small) / 2.0, big / 2.0
-    new_side = _missing(grid.side, np.concatenate([small, big]))
-    new_centre = _missing(grid.centre, x)
-    rows = np.broadcast_to(a, (m, new_side.size))
-    lo = np.concatenate([rows, a - new_side, a - new_centre, (a - x) + half], axis=1)
-    hi = np.concatenate([a + new_side, rows, a + new_centre, (a + x) - half], axis=1)
-    masses = u.mass_array(lo, hi)
-    n_new = 2 * new_side.size + new_centre.size
-    side, centre, mass, W = grid.side, grid.centre, grid.mass, grid.W
-    if n_new:
-        at_side, at_centre = np.searchsorted(side, new_side), np.searchsorted(centre, new_centre)
-        at = np.concatenate([at_side, side.size + at_side, 2 * side.size + at_centre])
-        side, centre = np.insert(side, at_side, new_side), np.insert(centre, at_centre, new_centre)
-        mass = np.insert(mass, at, masses[:, :n_new], axis=1)
-        W = np.insert(W, at, np.nan, axis=1)
-    at_small, at_big = np.searchsorted(side, small), np.searchsorted(side, big)
-    cols_I = np.stack([at_big, side.size + at_big, 2 * side.size + np.searchsorted(centre, x)], axis=-1)
-    cols_S = np.stack([at_small, side.size + at_small], axis=-1)
-    uI, WI = mass[:, cols_I], W[:, cols_I]  # axes: anchor, scale, placement
-    uS = np.concatenate([mass[:, cols_S], masses[:, n_new:, None]], axis=-1)
-    WS = np.concatenate([W[:, cols_S], np.full((m, small.size, 1), np.nan)], axis=-1)
-    # _score's rules: W only at positive masses, and W(uS) = 0 raises
-    live = ~((uS <= 0.0) | (uI <= 0.0))
-    need_I, need_S = live & np.isnan(WI), live & np.isnan(WS)
-    n_I = int(need_I.sum())
-    todo = np.concatenate([uI[need_I], uS[need_S]])
+    n, wanted = small.size, np.concatenate([small, big, -x])
+    found = np.append(grid.keys, np.nan)[np.searchsorted(grid.keys, wanted)] == wanted
+    new = np.unique(wanted[~found])  # the offsets the table lacks, sorted
+    kc = int(np.searchsorted(new, 0.0))
+    d, c, k = new[kc:, None], new[:kc, None], new.size - kc  # new side offsets, new centre keys -x
+    # the new columns in table order: each side offset's right and left, the centres, the centred S
+    anchor = np.broadcast_to(a, (k, m))
+    lo = np.concatenate([np.stack([anchor, a - d], axis=1).reshape(2 * k, m), a + c, (a - x[:, None]) + half[:, None]])
+    hi = np.concatenate([np.stack([a + d, anchor], axis=1).reshape(2 * k, m), a - c, (a + x[:, None]) - half[:, None]])
+    c1 = c0 + lo.shape[0]
+    if grid.mass.size < c1 * m:  # room for the pass's columns, doubling, the table's own kept
+        size = max(c1 * m, 2 * grid.mass.size)
+        grid.mass, grid.W = (np.concatenate([b[: c0 * m], np.empty(size - c0 * m)]) for b in (grid.mass, grid.W))
+    M, W = grid.mass, grid.W
+    M[c0 * m : c1 * m], W[c0 * m : c1 * m] = u.mass_array(lo, hi).ravel(), np.nan
+    at_new = np.searchsorted(grid.keys, new)
+    keys = np.insert(grid.keys, at_new, new)
+    cols = np.insert(grid.cols, at_new, np.concatenate([c0 + 2 * k + np.arange(kc), c0 + 2 * np.arange(k)]))
+    at_small, at_big, at_x = cols[np.searchsorted(keys, wanted)].reshape(3, n)
+    cols_I = np.stack([at_big, at_big + 1, at_x], axis=-1)
+    cols_S = np.stack([at_small, at_small + 1, np.arange(c1 - n, c1)], axis=-1)
+    at = np.stack([cols_I, cols_S])[:, None] * m + np.arange(m)[:, None, None]  # axes: I or S, anchor, scale, placement
+    # _score's rules: W only at positive masses, and W(uS) = 0 raises; every mass here is finite
+    uI, uS = M[at]
+    live = (uI > 0.0) & (uS > 0.0)
+    W_IS = W[at]
+    todo = at[np.isnan(W_IS) & live]
     if todo.size:
-        got = w.primitive_array(todo)
-        WI[need_I], WS[need_S] = got[:n_I], got[n_I:]
+        first = todo.min()  # each cell once, in table order; most are the pass's own, at the end
+        marked = np.zeros(c1 * m - first, dtype=bool)
+        marked[todo - first] = True
+        cells = np.flatnonzero(marked) + first
+        W[cells] = w.primitive_array(M[cells])
+        W_IS = W[at]
+    WI, WS = W_IS
     if np.any(WS[live] == 0.0):
         raise PreconditionError(_UNDERFLOW)
     v = np.zeros(live.shape)
@@ -277,16 +285,11 @@ def _coarse_pass(u: WeightModel, w: WeightModel, ratio: float):
         np.divide(WI, WS, out=v, where=live)
     # anchors in _anchors order: -b's placements are b's, left and right swapped
     v = np.concatenate([v[:0:-1, :, [1, 0, 2]], v])
+    if keys.size <= _GRID_OFFSETS:
+        grid.keys, grid.cols, grid.n_cols = keys, cols, c1 - n
 
-    if side.size + centre.size <= _GRID_OFFSETS:
-        r, j, p = np.nonzero(need_I)
-        W[r, cols_I[j, p]] = WI[r, j, p]
-        r, j, p = np.nonzero(need_S[..., :2])  # the centred S is not kept
-        W[r, cols_S[j, p]] = WS[r, j, p]
-        grid.side, grid.centre, grid.mass, grid.W = side, centre, mass, W
-
-    def best(scores):
-        i, j, p = np.unravel_index(int(np.nanargmax(scores)), scores.shape)
+    def best(scores):  # scores hold no NaN: every live pair has both W
+        i, j, p = np.unravel_index(int(np.argmax(scores)), scores.shape)
         return float(scores[i, j, p]), _placement(float(grid.anchors[i]), float(small[j]), ratio, int(p))
 
     return best(v), best(np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0))

@@ -404,19 +404,26 @@ def default_grid() -> tuple[float, ...]:
 # ratio helpers: every verdict witness can be re-evaluated through these.
 
 
+def _positive_primitive(name: str, w: WeightModel, r: float) -> float:
+    """W(r), by which the ratio helper `name` divides; W(r) = 0 (an underflow) raises."""
+    if (W := w.primitive(r)) == 0.0:
+        raise PreconditionError(f"{name} needs W(r) > 0, but W({r!r}) = 0")
+    return W
+
+
 def delta2_ratio(w: WeightModel, r: float) -> float:
-    return w.primitive(2.0 * r) / w.primitive(r)
+    return w.primitive(2.0 * r) / _positive_primitive("delta2_ratio", w, r)
 
 
 def bp_ratio(w: WeightModel, p: float, r: float) -> float:
     tail = w.bp_tail_integral(r, p)
     if math.isinf(tail):
         return math.inf
-    return r**p * tail / w.primitive(r)
+    return r**p * tail / _positive_primitive("bp_ratio", w, r)
 
 
 def bstar_ratio(w: WeightModel, r: float) -> float:
-    return w.bstar_integral(r) / w.primitive(r)
+    return w.bstar_integral(r) / _positive_primitive("bstar_ratio", w, r)
 
 
 def a1_ratio(u: WeightModel, x: float, lo: float, hi: float) -> float:

@@ -461,10 +461,45 @@ def test_grid_table_stays_under_its_cap():
     for k, ratio in enumerate(ratios.tolist()):
         got = _coarse_pass(u, w, ratio)
         table = _grid_table(u, w)
-        assert table.side.size + table.centre.size <= _GRID_OFFSETS
+        assert table.keys.size <= _GRID_OFFSETS
         if k in (0, 150, 299):
             assert got == tuple(coarse_best_oracle(u, w, ratio, upper) for upper in (True, False))
-    assert table.side.size + table.centre.size > _GRID_OFFSETS // 2
+    assert table.keys.size > _GRID_OFFSETS // 2
+
+
+def test_a_warm_table_leaves_a_pass_only_its_centred_s(monkeypatch):
+    # once compute_estimates has filled the pair's table, a pass at one of its
+    # ratios takes u's primitive only at the centred S's ends and W only at
+    # their masses: every other mass and W is the table's
+    u, w = search_shapes()["multi"]
+    _clear_coarse_caches()
+    compute_estimates(u, w, 2.0)
+    _coarse_pass.cache_clear()
+    radii, masses = [], []
+    kernel, primitive_array = WeightModel._radial_primitive_array, WeightModel.primitive_array
+
+    def recorded_kernel(self, r):
+        if self is u:
+            radii.extend(np.ravel(r).tolist())
+        return kernel(self, r)
+
+    def recorded_primitive_array(self, t):
+        masses.extend(np.ravel(t).tolist())
+        return primitive_array(self, t)
+
+    monkeypatch.setattr(WeightModel, "_radial_primitive_array", recorded_kernel)
+    monkeypatch.setattr(WeightModel, "primitive_array", recorded_primitive_array)
+    ratio = 2.0**3
+    got = _coarse_pass(u, w, ratio)
+    ends, centred = set(), set()
+    for a in [a for a in boyd._anchors(u) if a >= 0.0]:  # the pass computes no other anchor
+        for small in boyd._scale_grid(w, u, ratio):
+            _, (lo, hi) = boyd._placement(a, small, ratio, 2)
+            ends |= {abs(lo), abs(hi)}
+            centred.add(u.mass(lo, hi))
+    assert radii and set(radii) <= ends
+    assert masses and set(masses) <= centred
+    assert got == tuple(coarse_best_oracle(u, w, ratio, upper) for upper in (True, False))
 
 
 # W = 1e-246 t^5 near 0: the coarse pass succeeds, and at these t a restart's

@@ -184,12 +184,16 @@ def test_verdict_output_schema(configs, capsys, tmp_path):
 
 def test_scripts_and_readme_tour_run(capsys):
     # the sweep scripts with their default arguments print their header and
-    # one row per weight or stretch, and the README's library tour runs
+    # one row per weight or stretch, the coarse-pass timing script its first-
+    # and later-pass rows, and the README's library tour runs
     repo = Path(__file__).resolve().parents[1]
     for name, rows in (("index_sweep.py", 9), ("certificate_sweep.py", 8)):
         script = runpy.run_path(str(repo / "scripts" / name))
         assert script["main"]([]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + rows, name
+    timing = runpy.run_path(str(repo / "scripts" / "coarse_pass_timing.py"))
+    assert timing["main"](["--reps", "1"]) == 0
+    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()[3:5]] == [["first", "pass"], ["later", "pass"]]
     tour = (repo / "README.md").read_text().split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(tour, "README.md", "exec"), {})
 

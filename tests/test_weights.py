@@ -409,6 +409,19 @@ def test_ratios_off_the_grid_side_with_the_theorems():
     assert a1_ratio(u, 2.0**-40, 2.0**-40, 1.0) > 5e11 > v.constant and not v.holds
 
 
+@pytest.mark.parametrize(
+    "ratio,r",
+    [(lambda w, r: bp_ratio(w, 2.0, r), 1e-300), (bstar_ratio, 1e-300), (delta2_ratio, 1e-320)],
+    ids=["bp_ratio", "bstar_ratio", "delta2_ratio"],
+)
+def test_ratio_helpers_reject_an_underflowing_W(ratio, r):
+    # w = t^0.999, then 1: W(r) underflows to 0, by which each helper divides
+    w = head_tail(0.999, 0.0)
+    assert w.primitive(r) == 0.0
+    with pytest.raises(PreconditionError, match=rf"needs W\(r\) > 0, but W\({r!r}\) = 0"):
+        ratio(w, r)
+
+
 @given(st.floats(-0.9, 3.0), st.floats(0.01, 0.99))
 @settings(max_examples=100, deadline=None)
 def test_power_primitive_scaling(a, frac):
