@@ -17,11 +17,12 @@ certificate, for u = 1, |x| and a three-segment u; the verdicts of the five
 class checks for those u's and for w = t^0.4 and a three-segment w at
 p = 1.5 and 2; the index estimates and Hilbert verdicts of two (u, w)
 pairs; and the value and witness of wbar_u and underline_wu for the power
-pairs u = 1.5|x|^gamma (gamma = 0, 1/2, 1, 2, on the line and the
-half-line) and w = t^a (a = -1/2, 0, 1) at t = 2^+-1, 2^+-5 and 2^+-10, and
-for the three-segment u and w and for a line u with an exp = -1 row against
-that w at t = 3, 1000.1 and 2^5.5 and their inverses, in an order that is
-not monotone, or the error a call raises.  `--verbose` prints each entry's
+pairs u = 1.5|x|^gamma (gamma = 0, 1/2, 1, 2, 1e-14 and 50, on the line
+and the half-line) and w = t^a (a = -1/2, 0, 1) at t = 2^+-1, 2^+-5,
+2^+-10, 2^+-20 and 2^+-40, and for the three-segment u and w and for a
+line u with an exp = -1 row against that w at t = 3, 1000.1 and 2^5.5
+and their inverses, in an order that is not monotone, or the error a
+call raises.  `--verbose` prints each entry's
 own digest as well, to find the one that moved.
 
 Usage:
@@ -173,13 +174,15 @@ def search_entries():
 
 
 def power_pair_entries():
-    """repr of (value, witness) of each power-pair sample, or of the error."""
+    """repr of (value, witness) of each power-pair sample, or of the error.
+    gamma = 1e-14 has a sign scan that follows rounding noise, and at
+    t = 2^+-20 and 2^+-40 the ratio test moves witness ends by ulps."""
     for domain in ("line", "half_line"):
-        for gamma in (0.0, 0.5, 1.0, 2.0):
+        for gamma in (0.0, 0.5, 1.0, 2.0, 1e-14, 50.0):
             u = WeightModel.power(gamma, 1.5, domain)
             for a in (-0.5, 0.0, 1.0):
                 w = WeightModel.power(a)
-                for k in (1, 5, 10):
+                for k in (1, 5, 10, 20, 40):
                     for search, t in ((wbar_u, 2.0**k), (underline_wu, 2.0**-k)):
                         yield f"power.{domain}.{gamma:g}.{a:g}.{search.__name__}.{t!r}", _sample(search, u, w, t)
 

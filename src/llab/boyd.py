@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -417,7 +416,7 @@ def _line_offsets(gamma: float, r: float, upper: bool) -> list[float]:
         x lies in [-r, 0], so they are scaled by 1/r: every |end| is at
         most 1, and no product overflows where r^(2 gamma + 1) would."""
         a, b, c = x * scale, (x + 1.0) * scale, (x + r) * scale
-        ua, ub, uc = abs(a) ** gamma, abs(b) ** gamma, abs(c) ** gamma
+        ua, ub, uc = (-a) ** gamma, (b if b > 0.0 else -b) ** gamma, c**gamma  # a <= 0 <= c
         qa = a * ua
         return (uc - ua) * (b * ub - qa) - (c * uc - qa) * (ub - ua) > 0.0
 
@@ -437,20 +436,28 @@ def _line_offsets(gamma: float, r: float, upper: bool) -> list[float]:
     return xs
 
 
+def _dyadic(x) -> tuple[int, int]:
+    """x as n/d, d a power of two, as Fraction(x) reads a float or an integer."""
+    return x.as_integer_ratio() if isinstance(x, float) else (x.numerator, x.denominator)
+
+
+def _ratio_holds(t: float, i_lo: float, i_hi: float, s_lo: float, s_hi: float, upper: bool) -> bool:
+    """|I| <= t|S| (upper) or |S| <= t|I|, exact: t and the ends i_hi, i_lo,
+    s_hi and s_lo, converted in that order, are integers over powers of two,
+    so both lengths are integers over the ends' largest power."""
+    (num, den), *ends = map(_dyadic, (t, i_hi, i_lo, s_hi, s_lo))
+    scale = max(q for _, q in ends)
+    a, b, c, d = (n * (scale // q) for n, q in ends)
+    return (a - b) * den <= num * (c - d) if upper else (c - d) * den <= num * (a - b)
+
+
 def _conservative(pair, t: float, upper: bool):
-    """pair with one end moved by ulps until |I| <= t|S| (upper) or
-    |S| <= t|I| (lower) holds in exact arithmetic on its float ends.  The
-    end that moves is I's end beyond S, or S's end inside I; a lengthened
-    I or shortened S then scores no more than the exact ratio allows."""
+    """pair with one end moved by ulps until _ratio_holds.  The end that
+    moves is I's end beyond S, or S's end inside I; a lengthened I or
+    shortened S then scores no more than the exact ratio allows."""
     (i_lo, i_hi), (s_lo, s_hi) = pair
-    ratio = Fraction(t)
-
-    def holds() -> bool:
-        I, S = Fraction(i_hi) - Fraction(i_lo), Fraction(s_hi) - Fraction(s_lo)
-        return I <= ratio * S if upper else S <= ratio * I
-
-    while not holds():
-        if upper:  # S sits at I's left end, and holds() once I.hi reaches S.hi
+    while not _ratio_holds(t, i_lo, i_hi, s_lo, s_hi, upper):
+        if upper:  # S sits at I's left end, and the ratio holds once I.hi reaches S.hi
             i_hi = math.nextafter(i_hi, -math.inf)
         elif s_lo == i_lo:
             s_hi = math.nextafter(s_hi, -math.inf)
@@ -471,9 +478,9 @@ def _power_pair(u: WeightModel, w: WeightModel, t: float, upper: bool) -> tuple[
     that start at 0 keep their masses exact.  On the half-line the best pair
     is I = (0, r) with S = (0, 1) (upper) or S = (r - 1, r) (lower), the
     latter scaled here to |I| = 1.  On the line it is I = (x, x + r),
-    S = (x, x + 1) at one of _line_offsets.  The best candidate is made
-    conservative and scored by _family_value, so the value replays exactly
-    and stays a lower bound."""
+    S = (x, x + 1) at one of _line_offsets.  _family_value scores each
+    candidate once; the best is made conservative and scored again if an
+    end moved, so the value replays exactly and stays a lower bound."""
     gamma = u.tail_exp
     r = t if upper else 1.0 / t
     if gamma == 0.0:
@@ -482,8 +489,9 @@ def _power_pair(u: WeightModel, w: WeightModel, t: float, upper: bool) -> tuple[
         pairs = [((0.0, t), (0.0, 1.0)) if upper else ((0.0, 1.0), (1.0 - t, 1.0))]
     else:
         pairs = [((x, x + r), (x, x + 1.0)) for x in _line_offsets(gamma, r, upper)]
-    pair = _conservative(max(pairs, key=lambda c: _family_value(u, w, [c], upper)), t, upper)
-    return _family_value(u, w, [pair], upper), _config([pair], r)
+    value, best = max(((_family_value(u, w, [c], upper), c) for c in pairs), key=lambda vc: vc[0])
+    pair = _conservative(best, t, upper)
+    return value if pair == best else _family_value(u, w, [pair], upper), _config([pair], r)
 
 
 def _index_sample(u: WeightModel, w: WeightModel, t: float, upper: bool, budget: int, seed: int):

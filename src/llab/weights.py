@@ -554,14 +554,31 @@ def _ainf_probe_table(u: WeightModel) -> np.ndarray:
     return np.concatenate([fixed, randoms], axis=1).reshape(-1, 4)
 
 
+_SCREEN = 2.0**-40  # check_Ainf's relative margin for numpy's log and pow against libm's
+
+
+def _screen(fast: np.ndarray, *near: float) -> np.ndarray:
+    """Where fast is not finite or within a relative _SCREEN of a float in near."""
+    out = ~np.isfinite(fast)
+    for v in near:  # bounds in Python floats: an infinite v raises no warning
+        out |= (v - abs(v) * _SCREEN <= fast) & (fast <= v + abs(v) * _SCREEN)
+    return out
+
+
 def check_Ainf(u: WeightModel) -> ClassVerdict:
     """Fit C_u and alpha with |E|/|I| <= C_u (u(E)/u(I))^alpha over the rows
     of _ainf_probe_table, never built as objects.
 
     u(I) and u(E) of every probe go through one mass_array pass.  The slopes
-    log(|E|/|I|) / log(u(E)/u(I)) and the constants take libm's log and
-    pow.  A NaN is never the best constant, and the first of equal maxima
-    is the witness.
+    log(|E|/|I|) / log(u(E)/u(I)) and the constants are libm's: numpy's log
+    and pow propose, and libm recomputes each probe whose numpy slope is
+    within a relative _SCREEN of the least, or constant within _SCREEN of
+    the largest or of 1, or either not finite.  x and y are exact inputs, so
+    nothing cancels, and numpy was at most 1 ulp from libm (1.1 M pows,
+    exponents -2 to 5; 400 k logs): the probes left, some 4,096 ulps away,
+    decide nothing, and were that broken, alpha and C_u would still be libm
+    values of real probes.  A NaN is never the best constant, and the first
+    of equal maxima is the witness.
 
     alpha, the least probe slope, is an estimate, and C_u a lower bound of
     the constant at alpha that carries no information: a probe with a slope
@@ -582,12 +599,17 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
         raise PreconditionError("A_inf probe needs u(I) > 0")
     x, y = uE / uI, (e_hi - e_lo) / (i_hi - i_lo)
     sloped = (0.0 < x) & (x < 0.999) & (0.0 < y)
-    slopes = _libm(math.log, y[sloped]) / _libm(math.log, x[sloped])
+    xs, ys = x[sloped], y[sloped]
+    slopes = np.log(ys) / np.log(xs)
+    redo = _screen(slopes, float(slopes.min(initial=math.inf)))
+    slopes = _libm(math.log, ys[redo]) / _libm(math.log, xs[redo])
     alpha = min(1.0, float(slopes.min())) if slopes.size else 1.0
     alpha = max(alpha, 1e-6)
     scored = ~(x <= 0.0)  # as `if x <= 0.0: continue`, which a NaN passes
     c = np.full(n, -math.inf)
-    c[scored] = y[scored] / _libm(math.pow, x[scored], alpha)
+    c[scored] = y[scored] / np.power(x[scored], alpha)
+    redo = scored & _screen(c, float(np.max(c, where=np.isfinite(c), initial=-math.inf)), 1.0)
+    c[redo] = y[redo] / _libm(math.pow, x[redo], alpha)
     c = np.where(c > 1.0, c, -math.inf)  # C_u starts at 1; a NaN never wins
     best = int(np.argmax(c))
     c_u, witness = 1.0, {}

@@ -6,6 +6,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -477,6 +478,27 @@ def search_oracle(u, w, t, upper, budget, seed):
     return value(clamped), config
 
 
+def conservative_oracle(pair, t, upper):
+    """boyd._conservative with the ratio test on Fractions of the float ends:
+    the end that moves steps by ulps until |I| <= t|S| (upper) or
+    |S| <= t|I| holds exactly."""
+    (i_lo, i_hi), (s_lo, s_hi) = pair
+    ratio = Fraction(t)
+
+    def holds():
+        I, S = Fraction(i_hi) - Fraction(i_lo), Fraction(s_hi) - Fraction(s_lo)
+        return I <= ratio * S if upper else S <= ratio * I
+
+    while not holds():
+        if upper:
+            i_hi = math.nextafter(i_hi, -math.inf)
+        elif s_lo == i_lo:
+            s_hi = math.nextafter(s_hi, -math.inf)
+        else:
+            s_lo = math.nextafter(s_lo, math.inf)
+    return (i_lo, i_hi), (s_lo, s_hi)
+
+
 def power_pair_oracle(gamma, a, t, upper, domain):
     """wbar_u(t) (upper) or underline_wu(t) for u = c|x|^gamma and w = C t^a
     in 40-digit mpmath, as (rho*)^(a + 1) or (rho*)^-(a + 1) with rho* the
@@ -613,13 +635,18 @@ def ainf_point(u, I, E):
 
 def check_Ainf_oracle(u):
     """check_Ainf as a scalar loop over the probes: containment through
-    `contains`, one ainf_point per probe, a strict `>` from C_u = 1, and
-    holds from A_inf's theorem: the tail exponent is above -1."""
+    `contains`, then every probe's masses (one that is not finite raises as
+    mass_array does), u(I) > 0, one ainf_point per probe, a strict `>` from
+    C_u = 1, and holds from A_inf's theorem: the tail exponent is above -1."""
     probes = ainf_probes_oracle(u)
+    if not all(contains(IntervalUnion((I,)), E) for I, E in probes):
+        raise PreconditionError("A_inf probe needs E within I")
+    if not all(math.isfinite(u.mass(I.lo, I.hi)) and math.isfinite(u.weight_of_set(E)) for I, E in probes):
+        raise PreconditionError("a weight mass overflows the float range")
+    if any(u.mass(I.lo, I.hi) == 0.0 for I, _ in probes):
+        raise PreconditionError("A_inf probe needs u(I) > 0")
     slopes, cloud = [], []
     for I, E in probes:
-        if not contains(IntervalUnion((I,)), E):
-            raise PreconditionError("A_inf probe needs E within I")
         x, y = ainf_point(u, I, E)
         cloud.append((x, y))
         if 0.0 < x < 0.999 and 0.0 < y:

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from conftest import (
     check_submultiplicative,
     coarse_best_oracle,
+    conservative_oracle,
     exact_samples,
     power_pair_oracle,
     search_oracle,
@@ -38,7 +39,10 @@ from llab.boyd import (
     _GRID_OFFSETS,
     Configuration,
     _coarse_pass,
+    _conservative,
     _grid_table,
+    _line_offsets,
+    _ratio_holds,
     _search,
     compute_estimates,
     default_lower_grid,
@@ -690,3 +694,57 @@ def test_power_pair_is_the_exact_single_pair_optimum(gamma, a, k, upper, domain)
     assert long <= Fraction(t) * short if upper else short <= Fraction(t) * long
     replay = config.evaluate(u, w)
     assert (replay if upper else 1.0 / replay) == value
+
+
+# the ends the ratio test meets at the float range's edges, then any float
+_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    a_lo=_ENDS,
+    a_hi=_ENDS,
+    b_lo=_ENDS,
+    b_hi=_ENDS,
+    t=st.one_of(st.integers(-60, 60).map(lambda k: 2.0**k), st.floats(5e-324, 1e300)),
+)
+@example(a_lo=1.0, a_hi=1.0, b_lo=-1e300, b_hi=-1e300, t=0.1)  # equal ends: 0 <= 0
+@example(a_lo=-1e300, a_hi=1e300, b_lo=-1e300, b_hi=1e300, t=1.0)
+@example(a_lo=0.0, a_hi=5e-324, b_lo=-5e-324, b_hi=0.0, t=1.0)
+@example(a_lo=0.0, a_hi=3 * 5e-324, b_lo=0.0, b_hi=1e300, t=5e-324)
+@example(a_lo=0.0, a_hi=1.0, b_lo=0.0, b_hi=10.0, t=0.1)  # 0.1 is a little above 1/10
+@settings(max_examples=500, deadline=None)
+def test_ratio_test_is_the_fraction_test(a_lo, a_hi, b_lo, b_hi, t):
+    # |A| <= t|B| on integers over one power of two, as I, S (upper) and as
+    # S, I (lower), is the same test in Fractions, negative lengths included
+    want = Fraction(a_hi) - Fraction(a_lo) <= Fraction(t) * (Fraction(b_hi) - Fraction(b_lo))
+    assert _ratio_holds(t, a_lo, a_hi, b_lo, b_hi, True) is want
+    assert _ratio_holds(t, b_lo, b_hi, a_lo, a_hi, False) is want
+
+
+def test_ratio_test_reads_integers_as_fraction_does():
+    # Fraction(t) took Python and numpy integers, and so does the integer test
+    assert _ratio_holds(np.int64(3), 0.0, 3.0, 0.0, 1.0, True) and not _ratio_holds(2, 0.0, 3.0, 0.0, 1.0, True)
+    u, w = WeightModel.power(1.0, domain_kind="line"), WeightModel.power(0.5)
+    for t in (4, np.int64(4)):
+        assert wbar_u(u, w, t)[0] == wbar_u(u, w, 4.0)[0]
+
+
+@pytest.mark.parametrize("gamma", [1e-14, 0.5, 1.0, 2.5, 50.0])
+def test_conservative_is_the_fraction_reference(gamma):
+    # every candidate pair of the power route, line offsets and half-line
+    # pairs, at t = 2^+-1 ... 2^+-40, moves to the same ends as the Fraction loop
+    moved = 0
+    for k in range(1, 41):
+        r = 2.0**k
+        for upper in (True, False):
+            t = r if upper else 1.0 / r
+            pairs = [((x, x + r), (x, x + 1.0)) for x in _line_offsets(gamma, r, upper)]
+            pairs.append(((0.0, t), (0.0, 1.0)) if upper else ((0.0, 1.0), (1.0 - t, 1.0)))
+            for pair in pairs:
+                got = _conservative(pair, t, upper)
+                assert repr(got) == repr(conservative_oracle(pair, t, upper))
+                moved += got != pair
+    assert moved  # some candidates step by ulps

@@ -31,6 +31,7 @@ from llab.errors import ConfigurationError, PreconditionError
 from llab.intervals import Interval, normalize, singleton
 from llab.weights import (
     Segment,
+    _SCREEN,
     WeightModel,
     _ainf_probe_table,
     _libm,
@@ -685,6 +686,63 @@ def test_class_checks_are_the_scalar_loops(shape):
     # repr tells every float bit apart, -0.0 from 0.0 included
     assert repr(check_A1(u)) == repr(check_A1_oracle(u))
     assert repr(check_Ainf(u)) == repr(check_Ainf_oracle(u))
+
+
+@st.composite
+def ainf_weight(draw):
+    """A line weight of 1-3 segments, now and then with an exp = -1 row away
+    from 0, and coefficients from 1e-300 to 1e300."""
+    coef = st.one_of(st.floats(0.1, 5.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+    segments, lo = [], 0.0
+    for j in range(draw(st.integers(1, 3))):
+        hi = lo + draw(st.floats(0.05, 50.0))
+        exp = draw(st.floats(-0.9, 2.0) if j == 0 else st.one_of(st.just(-1.0), st.floats(-2.5, 2.5)))
+        segments.append(Segment(lo, hi, draw(coef), exp))
+        lo = hi
+    tail_exp = draw(st.one_of(st.just(-1.0), st.floats(-1.5, 1.5)))
+    return WeightModel(tuple(segments), "line", draw(coef), tail_exp)
+
+
+def _outcome(check, u):
+    """repr of check(u), or the type and message of its PreconditionError."""
+    try:
+        return repr(check(u))
+    except PreconditionError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(ainf_weight())
+@example(WeightModel.constant(domain_kind="line"))  # every probe ties
+@example(WeightModel((Segment(0.0, 1.0, 1.0, 0.0),), "line", tail_coef=1e308))  # masses overflow
+# numpy's least slope is an ulp below libm's, 0.07700135894989513
+@example(
+    WeightModel(
+        (
+            Segment(0.0, 7.15148321623934, 2.1911594824087195, -0.6695451592087734),
+            Segment(7.15148321623934, 9.438965074602145, 0.4277690074232404, -0.3987319508585818),
+            Segment(9.438965074602145, 9.515791936498577, 3.8252219477914555, 1.2981013794738723),
+        ),
+        "line",
+        1.9015875863123548,
+        1.2557451757925464,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_ainf_is_the_scalar_loop(u):
+    # numpy's log and pow only pick the probes libm recomputes: every bit of
+    # alpha, C_u and the witness, or the error, is the libm loop's
+    assert _outcome(check_Ainf, u) == _outcome(check_Ainf_oracle, u)
+
+
+@given(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=64), st.floats(1e-6, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_numpy_log_and_pow_stay_within_the_screen(exps, alpha):
+    # check_Ainf leaves to numpy only the probes beyond a relative _SCREEN
+    # of a deciding value; on a platform where numpy's log or pow strays
+    # that far from libm's, this fails first
+    x = 10.0 ** np.array(exps)
+    for fast, slow in ((np.log(x), _libm(math.log, x)), (np.power(x, alpha), _libm(math.pow, x, alpha))):
+        assert np.all(np.abs(fast - slow) <= _SCREEN * np.abs(slow))
 
 
 @st.composite
