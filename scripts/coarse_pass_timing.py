@@ -7,8 +7,9 @@ cycles 0-3) at the ten upper ratios 2^1..2^10, in increasing order, as
 first ratio's pass builds the pair's table and the other nine extend it.
 The wall time of every pass is recorded over `--reps` repetitions of the
 whole sweep; the first-pass and later-pass times are printed as median and
-quartiles in ms.  A separate untimed sweep counts the libm calls per pass
-(the elements `weights._libm` maps, which fix the pass's bits).
+quartiles in ms.  A separate untimed sweep counts the libm elements per
+pass, which fix the pass's bits: the pows `weights._pow` takes and the logs
+`weights._libm` maps.
 
 Usage:
     PYTHONPATH=src python3 scripts/coarse_pass_timing.py [--reps 5]
@@ -56,26 +57,30 @@ def sweep(pairs, first, later):
             (later if k else first).append(elapsed)
 
 
-def libm_calls(pairs):
-    """Elements mapped by weights._libm per pass, first passes and later ones."""
-    libm, count = weights._libm, [0]
+def libm_elements(pairs):
+    """Elements of weights._pow and of weights._libm per pass: (first, later)
+    lists of (pows, logs), first passes and later ones."""
+    pow_, libm, count = weights._pow, weights._libm, [0, 0]
 
-    def counted(fn, *args):
-        out = libm(fn, *args)
-        count[0] += out.size
-        return out
+    def counted(k, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            count[k] += out.size
+            return out
+
+        return wrapped
 
     first, later = [], []
-    weights._libm = counted
+    weights._pow, weights._libm = counted(0, pow_), counted(1, libm)
     try:
         for u, w in pairs:
             clear()
             for k, ratio in enumerate(UPPER_TS):
-                count[0] = 0
+                count[:] = 0, 0
                 boyd._coarse_pass(u, w, ratio)
-                (later if k else first).append(count[0])
+                (later if k else first).append(tuple(count))
     finally:
-        weights._libm = libm
+        weights._pow, weights._libm = pow_, libm
     return first, later
 
 
@@ -95,13 +100,15 @@ def main(argv=None) -> int:
     first, later = [], []
     for _ in range(args.reps):
         sweep(pairs, first, later)
-    calls_first, calls_later = libm_calls(pairs)
+    elems_first, elems_later = libm_elements(pairs)
     print(f"llab from {Path(boyd.__file__).resolve().parent}")
     print(f"{len(pairs)} multi pairs x {len(UPPER_TS)} ratios x {args.reps} reps")
     print("pass          median [q1, q3] ms")
     print(f"first pass  {summary(first)}")
     print(f"later pass  {summary(later)}")
-    print(f"libm calls per pass: first {statistics.median(calls_first):.0f}, later {statistics.median(calls_later):.0f} (medians)")
+    for name, elems in (("first", elems_first), ("later", elems_later)):
+        pows, logs = (statistics.median(col) for col in zip(*elems))
+        print(f"libm elements per {name} pass: {pows:.0f} pow, {logs:.0f} log (medians)")
     return 0
 
 

@@ -306,21 +306,22 @@ def _search(
     if budget <= 0:
         raise PreconditionError("search budget must be positive")
     ratio = t if upper else 1.0 / t
+    mass = u.mass
 
     def replicated(val: float, pair):
         """(value, pairs): the best of the pair, scored val, and its 2, 4, 8
-        and 16 disjoint translates."""
+        and 16 disjoint translates, each family scored as _family_value
+        scores it, from running sums of the translates' masses in order."""
         (i_lo, i_hi), (s_lo, s_hi) = pair
         span = 2.0 * (i_hi - i_lo)
-        best = val, [pair]
-        for count in (2, 4, 8, 16):
-            pairs = [
-                ((i_lo + j * span, i_hi + j * span), (s_lo + j * span, s_hi + j * span))
-                for j in range(count)
-            ]
-            v = _family_value(u, w, pairs, upper)
-            if v > best[0]:
-                best = v, pairs
+        best, pairs, uI, uS = (val, [pair]), [], 0.0, 0.0
+        for j in range(16):
+            I, S = (i_lo + j * span, i_hi + j * span), (s_lo + j * span, s_hi + j * span)
+            pairs.append((I, S))
+            uI += mass(*I)
+            uS += mass(*S)
+            if j in (1, 3, 7, 15) and (v := _score(w, uI, uS, upper)[0]) > best[0]:
+                best = v, pairs[:]
         return best
 
     coarse_val, best_pair = _coarse_pass(u, w, ratio)[0 if upper else 1]
@@ -331,7 +332,6 @@ def _search(
     rng = np.random.default_rng([seed & 0x7FFFFFFF, tkey, int(upper)])
     (bi_lo, bi_hi), _ = best_pair
     base_len = bi_hi - bi_lo
-    mass = u.mass
     for _ in range(32 * budget):
         big = base_len * math.exp(rng.normal(0.0, 0.5))
         small = big / ratio
@@ -377,7 +377,8 @@ def _search(
         ((i_lo, i_hi), (max(s_lo, i_lo), min(s_hi, i_hi)))
         for (i_lo, i_hi), (s_lo, s_hi) in best_pairs
     ]
-    return _family_value(u, w, clamped, upper), _config(clamped, ratio)
+    value = best_val if clamped == best_pairs else _family_value(u, w, clamped, upper)
+    return value, _config(clamped, ratio)
 
 
 def _config(pairs, ratio: float) -> Configuration:

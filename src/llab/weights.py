@@ -61,14 +61,33 @@ def _finite(masses: np.ndarray) -> np.ndarray:
 
 
 def _libm(fn, *args) -> np.ndarray:
-    """fn (math.pow or math.log) per element of the 1-d float arrays among
-    args, each float among them repeated.  numpy's own pow and log round an
-    ulp away from libm's on a few percent of inputs, and the searches break
-    near-ties on such ulps, so the array path calls libm too, streaming each
-    array's buffer: no column is copied into a list."""
+    """fn (math.log; pow goes through _pow) per element of the 1-d float
+    arrays among args, each float among them repeated.  numpy's own pow and
+    log round an ulp away from libm's on a few percent of inputs, and the
+    searches break near-ties on such ulps, so the array path calls libm too,
+    streaming each array's buffer: no column is copied into a list."""
     cols = [repeat(a) if isinstance(a, float) else memoryview(np.ascontiguousarray(a, dtype=float)) for a in args]
     n = next(len(c) for c in cols if isinstance(c, memoryview))
     return np.fromiter(map(fn, *cols), dtype=float, count=n)
+
+
+def _pow(x, y) -> np.ndarray:
+    """math.pow per element of x and y broadcast, bit for bit: the float64
+    loop of np.float_power calls libm's pow, unlike np.power's.  Raises what
+    math.pow raises at the first element, in C order, where it would: a
+    finite x and y whose power is NaN or is infinite at x = 0 (a domain
+    error), or infinite elsewhere (a range error)."""
+    with np.errstate(all="ignore"):
+        z = np.float_power(x, y)
+    if not np.isfinite(z).all():
+        x, y = np.broadcast_arrays(x, y)
+        bad = np.flatnonzero(~np.isfinite(z) & np.isfinite(x) & np.isfinite(y))
+        if bad.size:
+            i = bad[0]
+            if np.isnan(z.flat[i]) or x.flat[i] == 0.0:
+                raise ValueError("math domain error")
+            raise OverflowError("math range error")
+    return z
 
 
 @dataclass(frozen=True)
@@ -189,26 +208,23 @@ class WeightModel:
         return P
 
     def _radial_primitive_array(self, r: np.ndarray) -> np.ndarray:
-        """_radial_primitive of every radius in r, bit for bit: the same rows,
-        libm calls and order of operations.  Each distinct radius is evaluated
-        once and gathered back, exact as equal radii give equal values (0.0
-        and -0.0 both give 0.0).  Sorted, the distinct radii fall into the
-        rows of _pieces in runs, cut after 0 and each breakpoint (bisect_left:
-        a radius at a breakpoint is its left row's); one libm pass per run."""
+        """_radial_primitive of every radius in r, bit for bit: the same rows
+        (bisect_left's: a radius at a breakpoint is its left row's), libm's
+        pow and log and the same order of operations.  Zero radii stay 0.0;
+        every other row that holds radii is one _pow or libm log pass."""
         if np.any(r < 0.0):
             raise PreconditionError("radius must be nonnegative")
-        shape = r.shape
-        r, back = np.unique(r, return_inverse=True)
-        cuts = np.searchsorted(r, (0.0, *self.breakpoints), side="right").tolist()
+        rows = np.where(r == 0.0, -1, np.searchsorted(self.breakpoints, r, side="left"))
         out = np.zeros_like(r)
-        for (lo, coef, _, e1, lo_pow, base), i, j in zip(self._pieces, cuts, [*cuts[1:], r.size]):
-            if i == j:
+        for k, (lo, coef, _, e1, lo_pow, base) in enumerate(self._pieces):
+            at = rows == k
+            if not at.any():
                 continue
             if e1 == 0.0:
-                out[i:j] = base + coef * _libm(math.log, r[i:j] / lo)
+                out[at] = base + coef * _libm(math.log, r[at] / lo)
             else:
-                out[i:j] = base + coef * (_libm(math.pow, r[i:j], e1) - lo_pow) / e1
-        return out[back].reshape(shape)
+                out[at] = base + coef * (_pow(r[at], e1) - lo_pow) / e1
+        return out[()]  # a 0-d r gives a float64, as a ufunc does
 
     def primitive(self, t: float) -> float:
         """W(t), the integral of the weight over (0, t).  Half-line only."""
@@ -547,22 +563,20 @@ def _ainf_probe_table(u: WeightModel) -> np.ndarray:
     fixed = np.stack(np.broadcast_arrays(start, i_hi, lo, lo + e_len), axis=-1).reshape(L.size, -1, 4)
     draws = rng.random((L.size, 32, 3))
     start = (draws[..., 0] - 0.5) * 4.0 * L
-    frac = _libm(math.pow, 2.0, (-8.0 * draws[..., 1]).ravel()).reshape(start.shape)
+    frac = _pow(2.0, -8.0 * draws[..., 1])
     e_len = np.maximum(frac * L, 1e-12 * L)
     lo = start + draws[..., 2] * (L - e_len)
     randoms = np.stack([start, start + L, lo, lo + e_len], axis=-1)
     return np.concatenate([fixed, randoms], axis=1).reshape(-1, 4)
 
 
-_SCREEN = 2.0**-40  # check_Ainf's relative margin for numpy's log and pow against libm's
+_SCREEN = 2.0**-40  # check_Ainf's relative margin for numpy's log against libm's
 
 
-def _screen(fast: np.ndarray, *near: float) -> np.ndarray:
-    """Where fast is not finite or within a relative _SCREEN of a float in near."""
-    out = ~np.isfinite(fast)
-    for v in near:  # bounds in Python floats: an infinite v raises no warning
-        out |= (v - abs(v) * _SCREEN <= fast) & (fast <= v + abs(v) * _SCREEN)
-    return out
+def _screen(fast: np.ndarray, v: float) -> np.ndarray:
+    """Where fast is not finite or within a relative _SCREEN of v."""
+    # bounds in Python floats: an infinite v raises no warning
+    return ~np.isfinite(fast) | ((v - abs(v) * _SCREEN <= fast) & (fast <= v + abs(v) * _SCREEN))
 
 
 def check_Ainf(u: WeightModel) -> ClassVerdict:
@@ -570,15 +584,14 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     of _ainf_probe_table, never built as objects.
 
     u(I) and u(E) of every probe go through one mass_array pass.  The slopes
-    log(|E|/|I|) / log(u(E)/u(I)) and the constants are libm's: numpy's log
-    and pow propose, and libm recomputes each probe whose numpy slope is
-    within a relative _SCREEN of the least, or constant within _SCREEN of
-    the largest or of 1, or either not finite.  x and y are exact inputs, so
-    nothing cancels, and numpy was at most 1 ulp from libm (1.1 M pows,
-    exponents -2 to 5; 400 k logs): the probes left, some 4,096 ulps away,
-    decide nothing, and were that broken, alpha and C_u would still be libm
-    values of real probes.  A NaN is never the best constant, and the first
-    of equal maxima is the witness.
+    log(|E|/|I|) / log(u(E)/u(I)) and the constants are libm's.  Every
+    constant takes its pow from _pow.  For the slopes numpy's log proposes,
+    and libm recomputes each probe whose numpy slope is within a relative
+    _SCREEN of the least or not finite.  x and y are exact inputs, so
+    nothing cancels, and numpy's log was at most 1 ulp from libm's (400 k
+    logs): the probes left, some 4,096 ulps away, decide nothing, and were
+    that broken, alpha would still be the libm slope of a real probe.  A NaN
+    is never the best constant, and the first of equal maxima is the witness.
 
     alpha, the least probe slope, is an estimate, and C_u a lower bound of
     the constant at alpha that carries no information: a probe with a slope
@@ -607,9 +620,7 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     alpha = max(alpha, 1e-6)
     scored = ~(x <= 0.0)  # as `if x <= 0.0: continue`, which a NaN passes
     c = np.full(n, -math.inf)
-    c[scored] = y[scored] / np.power(x[scored], alpha)
-    redo = scored & _screen(c, float(np.max(c, where=np.isfinite(c), initial=-math.inf)), 1.0)
-    c[redo] = y[redo] / _libm(math.pow, x[redo], alpha)
+    c[scored] = y[scored] / _pow(x[scored], alpha)
     c = np.where(c > 1.0, c, -math.inf)  # C_u starts at 1; a NaN never wins
     best = int(np.argmax(c))
     c_u, witness = 1.0, {}

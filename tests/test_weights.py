@@ -35,6 +35,7 @@ from llab.weights import (
     WeightModel,
     _ainf_probe_table,
     _libm,
+    _pow,
     a1_ratio,
     bp_ratio,
     bstar_ratio,
@@ -624,6 +625,102 @@ def test_libm_streams_each_column_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * c.nbytes
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).ravel().tolist()
+
+
+def _math_pow(xs, ys):
+    """math.pow over the pairs in order: ("ok", values) or the first error's (type, message)."""
+    try:
+        return "ok", [math.pow(x, y) for x, y in zip(xs, ys)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _pow_outcome(x, y):
+    try:
+        return "ok", np.ravel(_pow(x, y)).tolist()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+pow_bases = st.one_of(
+    st.floats(allow_nan=False),  # infinities and subnormals included
+    st.floats(0.0, 2.0**-1022, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e-300, -1e300, 1.0, -1.0, 2.0, math.nan]),
+)
+pow_exps = st.one_of(
+    st.floats(-5.0, 120.0),
+    st.integers(-5, 120).map(float),
+    st.sampled_from([-1.0, -0.5, -3.0, math.nan, math.inf, -math.inf, 5e-324]),
+)
+
+
+@given(st.lists(st.tuples(pow_bases, pow_exps), min_size=1, max_size=12), st.sampled_from(["pairs", "x", "y"]))
+@example([(0.0, -1.0)], "pairs")  # a domain error, not a range error
+@example([(-0.0, -3.0), (2.0, 0.5)], "y")
+@example([(5e-324, 0.5), (1e300, 2.0)], "pairs")
+@example([(0.0, math.inf), (math.nan, 0.0), (1.0, math.nan)], "pairs")
+@settings(max_examples=500, deadline=None)
+def test_pow_is_math_pow(pairs, broadcast):
+    # every value bit for bit, and an error's type and message at the first
+    # element where math.pow raises, with a float broadcast against an array
+    # either way
+    xs, ys = (list(col) for col in zip(*pairs))
+    if broadcast == "x":
+        xs = [xs[0]] * len(ys)
+        x, y = xs[0], np.array(ys)
+    elif broadcast == "y":
+        ys = [ys[0]] * len(xs)
+        x, y = np.array(xs), ys[0]
+    else:
+        x, y = np.array(xs), np.array(ys)
+    want, got = _math_pow(xs, ys), _pow_outcome(x, y)
+    if want[0] == "ok" and got[0] == "ok":
+        assert _bits(got[1]) == _bits(want[1])
+    else:
+        assert got == want
+
+
+def test_pow_raises_at_the_first_failing_element():
+    # a range error and two domain errors in one array: the first in C order decides
+    x = np.array([[2.0, 10.0, -2.0], [0.0, 3.0, 1.0]])
+    y = np.array([[0.5, 400.0, 0.5], [-1.0, 2.0, 7.0]])
+    assert _pow_outcome(x, y) == (OverflowError, "math range error")
+    assert _pow_outcome(x.T, y.T) == (ValueError, "math domain error")  # C order of x.T: 2, 0, 10
+    assert _pow_outcome(x[:, ::-1], y[:, ::-1]) == (ValueError, "math domain error")
+    assert _pow_outcome(np.array([5.0, 0.0]), -2.0) == (ValueError, "math domain error")
+    assert _pow_outcome(1e300, np.array([1.0, 2.0])) == (OverflowError, "math range error")
+
+
+@st.composite
+def kernel_radii(draw):
+    """A multi-segment weight and a 2-D array of radii in no order, repeated:
+    0.0, -0.0, NaN, the breakpoints and the floats next to each, and floats."""
+    w = draw(multi_segment("half_line"))
+    near = [x for b in w.breakpoints for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+    radius = st.one_of(st.sampled_from([0.0, -0.0, math.nan, *near]), st.floats(0.0, 20.0))
+    rs = draw(st.lists(radius, min_size=1, max_size=12))
+    rs = draw(st.permutations(rs + rs))
+    return w, np.array(rs).reshape(2, -1)
+
+
+@given(kernel_radii())
+@settings(max_examples=300, deadline=None)
+def test_array_kernel_takes_each_radius_as_the_scalar_kernel(case):
+    # no dedupe: each radius finds its row by itself, bit for bit
+    w, r = case
+    P = w._radial_primitive
+    got = w._radial_primitive_array(r)
+    assert got.shape == r.shape
+    want = np.array([P(x) for x in r.ravel().tolist()]).reshape(r.shape)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert _bits(got[~nan]) == _bits(want[~nan])
+    one = w._radial_primitive_array(np.asarray(r.flat[0]))  # a 0-d input gives a scalar
+    assert type(one) is np.float64 and _bits(one) == _bits(got.flat[0])
 
 
 @st.composite
