@@ -5,11 +5,13 @@ The inputs are the `multi` pairs of perfbench's `search_inputs` (seeds 1-3,
 cycles 0-3) at the ten upper ratios 2^1..2^10, in increasing order, as
 `compute_estimates` runs them.  Per pair both caches are cleared, so the
 first ratio's pass builds the pair's table and the other nine extend it.
-The wall time of every pass is recorded over `--reps` repetitions of the
-whole sweep; the first-pass and later-pass times are printed as median and
-quartiles in ms.  A separate untimed sweep counts the libm elements per
-pass, which fix the pass's bits: the pows `weights._pow` takes and the logs
-`weights._libm` maps.
+The wall time of every pass, and the time spent inside the weight kernel
+`WeightModel._radial_primitive_array` during it, are recorded over `--reps`
+repetitions of the whole sweep; the first-pass and later-pass times, then
+the kernel's, are printed as median and quartiles in ms, each kernel row
+with the median of its share of the pass.  A separate untimed sweep counts
+the libm elements per pass, which fix the pass's bits: the pows
+`weights._pow` takes and the logs `weights._libm` maps.
 
 Usage:
     PYTHONPATH=src python3 scripts/coarse_pass_timing.py [--reps 5]
@@ -48,13 +50,27 @@ def clear():
 
 
 def sweep(pairs, first, later):
-    for u, w in pairs:
-        clear()
-        for k, ratio in enumerate(UPPER_TS):
-            start = time.perf_counter()
-            boyd._coarse_pass(u, w, ratio)
-            elapsed = 1e3 * (time.perf_counter() - start)
-            (later if k else first).append(elapsed)
+    """Append (pass ms, kernel ms) of every pass to first or later."""
+    kernel, spent = weights.WeightModel._radial_primitive_array, [0.0]
+
+    def timed(self, r):
+        start = time.perf_counter()
+        out = kernel(self, r)
+        spent[0] += time.perf_counter() - start
+        return out
+
+    weights.WeightModel._radial_primitive_array = timed
+    try:
+        for u, w in pairs:
+            clear()
+            for k, ratio in enumerate(UPPER_TS):
+                spent[0] = 0.0
+                start = time.perf_counter()
+                boyd._coarse_pass(u, w, ratio)
+                elapsed = time.perf_counter() - start
+                (later if k else first).append((1e3 * elapsed, 1e3 * spent[0]))
+    finally:
+        weights.WeightModel._radial_primitive_array = kernel
 
 
 def libm_elements(pairs):
@@ -104,8 +120,11 @@ def main(argv=None) -> int:
     print(f"llab from {Path(boyd.__file__).resolve().parent}")
     print(f"{len(pairs)} multi pairs x {len(UPPER_TS)} ratios x {args.reps} reps")
     print("pass          median [q1, q3] ms")
-    print(f"first pass  {summary(first)}")
-    print(f"later pass  {summary(later)}")
+    for name, times in (("first pass  ", first), ("later pass  ", later)):
+        print(f"{name}{summary([t for t, _ in times])}")
+    for name, times in (("first kernel", first), ("later kernel", later)):
+        share = statistics.median(k / t for t, k in times)
+        print(f"{name}{summary([k for _, k in times])}  {share:.0%} of the pass")
     for name, elems in (("first", elems_first), ("later", elems_later)):
         pows, logs = (statistics.median(col) for col in zip(*elems))
         print(f"libm elements per {name} pass: {pows:.0f} pow, {logs:.0f} log (medians)")

@@ -330,13 +330,14 @@ def _search(
     # Seeded random restarts around the best single pair, coordinate descent.
     tkey = int(round(4096.0 * math.log2(t))) & 0x7FFFFFFF
     rng = np.random.default_rng([seed & 0x7FFFFFFF, tkey, int(upper)])
+    gauss, uniform = rng.standard_normal, rng.random  # rng.normal(m, s) is m + s * gauss()
     (bi_lo, bi_hi), _ = best_pair
     base_len = bi_hi - bi_lo
     for _ in range(32 * budget):
-        big = base_len * math.exp(rng.normal(0.0, 0.5))
+        big = base_len * math.exp(0.0 + 0.5 * gauss())
         small = big / ratio
-        a = bi_lo + rng.normal(0.0, base_len)
-        offset = rng.random() * (big - small)
+        a = bi_lo + (0.0 + base_len * gauss())
+        offset = uniform() * (big - small)
         b, c = a + big, a + offset
         d, left = c + small, None
         uI = mass(a, b)

@@ -19,7 +19,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -207,24 +207,29 @@ class WeightModel:
 
         return P
 
+    @cached_property
+    def _piece_columns(self) -> tuple[np.ndarray, ...]:
+        """The breakpoints, then the piece table's lo, coef, e1, lo^e1, W(lo)."""
+        lo, coef, _, e1, lo_pow, base = np.array(self._pieces).T
+        return np.array(self.breakpoints), lo, coef, e1, lo_pow, base
+
     def _radial_primitive_array(self, r: np.ndarray) -> np.ndarray:
         """_radial_primitive of every radius in r, bit for bit: the same rows
         (bisect_left's: a radius at a breakpoint is its left row's), libm's
-        pow and log and the same order of operations.  Zero radii stay 0.0;
-        every other row that holds radii is one _pow or libm log pass."""
+        pow and log and the same order of operations, in one _pow pass; e1 = 0
+        radii (0/0 there) are redone by log, and zero radii set to 0.0 last."""
         if np.any(r < 0.0):
             raise PreconditionError("radius must be nonnegative")
-        rows = np.where(r == 0.0, -1, np.searchsorted(self.breakpoints, r, side="left"))
-        out = np.zeros_like(r)
-        for k, (lo, coef, _, e1, lo_pow, base) in enumerate(self._pieces):
-            at = rows == k
-            if not at.any():
-                continue
-            if e1 == 0.0:
-                out[at] = base + coef * _libm(math.log, r[at] / lo)
-            else:
-                out[at] = base + coef * (_pow(r[at], e1) - lo_pow) / e1
-        return out[()]  # a 0-d r gives a float64, as a ufunc does
+        bps, *cols = self._piece_columns
+        flat = r.ravel()
+        rows = np.searchsorted(bps, flat, side="left")
+        lo, coef, e1, lo_pow, base = (c[rows] for c in cols)
+        with np.errstate(invalid="ignore"):
+            out = base + coef * (_pow(flat, e1) - lo_pow) / e1
+        if (logs := np.flatnonzero(e1 == 0.0)).size:
+            out[logs] = base[logs] + coef[logs] * _libm(math.log, flat[logs] / lo[logs])
+        out[flat == 0.0] = 0.0
+        return out.reshape(r.shape)[()]  # a 0-d r gives a float64, as a ufunc does
 
     def primitive(self, t: float) -> float:
         """W(t), the integral of the weight over (0, t).  Half-line only."""
@@ -546,13 +551,29 @@ def check_A1(u: WeightModel) -> ClassVerdict:
     return ClassVerdict("A1", holds, best_ratio, best_witness)
 
 
+@cache
+def _ainf_scales_and_randoms() -> tuple[np.ndarray, np.ndarray]:
+    """The A_inf probes' scales L, as a column, and per scale 32 random rows
+    from seed 0, each drawing (start, frac, lo): u-free, so built once, read-only."""
+    rng = np.random.default_rng(0)
+    L = np.array([2.0**k for k in range(-10, 11)])[:, None]
+    draws = rng.random((L.size, 32, 3))
+    start = (draws[..., 0] - 0.5) * 4.0 * L
+    frac = _pow(2.0, -8.0 * draws[..., 1])
+    e_len = np.maximum(frac * L, 1e-12 * L)
+    lo = start + draws[..., 2] * (L - e_len)
+    randoms = np.stack([start, start + L, lo, lo + e_len], axis=-1)
+    for block in (L, randoms):
+        block.setflags(write=False)
+    return L, randoms
+
+
 def _ainf_probe_table(u: WeightModel) -> np.ndarray:
     """Rows (I.lo, I.hi, E.lo, E.hi) of the A_inf probes.  Per scale L: at
     every anchor of u three placements of I, in each three lengths of E,
-    each at the left end, the right end and the centre of I; then 32 random
-    placements from seed 0, each drawing (start, frac, lo)."""
-    rng = np.random.default_rng(0)
-    L = np.array([2.0**k for k in range(-10, 11)])[:, None]
+    each at the left end, the right end and the centre of I; then the 32
+    random rows of _ainf_scales_and_randoms."""
+    L, randoms = _ainf_scales_and_randoms()
     a = np.array([0.0] + [b for b in u.breakpoints if math.isfinite(b)])[None, :]
     # axes: scale, anchor, placement of I, length of E, placement of E
     start = np.stack(np.broadcast_arrays(a, a - L / 2.0, a - L), axis=-1)[..., None, None]
@@ -561,12 +582,6 @@ def _ainf_probe_table(u: WeightModel) -> np.ndarray:
     e_len = np.array([0.5, 0.125, 0.015625])[:, None] * L5
     lo = np.concatenate(np.broadcast_arrays(start, i_hi - e_len, start + (L5 - e_len) / 2.0), axis=-1)
     fixed = np.stack(np.broadcast_arrays(start, i_hi, lo, lo + e_len), axis=-1).reshape(L.size, -1, 4)
-    draws = rng.random((L.size, 32, 3))
-    start = (draws[..., 0] - 0.5) * 4.0 * L
-    frac = _pow(2.0, -8.0 * draws[..., 1])
-    e_len = np.maximum(frac * L, 1e-12 * L)
-    lo = start + draws[..., 2] * (L - e_len)
-    randoms = np.stack([start, start + L, lo, lo + e_len], axis=-1)
     return np.concatenate([fixed, randoms], axis=1).reshape(-1, 4)
 
 
@@ -587,11 +602,12 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     log(|E|/|I|) / log(u(E)/u(I)) and the constants are libm's.  Every
     constant takes its pow from _pow.  For the slopes numpy's log proposes,
     and libm recomputes each probe whose numpy slope is within a relative
-    _SCREEN of the least or not finite.  x and y are exact inputs, so
-    nothing cancels, and numpy's log was at most 1 ulp from libm's (400 k
-    logs): the probes left, some 4,096 ulps away, decide nothing, and were
-    that broken, alpha would still be the libm slope of a real probe.  A NaN
-    is never the best constant, and the first of equal maxima is the witness.
+    _SCREEN of the least or not finite, unless x == y (a slope of 1.0 under
+    any log, at alpha's cap).  x and y are exact inputs, so nothing cancels,
+    and numpy's log was at most 1 ulp from libm's (400 k logs): the probes
+    left, some 4,096 ulps away, decide nothing, and were that broken, alpha
+    would still be the libm slope of a real probe.  A NaN is never the best
+    constant, and the first of equal maxima is the witness.
 
     alpha, the least probe slope, is an estimate, and C_u a lower bound of
     the constant at alpha that carries no information: a probe with a slope
@@ -614,7 +630,7 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     sloped = (0.0 < x) & (x < 0.999) & (0.0 < y)
     xs, ys = x[sloped], y[sloped]
     slopes = np.log(ys) / np.log(xs)
-    redo = _screen(slopes, float(slopes.min(initial=math.inf)))
+    redo = _screen(slopes, float(slopes.min(initial=math.inf))) & (xs != ys)
     slopes = _libm(math.log, ys[redo]) / _libm(math.log, xs[redo])
     alpha = min(1.0, float(slopes.min())) if slopes.size else 1.0
     alpha = max(alpha, 1e-6)

@@ -193,7 +193,8 @@ def test_scripts_and_readme_tour_run(capsys):
         assert len(capsys.readouterr().out.splitlines()) == 1 + rows, name
     timing = runpy.run_path(str(repo / "scripts" / "coarse_pass_timing.py"))
     assert timing["main"](["--reps", "1"]) == 0
-    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()[3:5]] == [["first", "pass"], ["later", "pass"]]
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[3:7]]
+    assert rows == [["first", "pass"], ["later", "pass"], ["first", "kernel"], ["later", "kernel"]]
     tour = (repo / "README.md").read_text().split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(tour, "README.md", "exec"), {})
 

@@ -34,6 +34,7 @@ from llab.weights import (
     _SCREEN,
     WeightModel,
     _ainf_probe_table,
+    _ainf_scales_and_randoms,
     _libm,
     _pow,
     a1_ratio,
@@ -151,14 +152,22 @@ def test_json_round_trip():
 @pytest.mark.parametrize("shape", sorted(search_shapes()))
 def test_weight_with_built_kernels_round_trips(shape):
     # mass and the scalar primitive are local functions cached on the
-    # instance; pickle and deepcopy drop them, and the copy rebuilds them
+    # instance; pickle and deepcopy drop them, and the copy rebuilds them.
+    # The array path's piece columns, built before the copy, travel with it.
     ends = [-3.0, -0.7, 0.0, 0.4, 1.1, 2.5, 9.0]
+
+    def array_bits(w, xs):
+        half_line = w.domain_kind == "half_line"
+        return _bits(w.mass_array(xs[:-1], xs[1:])), _bits(w.primitive_array(xs)) if half_line else None
+
     for weight in search_shapes()[shape]:
         xs = ends if weight.domain_kind == "line" else ends[2:]
         masses = [weight.mass(lo, hi).hex() for lo, hi in zip(xs, xs[1:])]
+        arrays = array_bits(weight, xs)
         for twin in (pickle.loads(pickle.dumps(weight)), copy.deepcopy(weight)):
             assert twin == weight and hash(twin) == hash(weight)
             assert [twin.mass(lo, hi).hex() for lo, hi in zip(xs, xs[1:])] == masses
+            assert "_piece_columns" in vars(twin) and array_bits(twin, xs) == arrays
 
 
 def test_json_non_number_rejected():
@@ -708,6 +717,8 @@ def kernel_radii(draw):
 
 
 @given(kernel_radii())
+# row 0's mass overflows, so its W(lo) is inf - inf: a NaN that zero radii must not take
+@example((WeightModel((Segment(0.0, 1e100, 1e300, 1.0),), tail_exp=1.0), np.array([[0.0, 2.0], [-0.0, 1.0]])))
 @settings(max_examples=300, deadline=None)
 def test_array_kernel_takes_each_radius_as_the_scalar_kernel(case):
     # no dedupe: each radius finds its row by itself, bit for bit
@@ -785,6 +796,15 @@ def test_class_checks_are_the_scalar_loops(shape):
     assert repr(check_Ainf(u)) == repr(check_Ainf_oracle(u))
 
 
+def test_ainf_random_probes_are_built_once_read_only():
+    # they depend on the scales alone, so every u shares one block
+    L, randoms = _ainf_scales_and_randoms()
+    assert _ainf_scales_and_randoms()[1] is randoms and randoms.shape == (L.size, 32, 4)
+    for block in (L, randoms):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+
+
 @st.composite
 def ainf_weight(draw):
     """A line weight of 1-3 segments, now and then with an exp = -1 row away
@@ -810,6 +830,7 @@ def _outcome(check, u):
 
 @given(ainf_weight())
 @example(WeightModel.constant(domain_kind="line"))  # every probe ties
+@example(WeightModel.power(1e-12, domain_kind="line"))  # near ties: x within 4e-16 to 5e-12 relative of y
 @example(WeightModel((Segment(0.0, 1.0, 1.0, 0.0),), "line", tail_coef=1e308))  # masses overflow
 # numpy's least slope is an ulp below libm's, 0.07700135894989513
 @example(
