@@ -11,13 +11,13 @@ repetitions of the whole sweep; the first-pass and later-pass times, then
 the kernel's, are printed as median and quartiles in ms, each kernel row
 with the median of its share of the pass.  A separate untimed sweep counts
 the libm elements per pass, which fix the pass's bits: the pows
-`weights._pow` takes and the logs `weights._libm` maps.
+`weights._pow` takes and the logs `weights._log` takes.
 
 Usage:
     PYTHONPATH=src python3 scripts/coarse_pass_timing.py [--reps 5]
 
-With PYTHONPATH pointing at another checkout's `src`, the same script times
-that checkout's pass on the same inputs.
+With PYTHONPATH pointing at another checkout's `src` that has `weights._log`,
+the same script times that checkout's pass on the same inputs.
 """
 
 import argparse
@@ -74,9 +74,9 @@ def sweep(pairs, first, later):
 
 
 def libm_elements(pairs):
-    """Elements of weights._pow and of weights._libm per pass: (first, later)
+    """Elements of weights._pow and of weights._log per pass: (first, later)
     lists of (pows, logs), first passes and later ones."""
-    pow_, libm, count = weights._pow, weights._libm, [0, 0]
+    pow_, log, count = weights._pow, weights._log, [0, 0]
 
     def counted(k, fn):
         def wrapped(*args):
@@ -87,7 +87,7 @@ def libm_elements(pairs):
         return wrapped
 
     first, later = [], []
-    weights._pow, weights._libm = counted(0, pow_), counted(1, libm)
+    weights._pow, weights._log = counted(0, pow_), counted(1, log)
     try:
         for u, w in pairs:
             clear()
@@ -96,7 +96,7 @@ def libm_elements(pairs):
                 boyd._coarse_pass(u, w, ratio)
                 (later if k else first).append(tuple(count))
     finally:
-        weights._pow, weights._libm = pow_, libm
+        weights._pow, weights._log = pow_, log
     return first, later
 
 

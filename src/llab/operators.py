@@ -28,7 +28,7 @@ from .rearrangement import (
     make_step,
     rearrange,
 )
-from .weights import WeightModel, _libm, check_Ainf, check_Bstar_inf
+from .weights import WeightModel, _log, check_Ainf, check_Bstar_inf
 
 _ENDPOINT_EPS = 1e-9
 _MAXIMAL_BLOCK = 1 << 16  # entries per block of rows of _maximal_array
@@ -225,9 +225,9 @@ def _hilbert_array(f: StepFunction, xs: np.ndarray) -> tuple[np.ndarray, np.ndar
     T steps only where the distance falls, so within one distance only the
     value each side is left with counts: its last event there, the
     smallest, which is the value _held keeps.  The value each side holds
-    after a column is its last event's, forward-filled.  The logs go
-    through libm, as in the scalar kernel, and T is accumulated column by
-    column.
+    after a column is its last event's, forward-filled.  The logs are
+    libm's, from weights._log, as in the scalar kernel, and T is
+    accumulated column by column.
     """
     ends, values, _ = f.table
     e, m = np.array(ends), len(ends)
@@ -253,7 +253,7 @@ def _hilbert_array(f: StepFunction, xs: np.ndarray) -> tuple[np.ndarray, np.ndar
         )
         step = d[:, 1:] < d[:, :-1]
         inc = np.zeros(d.shape)
-        inc[:, 1:][step] = diff[:, :-1][step] * _libm(math.log, (d[:, :-1] / d[:, 1:])[step])
+        inc[:, 1:][step] = diff[:, :-1][step] * _log((d[:, :-1] / d[:, 1:])[step])
         T = np.cumsum(inc, axis=1)  # sequential along a row: T[c] = T[c - 1] + inc[c]
         h[r : r + rows] = T[:, -1] / math.pi
         hs[r : r + rows] = np.fmax.reduce(np.abs(T), axis=1) / math.pi  # a NaN never counts

@@ -20,7 +20,6 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,15 +59,15 @@ def _finite(masses: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _libm(fn, *args) -> np.ndarray:
-    """fn (math.log; pow goes through _pow) per element of the 1-d float
-    arrays among args, each float among them repeated.  numpy's own pow and
-    log round an ulp away from libm's on a few percent of inputs, and the
-    searches break near-ties on such ulps, so the array path calls libm too,
-    streaming each array's buffer: no column is copied into a list."""
-    cols = [repeat(a) if isinstance(a, float) else memoryview(np.ascontiguousarray(a, dtype=float)) for a in args]
-    n = next(len(c) for c in cols if isinstance(c, memoryview))
-    return np.fromiter(map(fn, *cols), dtype=float, count=n)
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log per element of the 1-d float array x, bit for bit: numpy's
+    float64 log calls the C library's log per element on a reversed view,
+    not its SIMD kernel, which is an ulp off on about 1 % of inputs in
+    (1, 1.001).  Raises math.log's error where an element is <= 0."""
+    a = np.ascontiguousarray(x, dtype=float)
+    if (a <= 0.0).any():
+        raise ValueError("math domain error")
+    return np.log(a[::-1])[::-1]
 
 
 def _pow(x, y) -> np.ndarray:
@@ -217,7 +216,7 @@ class WeightModel:
         """_radial_primitive of every radius in r, bit for bit: the same rows
         (bisect_left's: a radius at a breakpoint is its left row's), libm's
         pow and log and the same order of operations, in one _pow pass; e1 = 0
-        radii (0/0 there) are redone by log, and zero radii set to 0.0 last."""
+        radii (0/0 there) are redone by _log, and zero radii set to 0.0 last."""
         if np.any(r < 0.0):
             raise PreconditionError("radius must be nonnegative")
         bps, *cols = self._piece_columns
@@ -227,7 +226,7 @@ class WeightModel:
         with np.errstate(invalid="ignore"):
             out = base + coef * (_pow(flat, e1) - lo_pow) / e1
         if (logs := np.flatnonzero(e1 == 0.0)).size:
-            out[logs] = base[logs] + coef[logs] * _libm(math.log, flat[logs] / lo[logs])
+            out[logs] = base[logs] + coef[logs] * _log(flat[logs] / lo[logs])
         out[flat == 0.0] = 0.0
         return out.reshape(r.shape)[()]  # a 0-d r gives a float64, as a ufunc does
 
@@ -600,14 +599,14 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
 
     u(I) and u(E) of every probe go through one mass_array pass.  The slopes
     log(|E|/|I|) / log(u(E)/u(I)) and the constants are libm's.  Every
-    constant takes its pow from _pow.  For the slopes numpy's log proposes,
-    and libm recomputes each probe whose numpy slope is within a relative
-    _SCREEN of the least or not finite, unless x == y (a slope of 1.0 under
-    any log, at alpha's cap).  x and y are exact inputs, so nothing cancels,
-    and numpy's log was at most 1 ulp from libm's (400 k logs): the probes
-    left, some 4,096 ulps away, decide nothing, and were that broken, alpha
-    would still be the libm slope of a real probe.  A NaN is never the best
-    constant, and the first of equal maxima is the witness.
+    constant takes its pow from _pow.  For the slopes numpy's forward
+    (SIMD) log proposes, and _log recomputes each probe whose numpy slope is
+    within a relative _SCREEN of the least or not finite, unless x == y (a
+    slope of 1.0 under any log, at alpha's cap).  x and y are exact inputs,
+    so nothing cancels, and numpy's log was at most 1 ulp from libm's (400 k
+    logs): the probes left, some 4,096 ulps away, decide nothing, and were
+    that broken, alpha would still be the libm slope of a real probe.  A NaN
+    is never the best constant, and the first of equal maxima is the witness.
 
     alpha, the least probe slope, is an estimate, and C_u a lower bound of
     the constant at alpha that carries no information: a probe with a slope
@@ -631,7 +630,7 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     xs, ys = x[sloped], y[sloped]
     slopes = np.log(ys) / np.log(xs)
     redo = _screen(slopes, float(slopes.min(initial=math.inf))) & (xs != ys)
-    slopes = _libm(math.log, ys[redo]) / _libm(math.log, xs[redo])
+    slopes = _log(ys[redo]) / _log(xs[redo])
     alpha = min(1.0, float(slopes.min())) if slopes.size else 1.0
     alpha = max(alpha, 1e-6)
     scored = ~(x <= 0.0)  # as `if x <= 0.0: continue`, which a NaN passes
