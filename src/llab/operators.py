@@ -28,7 +28,7 @@ from .rearrangement import (
     make_step,
     rearrange,
 )
-from .weights import WeightModel, _log, check_Ainf, check_Bstar_inf
+from .weights import WeightModel, _infinite_mass, _log
 
 _ENDPOINT_EPS = 1e-9
 _MAXIMAL_BLOCK = 1 << 16  # entries per block of rows of _maximal_array
@@ -449,7 +449,9 @@ def hilbert_verdict(u: WeightModel, w: WeightModel, p: float, estimates: BoydEst
     """Two-route boundedness verdict for the Hilbert transform.
 
     Route one uses the fitted indices (upper below 1, lower above 0); route
-    two combines the weight-class checks with the maximal verdict.  For
+    two combines the maximal verdict with the flags of check_Ainf(u) and
+    check_Bstar_inf(w), read from their common rule, not from their probe
+    and grid passes.  For
     p <= 1 only the one-sided index implications apply, so the condition
     route is reported as informational there.
     """
@@ -466,9 +468,8 @@ def hilbert_verdict(u: WeightModel, w: WeightModel, p: float, estimates: BoydEst
     else:
         index_route = "inconclusive"
 
-    ainf = check_Ainf(u)
-    bstar = check_Bstar_inf(w)
-    if ainf.holds and bstar.holds and mv.verdict == "bounded":
+    ainf_holds, bstar_holds = _infinite_mass(u), _infinite_mass(w)
+    if ainf_holds and bstar_holds and mv.verdict == "bounded":
         condition_route = "bounded"
     elif mv.verdict == "inconclusive":
         condition_route = "inconclusive"
@@ -487,6 +488,6 @@ def hilbert_verdict(u: WeightModel, w: WeightModel, p: float, estimates: BoydEst
         alpha=mv.alpha,
         beta=beta,
         maximal=mv,
-        ainf_holds=ainf.holds,
-        bstar_holds=bstar.holds,
+        ainf_holds=ainf_holds,
+        bstar_holds=bstar_holds,
     )

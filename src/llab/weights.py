@@ -462,6 +462,12 @@ def _end_exps(w: WeightModel) -> tuple[float, float]:
     return w._pieces[0][2], w._pieces[-1][2]
 
 
+def _infinite_mass(w: WeightModel) -> bool:
+    """γ∞ > -1, so that w's mass on (0, ∞) is infinite: the rule of A_inf and
+    B*_∞, and A1's lower bound on γ∞."""
+    return _end_exps(w)[1] > -1.0
+
+
 def _grid_verdict(name: str, w: WeightModel, holds: bool, ratio, **witness) -> ClassVerdict:
     """The verdict of one scale class of w: ratio(r) at every r of the
     default grid, the first of equal maxima as the witness {"r": r,
@@ -506,7 +512,7 @@ def check_Bstar_inf(w: WeightModel) -> ClassVerdict:
     W(t) ~ c t^(γ0+1) at 0, so there the ratio tends to 1/(γ0 + 1), and at ∞
     to 1/(γ∞ + 1) if γ∞ > -1.  Otherwise W grows like log r or stays bounded,
     and the integral grows like log² r or log r, beyond W."""
-    return _grid_verdict("BstarInf", w, _end_exps(w)[1] > -1.0, lambda r: bstar_ratio(w, r))
+    return _grid_verdict("BstarInf", w, _infinite_mass(w), lambda r: bstar_ratio(w, r))
 
 
 def _a1_probe_points(u: WeightModel) -> list[float]:
@@ -545,8 +551,7 @@ def check_A1(u: WeightModel) -> ClassVerdict:
     if best_ratio > 0.0:
         point = points[np.unravel_index(best, ratio.shape)[1]]
         best_witness = {"x": point, "lo": float(lo.flat[best]), "hi": float(hi.flat[best])}
-    g0, ginf = _end_exps(u)
-    holds = math.isfinite(best_ratio) and g0 <= 0.0 and -1.0 < ginf <= 0.0
+    holds = math.isfinite(best_ratio) and max(_end_exps(u)) <= 0.0 and _infinite_mass(u)
     return ClassVerdict("A1", holds, best_ratio, best_witness)
 
 
@@ -584,39 +589,34 @@ def _ainf_probe_table(u: WeightModel) -> np.ndarray:
     return np.concatenate([fixed, randoms], axis=1).reshape(-1, 4)
 
 
-_SCREEN = 2.0**-40  # check_Ainf's relative margin for numpy's log against libm's
-
-
-def _screen(fast: np.ndarray, v: float) -> np.ndarray:
-    """Where fast is not finite or within a relative _SCREEN of v."""
-    # bounds in Python floats: an infinite v raises no warning
-    return ~np.isfinite(fast) | ((v - abs(v) * _SCREEN <= fast) & (fast <= v + abs(v) * _SCREEN))
-
-
 def check_Ainf(u: WeightModel) -> ClassVerdict:
-    """Fit C_u and alpha with |E|/|I| <= C_u (u(E)/u(I))^alpha over the rows
-    of _ainf_probe_table, never built as objects.
+    """A_inf, |E|/|I| <= C (u(E)/u(I))^δ for every interval I and set E in
+    I, holds iff γ∞ > -1, as u is comparable to |x|^γ0 (1 + |x|)^(γ∞ - γ0)
+    and γ0 > -1 (for |x|^γ, Muckenhoupt 1972).  Then the exponent is the
+    sharp δ* = 1/(1 + max(0, γ0, γ∞)):
 
-    u(I) and u(E) of every probe go through one mass_array pass.  The slopes
-    log(|E|/|I|) / log(u(E)/u(I)) and the constants are libm's.  Every
-    constant takes its pow from _pow.  For the slopes numpy's forward
-    (SIMD) log proposes, and _log recomputes each probe whose numpy slope is
-    within a relative _SCREEN of the least or not finite, unless x == y (a
-    slope of 1.0 under any log, at alpha's cap).  x and y are exact inputs,
-    so nothing cancels, and numpy's log was at most 1 ulp from libm's (400 k
-    logs): the probes left, some 4,096 ulps away, decide nothing, and were
-    that broken, alpha would still be the libm slope of a real probe.  A NaN
-    is never the best constant, and the first of equal maxima is the witness.
+    - attained: |x|^γ has δ = 1/(1 + γ) for γ >= 0 (for a given |E|, u(E)
+      is least at the minimum of u on I) and δ = 1 for γ in (-1, 0] (A1);
+      |x|^γ0 (1 + |x|)^(γ∞ - γ0) is |x|^γ0 up to constants on (-1, 1) and
+      |x|^γ∞ outside, so it has the lesser δ, and u, comparable to it,
+      keeps that δ at another C;
+    - sharp: E = (0, εL) in I = (0, L) has |E|/|I| = ε, while u(E)/u(I)
+      tends to ε^(1 + γ0) as L -> 0 and to ε^(1 + γ∞) as L -> ∞; and δ <= 1
+      for every u, by Lebesgue differentiation where u is continuous.
 
-    alpha, the least probe slope, is an estimate, and C_u a lower bound of
-    the constant at alpha that carries no information: a probe with a slope
-    has |E|/|I| <= (u(E)/u(I))^alpha by the choice of alpha, and one
-    without has u(E)/u(I) >= 0.999 or |E| = 0, so 1 <= C_u <= 0.999^-alpha
-    whenever alpha is above its 1e-6 floor.
+    If γ∞ <= -1, E = (R/2, R) in I = (0, R) has |E|/|I| = 1/2 while
+    u(E)/u(I) -> 0 as R -> ∞: no (C, δ) exists, so the verdict has no
+    exponent and an infinite constant, and takes no masses.
 
-    A_inf holds iff γ∞ > -1, as u is comparable to |x|^γ0 (1 + |x|)^(γ∞ - γ0)
-    and γ0 > -1 (for |x|^γ, Muckenhoupt 1972).  If γ∞ <= -1, E = (R/2, R)
-    in I = (0, R) has |E|/|I| = 1/2 while u(E)/u(I) -> 0 as R -> ∞."""
+    The constant is the maximum of (|E|/|I|) / (u(E)/u(I))^δ* over the rows
+    of _ainf_probe_table, never built as objects, floored at 1: a lower
+    bound of the least C at δ*, whose witness is the first probe that
+    attains it.  u(I) and u(E) of every probe go through one mass_array
+    pass, and the powers through one _pow pass."""
+    if u.domain_kind == "half_line":  # anchor 0's probes reach below 0
+        raise ConfigurationError("set escapes the half-line domain")
+    if not _infinite_mass(u):
+        return ClassVerdict("AInf", False, math.inf, {})
     i_lo, i_hi, e_lo, e_hi = _ainf_probe_table(u).T
     if not np.all((i_lo <= e_lo) & (e_hi <= i_hi)):
         raise PreconditionError("A_inf probe needs E within I")
@@ -626,20 +626,12 @@ def check_Ainf(u: WeightModel) -> ClassVerdict:
     if np.any(uI == 0.0):
         raise PreconditionError("A_inf probe needs u(I) > 0")
     x, y = uE / uI, (e_hi - e_lo) / (i_hi - i_lo)
-    sloped = (0.0 < x) & (x < 0.999) & (0.0 < y)
-    xs, ys = x[sloped], y[sloped]
-    slopes = np.log(ys) / np.log(xs)
-    redo = _screen(slopes, float(slopes.min(initial=math.inf))) & (xs != ys)
-    slopes = _log(ys[redo]) / _log(xs[redo])
-    alpha = min(1.0, float(slopes.min())) if slopes.size else 1.0
-    alpha = max(alpha, 1e-6)
-    scored = ~(x <= 0.0)  # as `if x <= 0.0: continue`, which a NaN passes
-    c = np.full(n, -math.inf)
-    c[scored] = y[scored] / _pow(x[scored], alpha)
-    c = np.where(c > 1.0, c, -math.inf)  # C_u starts at 1; a NaN never wins
+    delta = 1.0 / (1.0 + max(0.0, *_end_exps(u)))
+    scored = x > 0.0  # a u(E) that underflows to 0 sets no bound
+    c = np.zeros(n)
+    c[scored] = y[scored] / _pow(x[scored], delta)
     best = int(np.argmax(c))
-    c_u, witness = 1.0, {}
-    if c[best] > 1.0:
-        c_u = float(c[best])
-        witness = {"I": [float(i_lo[best]), float(i_hi[best])], "E": [[float(e_lo[best]), float(e_hi[best])]]}
-    return ClassVerdict("AInf", _end_exps(u)[1] > -1.0, c_u, witness, exponent=alpha)
+    if c[best] <= 1.0:
+        return ClassVerdict("AInf", True, 1.0, {}, exponent=delta)
+    witness = {"I": [float(i_lo[best]), float(i_hi[best])], "E": [[float(e_lo[best]), float(e_hi[best])]]}
+    return ClassVerdict("AInf", True, float(c[best]), witness, exponent=delta)

@@ -634,10 +634,15 @@ def ainf_point(u, I, E):
 
 
 def check_Ainf_oracle(u):
-    """check_Ainf as a scalar loop over the probes: containment through
-    `contains`, then every probe's masses (one that is not finite raises as
-    mass_array does), u(I) > 0, one ainf_point per probe, a strict `>` from
-    C_u = 1, and holds from A_inf's theorem: the tail exponent is above -1."""
+    """check_Ainf as a scalar loop over the probes: holds from A_inf's
+    theorem, the tail exponent above -1, with no masses taken if it fails;
+    the sharp exponent 1/(1 + max(0, γ0, γ∞)) from the first segment's and
+    the tail's exps; containment through `contains`, then every probe's
+    masses (one that is not finite raises as mass_array does), u(I) > 0, one
+    ainf_point per probe, and a strict `>` from the constant 1."""
+    if u.tail_exp <= -1.0:
+        return ClassVerdict("AInf", False, math.inf, {})
+    delta = 1.0 / (1.0 + max(0.0, u.segments[0].exp, u.tail_exp))
     probes = ainf_probes_oracle(u)
     if not all(contains(IntervalUnion((I,)), E) for I, E in probes):
         raise PreconditionError("A_inf probe needs E within I")
@@ -645,22 +650,48 @@ def check_Ainf_oracle(u):
         raise PreconditionError("a weight mass overflows the float range")
     if any(u.mass(I.lo, I.hi) == 0.0 for I, _ in probes):
         raise PreconditionError("A_inf probe needs u(I) > 0")
-    slopes, cloud = [], []
+    c_u, witness = 1.0, {}
     for I, E in probes:
         x, y = ainf_point(u, I, E)
-        cloud.append((x, y))
-        if 0.0 < x < 0.999 and 0.0 < y:
-            slopes.append(math.log(y) / math.log(x))
-    alpha = max(min(1.0, min(slopes)) if slopes else 1.0, 1e-6)
-    c_u, witness = 1.0, {}
-    for (I, E), (x, y) in zip(probes, cloud):
         if x <= 0.0:
             continue
-        c = y / x**alpha
+        c = y / x**delta
         if c > c_u:
             c_u = c
             witness = {"I": [I.lo, I.hi], "E": [[p.lo, p.hi] for p in E.parts]}
-    return ClassVerdict("AInf", u.tail_exp > -1.0, c_u, witness, exponent=alpha)
+    return ClassVerdict("AInf", True, c_u, witness, exponent=delta)
+
+
+def ainf_dense_constant(u, delta, k):
+    """The A_inf constant of u at the exponent delta over denser probes than
+    check_Ainf's, at the scales L = 2^-k .. 2^k: per scale, anchor a (0 and
+    each finite breakpoint) and ε = 2^-1 .. 2^-24, E of length εL at the
+    left end, the right end and the centre of I = (a, a + L),
+    (a - L/2, a + L/2) and (a - L, a), and E centred on a at either end of
+    I, which for |x|^γ at a = 0 tends to the supremum; then 256 random rows
+    per scale, each scale's from a seed of its own, so that a wider range of
+    scales only adds probes.  Floored at 1, as check_Ainf's."""
+    anchors = np.array([0.0] + [b for b in u.breakpoints if math.isfinite(b)])
+    eps = 2.0 ** -np.arange(1.0, 25.0)
+    rows = []
+    for m in range(-k, k + 1):
+        L = 2.0**m
+        a, e = anchors[:, None], eps[None, :] * L
+        for start in (a, a - L / 2.0, a - L):
+            for lo in (start, start + L - e, start + (L - e) / 2.0):
+                rows.append(np.broadcast_arrays(start, start + L, lo, lo + e))
+        for start in (a - e / 2.0, a + e / 2.0 - L):
+            rows.append(np.broadcast_arrays(start, start + L, a - e / 2.0, a + e / 2.0))
+        rng = np.random.default_rng(m + 100)
+        r = rng.random((3, 256))
+        start = (r[0] - 0.5) * 4.0 * L
+        e = 2.0 ** (-24.0 * r[1]) * L
+        lo = start + r[2] * (L - e)
+        rows.append((start, start + L, lo, lo + e))
+    i_lo, i_hi, e_lo, e_hi = (np.concatenate([np.ravel(row[j]) for row in rows]) for j in range(4))
+    x = u.mass_array(e_lo, e_hi) / u.mass_array(i_lo, i_hi)
+    y = (e_hi - e_lo) / (i_hi - i_lo)
+    return max(1.0, float(np.max(y[x > 0.0] / x[x > 0.0] ** delta)))
 
 
 def cover_oracle(I, S, t):

@@ -344,6 +344,20 @@ def test_classes_divergent_constant_is_standard_json(configs, capsys):
     assert "diverges" not in out["Delta2"] and out["Delta2"]["constant"] == 2.0
 
 
+def test_classes_ainf_without_an_exponent(configs, capsys):
+    # u = 1 on (0, 1), then |x|^-1.5: u(E)/u(I) -> 0 for E = (R/2, R) in
+    # I = (0, R), so no (C, δ) exists and AInf has neither constant nor exponent
+    u = configs["dir"] / "u_fast_tail.json"
+    u.write_text(json.dumps(dict(UNIT_LINE, tail={"coef": 1.0, "exp": -1.5})))
+    assert main(["classes", "--w", configs["w1"], "--u", str(u)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert out["AInf"] == {"class": "AInf", "holds": False, "constant": None, "witness": {}, "diverges": True}
+    # a half-line u is still a configuration error
+    u.write_text(json.dumps(dict(UNIT_HALF, tail={"coef": 1.0, "exp": -1.5})))
+    assert main(["classes", "--w", configs["w1"], "--u", str(u)]) == EXIT_CONFIG
+    assert "half-line" in capsys.readouterr().err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

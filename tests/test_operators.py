@@ -42,7 +42,7 @@ from llab.operators import (
     resample_step,
 )
 from llab.rearrangement import indicator, make_step, rearrange
-from llab.weights import WeightModel
+from llab.weights import Segment, WeightModel, check_Ainf
 
 
 def random_step(rng, n_pieces=3):
@@ -289,6 +289,18 @@ def test_hilbert_verdict_bad_weight():
     hv = hilbert_verdict(u, w, 2.0, compute_estimates(u, w, 2.0))
     assert hv.index_route == "not_bounded"
     assert hv.verdict == "not_bounded"
+
+
+def test_hilbert_verdict_reads_the_class_flags_without_their_probes():
+    # u = 1 on (0, 1), then 1e-200: the probe mass u((2, 3)) rounds to 0, so
+    # check_Ainf refuses u, and the verdict did too, although A_inf holds by
+    # its theorem (tail exp 0 > -1)
+    u = WeightModel((Segment(0.0, 1.0, 1.0, 0.0),), "line", tail_coef=1e-200)
+    w = WeightModel.power(0.5)
+    hv = hilbert_verdict(u, w, 2.0, compute_estimates(u, w, 2.0))
+    assert hv.ainf_holds and hv.bstar_holds
+    with pytest.raises(PreconditionError, match="u\\(I\\) > 0"):
+        check_Ainf(u)
 
 
 @pytest.mark.parametrize("a", [-0.999, -0.9985])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import (
+    ainf_dense_constant,
     ainf_point,
     ainf_probes_oracle,
     check_A1_full_scan,
@@ -30,7 +31,6 @@ from llab.errors import ConfigurationError, PreconditionError
 from llab.intervals import Interval, normalize, singleton
 from llab.weights import (
     Segment,
-    _SCREEN,
     WeightModel,
     _ainf_probe_table,
     _ainf_scales_and_randoms,
@@ -271,17 +271,6 @@ def test_a1_is_the_full_scan(u):
     assert a1_ratio(u, **v.witness) == v.constant
 
 
-def test_ainf_constant_is_pinned_by_its_exponent():
-    # C_u is scored on the probes that set alpha: a sloped probe cannot push
-    # it above 1, and one without a slope has u(E)/u(I) >= 0.999 or |E| = 0
-    us = [u for u, _ in search_shapes().values()]
-    us += [WeightModel.power(e, domain_kind="line") for e in (-0.9, -0.5, 0.5, 2.0, 5.0)]
-    for u in us:
-        v = check_Ainf(u)
-        assert v.exponent > 1e-6
-        assert 1.0 <= v.constant <= 0.999**-v.exponent
-
-
 def test_ainf_unit_and_abs():
     v = check_Ainf(WeightModel.constant(domain_kind="line"))
     assert v.holds
@@ -290,10 +279,9 @@ def test_ainf_unit_and_abs():
 
     va = check_Ainf(WeightModel.power(1.0, domain_kind="line"))
     assert va.holds
-    # u(x)=|x| satisfies the comparison with exponent 1/2; the fitted
-    # exponent is the most conservative probe slope, so it sits at or below
+    # the sharp exponent of u(x) = |x| is 1/(1 + 1) = 1/2
     assert 0.0 < va.exponent <= 0.5 + 1e-9
-    # every probe must satisfy |E|/|I| <= C (u(E)/u(I))^alpha; spot check
+    # every probe must satisfy |E|/|I| <= C (u(E)/u(I))^δ*; spot check
     from llab.intervals import Interval
 
     x, y = ainf_point(
@@ -369,6 +357,76 @@ BOUNDARY_FLAGS = [
 )
 def test_boundary_weights_get_the_theorems_flags(name, w, holds):
     assert CHECKS[name](w).holds is holds
+
+
+# the line weights of BOUNDARY_FLAGS and |x|^γ for γ = 0, 1/2, 1, 2, 3
+AINF_LINE_WEIGHTS = {label: w for _, label, w, _ in BOUNDARY_FLAGS if w.domain_kind == "line"}
+AINF_LINE_WEIGHTS.update({f"|x|^{g}": line_power(g) for g in (0.0, 0.5, 1.0, 2.0)})  # |x|^3 is a boundary weight
+
+
+@pytest.mark.parametrize("label", sorted(AINF_LINE_WEIGHTS))
+def test_ainf_exponent_is_the_sharp_one(label):
+    u = AINF_LINE_WEIGHTS[label]
+    g0, ginf = u.segments[0].exp, u.tail_exp
+    v = check_Ainf(u)
+    if ginf <= -1.0:  # no (C, δ) at all: E = (R/2, R) in I = (0, R) as R -> ∞
+        assert (v.holds, v.constant, v.witness, v.exponent) == (False, math.inf, {}, None)
+        assert v.as_dict() == {"class": "AInf", "holds": False, "constant": None, "witness": {}, "diverges": True}
+        return
+    assert v.holds and v.exponent == 1.0 / (1.0 + max(0.0, g0, ginf))
+    if not v.witness:
+        assert v.constant == 1.0
+        return
+    # the constant is its witness probe's bound, above the floor 1
+    ((lo, hi),) = v.witness["E"]
+    x, y = ainf_point(u, Interval(*v.witness["I"]), singleton(lo, hi))
+    assert y / x**v.exponent == v.constant > 1.0
+
+
+@pytest.mark.parametrize("ginf", [0.5, -1.5])
+def test_ainf_of_a_half_line_u_is_a_configuration_error(ginf):
+    # on either side of the theorem's threshold, the diverging side taking no masses
+    with pytest.raises(ConfigurationError, match="escapes the half-line"):
+        check_Ainf(head_tail(0.0, ginf))
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0, 3.0])
+def test_ainf_constant_of_a_power_tends_to_its_supremum(g):
+    # E = (-εL, εL) in I = (-εL, L - εL): |E|/|I| = 2ε and u(E)/u(I) ->
+    # 2 ε^(γ+1) as ε -> 0, so the bound at δ* = 1/(γ+1) tends to 2^(γ/(γ+1)),
+    # which the library's sparser probes stay below
+    u = line_power(g)
+    v = check_Ainf(u)
+    sup = 2.0 ** (g / (g + 1.0))
+    assert ainf_dense_constant(u, v.exponent, 30) == pytest.approx(sup, abs=1e-3)
+    assert 1.0 < v.constant < sup
+
+
+# u = |x|^-1/2, search_shapes' multi u and the multi u of perfbench's search_inputs(1, 0)
+AINF_SETTLING_WEIGHTS = {
+    "|x|^-0.5": line_power(-0.5),
+    "multi": search_shapes()["multi"][0],
+    "multi-2": WeightModel(
+        (
+            Segment(0.0, 0.7344472644085874, 0.6150542434010532, 0.9374092065256332),
+            Segment(0.7344472644085874, 2.440494848091862, 1.9296463680521927, 0.0),
+            Segment(2.440494848091862, 2.968790687577828, 0.8515456015106817, 0.7849323562728311),
+        ),
+        "line",
+        1.0,
+        0.5519996016763971,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(AINF_SETTLING_WEIGHTS))
+def test_ainf_constant_settles_as_the_scales_widen(label):
+    # C(δ*) is finite: probes out to 2^±30 find little more than out to 2^±10
+    u = AINF_SETTLING_WEIGHTS[label]
+    v = check_Ainf(u)
+    near, far = (ainf_dense_constant(u, v.exponent, k) for k in (10, 30))
+    assert far == pytest.approx(near, rel=0.05)
+    assert 1.0 <= v.constant <= far
 
 
 @st.composite
@@ -876,7 +934,7 @@ def _outcome(check, u):
 @example(WeightModel.constant(domain_kind="line"))  # every probe ties
 @example(WeightModel.power(1e-12, domain_kind="line"))  # near ties: x within 4e-16 to 5e-12 relative of y
 @example(WeightModel((Segment(0.0, 1.0, 1.0, 0.0),), "line", tail_coef=1e308))  # masses overflow
-# numpy's least slope is an ulp below libm's, 0.07700135894989513
+# an inner exp, 1.30, above both end exps: δ* reads only the ends
 @example(
     WeightModel(
         (
@@ -891,20 +949,9 @@ def _outcome(check, u):
 )
 @settings(max_examples=100, deadline=None)
 def test_ainf_is_the_scalar_loop(u):
-    # numpy's log and pow only pick the probes libm recomputes: every bit of
-    # alpha, C_u and the witness, or the error, is the libm loop's
+    # every bit of the exponent, the constant and the witness, or the error,
+    # is the scalar loop's
     assert _outcome(check_Ainf, u) == _outcome(check_Ainf_oracle, u)
-
-
-@given(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=64))
-@settings(max_examples=200, deadline=None)
-def test_numpy_log_stays_within_the_screen(exps):
-    # check_Ainf leaves to numpy's forward log only the probes beyond a
-    # relative _SCREEN of the least slope; on a platform where that log
-    # strays that far from libm's, this fails first
-    x = 10.0 ** np.array(exps)
-    slow = np.array([math.log(v) for v in x.tolist()])
-    assert np.all(np.abs(np.log(x) - slow) <= _SCREEN * np.abs(slow))
 
 
 @st.composite
