@@ -2,9 +2,7 @@
 """Weak-type certificates for the maximal operator across stretch factors.
 
 For each s the extremal configuration I = (0, s), S = (0, 1) yields an
-operator-norm lower bound; the script also prints the index-function bound
-implied by assuming the weak constant equals the certificate value, so the
-two sides of the weak-to-strong chain can be compared by eye.
+operator-norm lower bound.
 
 Usage:
     python3 scripts/certificate_sweep.py [--p 2.0] [--u u.json] [--w w.json]
@@ -14,7 +12,7 @@ import argparse
 import sys
 
 from llab.boyd import Configuration
-from llab.construction import weak_type_lower_bound, wbar_u_bound_from_weak
+from llab.construction import weak_type_lower_bound
 from llab.intervals import Interval, singleton
 from llab.weights import WeightModel
 
@@ -29,16 +27,12 @@ def main(argv=None) -> int:
     u = WeightModel.load(args.u) if args.u else WeightModel.constant(domain_kind="line")
     w = WeightModel.load(args.w) if args.w else WeightModel.constant()
 
-    print(f"{'s':>8} {'threshold':>10} {'test_norm':>10} {'lower_bd':>10} {'index_bd':>12}")
+    print(f"{'s':>8} {'threshold':>10} {'test_norm':>10} {'lower_bd':>10}")
     for k in range(1, 9):
         s = 2.0**k
         fam = Configuration(pairs=((Interval(0.0, s), singleton(0.0, 1.0)),), ratio=s)
         cert = weak_type_lower_bound(u, w, args.p, fam)
-        index_bd = wbar_u_bound_from_weak(cert.lower_bound, args.p, s)
-        print(
-            f"{s:8.1f} {cert.threshold:10.4f} {cert.test_norm:10.4f} "
-            f"{cert.lower_bound:10.4f} {index_bd:12.4f}"
-        )
+        print(f"{s:8.1f} {cert.threshold:10.4f} {cert.test_norm:10.4f} {cert.lower_bound:10.4f}")
     return 0
 
 

@@ -383,7 +383,7 @@ class WeakTypeCertificate:
     quadrature_error: float  # absolute error bound on test_norm^p
     superset_mass: float
     lower_bound: float  # from the upper end (test_norm^p + quadrature_error)^(1/p)
-    log_bound_constant: float  # test_norm^p / ((1 + log s) W(u(union S)))
+    log_bound_constant: float  # measured ratio test_norm^p / ((1 + log s) W(u(union S))), not a bound
 
     def as_dict(self) -> dict:
         """Every field but the family, in field order, then its pairs."""
@@ -431,14 +431,3 @@ def weak_type_lower_bound(
         log_bound_constant=test_norm**p / ((1.0 + math.log(s)) * subset_mass),
     )
 
-
-def wbar_u_bound_from_weak(C_weak: float, p: float, s: float) -> float:
-    """Upper bound on the joint index function at s implied by a weak-type
-    operator norm C_weak, with the constants of the proof chain tracked
-    explicitly: W(u(union I)) <= C^p (2s/(1+log s))^p ||f||^p and
-    ||f||^p <= (1 + log s) W(u(union S))."""
-    if C_weak <= 0.0 or s <= 1.0:
-        raise PreconditionError("bound needs C_weak > 0 and s > 1")
-    if not 0.0 < p < math.inf:  # NaN fails too
-        raise PreconditionError(f"p must be positive and finite, got {p!r}")
-    return C_weak**p * 2.0**p * (1.0 + math.log(s)) ** (1.0 - p) * s**p

@@ -70,6 +70,16 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.log(a[::-1])[::-1]
 
 
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """math.log1p per element of the 1-d float array x, bit for bit, read
+    as _log reads log: on a reversed view, past numpy's SIMD kernel.  Raises
+    math.log1p's error where an element is <= -1."""
+    a = np.ascontiguousarray(x, dtype=float)
+    if (a <= -1.0).any():
+        raise ValueError("math domain error")
+    return np.log1p(a[::-1])[::-1]
+
+
 def _pow(x, y) -> np.ndarray:
     """math.pow per element of x and y broadcast, bit for bit: the float64
     loop of np.float_power calls libm's pow, unlike np.power's.  Raises what

@@ -267,10 +267,9 @@ def maximal_pairs_oracle(f, x):
 
 def truncations_sort_oracle(f, x):
     """operators._truncations as one sorted list of events: each endpoint is
-    (distance, side, value), side 0 left of x and 1 right of it, sorted in
-    reverse, so distances fall, the right side goes first at an equal
-    distance and of one side's events at an equal distance the smallest
-    value comes last and stays."""
+    (distance, side, endpoint, value), side 0 left of x and 1 right of it,
+    sorted so that distances fall, the right side goes first at an equal
+    distance and each side's endpoints go outer first."""
     if x != x:
         raise PreconditionError("the Hilbert transform needs a point x that is a number, not NaN")
     ends, values, _ = f.table
@@ -280,27 +279,44 @@ def truncations_sort_oracle(f, x):
     k = bisect.bisect_left(ends, x)
     gap = (0.0, *values, 0.0)  # gap[j]: f between ends[j - 1] and ends[j]
     # As r falls past |x - e_j|, f(x - r) (side 0) or f(x + r) (side 1) takes
-    # the value of the gap on x's side of e_j.  Sorted in reverse, distances
-    # fall, and of one side's events at an equal distance the smallest value
-    # comes last and stays.
+    # the value of the gap on x's side of e_j.
     events = sorted(
-        [(x - ends[j], 0, gap[j + 1]) for j in range(k)]
-        + [(ends[j] - x, 1, gap[j]) for j in range(k, len(ends))],
-        reverse=True,
+        [(x - ends[j], 0, ends[j], gap[j + 1]) for j in range(k)]
+        + [(ends[j] - x, 1, ends[j], gap[j]) for j in range(k, len(ends))],
+        key=lambda ev: (-ev[0], -ev[1], ev[2] if ev[1] == 0 else -ev[2]),
     )
-    far = events[0][0] if events else 0.0
-    if not math.isfinite(far):
+    if events and not math.isfinite(events[0][0]):
         raise PreconditionError(
             f"the Hilbert transform at {x!r} needs finite distances to the endpoints; the largest overflows"
         )
-    side = [0.0, 0.0]
+    held = [0.0, 0.0]  # f(x - r) and f(x + r)
     ts = [0.0]
-    for d, s, v in events:
-        if d < far:
-            ts.append(ts[-1] + (side[0] - side[1]) * math.log(far / d))
-            far = d
-        side[s] = v
+    for (far, s0, e0, v0), (d, s, e, _) in zip(events, events[1:]):
+        held[s0] = v0
+        # far - near: the endpoints' difference on one side, the distances' across x
+        fall = abs(e - e0) if s == s0 else far - d
+        if fall > 0.0:
+            ts.append(ts[-1] + (held[0] - held[1]) * math.log1p(fall / d))
     return ts
+
+
+def truncations_mpmath(f, x, dps=50):
+    """T(d), the integral of f(y)/(x - y) over |x - y| > d, at the true
+    distance d from x to each endpoint of f, largest first: each piece's
+    closed form log|x - p| - log|x - q| in dps-digit mpmath, the band
+    |x - y| <= d cut out."""
+    with mpmath.workdps(dps):
+        X = mpmath.mpf(x)
+        parts = [(mpmath.mpf(lo), mpmath.mpf(hi), v) for lo, hi, v in zip(f.ends, f.ends[1:], f.values) if v]
+        out = []
+        for d in sorted((abs(X - mpmath.mpf(e)) for e in f.ends), reverse=True):
+            t = mpmath.mpf(0)
+            for lo, hi, v in parts:
+                for p, q in ((lo, min(hi, X - d)), (max(lo, X + d), hi)):
+                    if p < q:
+                        t += v * (mpmath.log(abs(X - p)) - mpmath.log(abs(X - q)))
+            out.append(float(t))
+        return out
 
 
 def nudged(x, ends):

@@ -35,7 +35,6 @@ from llab.construction import (
     extremal_norm_p_and_error,
     layer_cake,
     weak_type_lower_bound,
-    wbar_u_bound_from_weak,
 )
 from llab.errors import PreconditionError
 from llab.intervals import (
@@ -242,13 +241,11 @@ def test_nan_p_is_rejected():
 
 def test_bp_check_and_index_bound_reject_a_bad_p():
     # check_Bp blamed the weight for a NaN or infinite p and gave a divergent
-    # verdict for p <= 0; the index bound returned NaN for a NaN or infinite p
+    # verdict for p <= 0
     w = WeightModel.power(0.5)
     for p in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(PreconditionError, match="p must be positive and finite"):
             check_Bp(w, p)
-        with pytest.raises(PreconditionError, match="p must be positive and finite"):
-            wbar_u_bound_from_weak(1.0, p, 2.0)
 
 
 def test_nan_level_or_point_is_rejected():
@@ -266,13 +263,6 @@ def test_nan_level_or_point_is_rejected():
     ):
         with pytest.raises(PreconditionError, match=name):
             call()
-
-
-def test_wbar_bound_consistency():
-    # for u = w = 1 the exact index function is wbar_u(s) = s; the bound
-    # derived from the weak-type constant C = 1 must dominate it
-    for s in [2.0**k for k in range(1, 9)]:
-        assert wbar_u_bound_from_weak(1.0, 2.0, s) >= s * (1.0 - 1e-12)
 
 
 def test_certificate_scales_with_weight():

@@ -22,7 +22,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import maximal_grid_oracle, maximal_pairs_oracle, step_functions, truncations_sort_oracle
+from conftest import (
+    maximal_grid_oracle,
+    maximal_pairs_oracle,
+    step_functions,
+    truncations_mpmath,
+    truncations_sort_oracle,
+)
 from llab.boyd import compute_estimates
 from llab.errors import PreconditionError, SingularInputError
 from llab.intervals import singleton
@@ -400,8 +406,8 @@ def test_maximal_with_overflowing_integrals_is_the_pair_loop():
         maximal(f, math.nan)
 
 
-# two runs of ends closer than ulp(1e17) = 16, abutting so that each run's
-# smallest value differs from its last on both sides of x = +-1e17
+# two runs of ends whose distances from x = +-1e17 round together (ulp(1e17)
+# = 16), so each step there is log1p of an endpoint difference over a distance
 _TIED_RUNS = _case(
     [((0.0, 1.0), 1.0), ((1.0, 2.0), 3.0), ((2.0, 1024.0), 4.0), ((1024.0, 1025.0), 2.0), ((1025.0, 1026.0), 5.0)]
 )
@@ -424,3 +430,32 @@ def test_truncations_are_the_sorted_sweep(case, x, where):
         x = math.copysign(1e17, x)
     assume(_near_endpoint(ends, x) is None)
     assert _truncations(f, x) == truncations_sort_oracle(f, x)
+
+
+@pytest.mark.parametrize("x", [1e17, -1e17])
+def test_truncations_far_from_tied_runs_are_exact(x):
+    # every endpoint on one side, at distances that round together in two
+    # runs of three: still one entry per endpoint, each T at its true distance
+    f, _ = _TIED_RUNS
+    got, want = _truncations(f, x), truncations_mpmath(f, x)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
+@given(
+    st.floats(-60.0, 60.0),
+    st.floats(-60.0, 60.0),
+    st.floats(0.01, 100.0),
+    st.floats(1e3, 1e15),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_hilbert_of_an_indicator_far_away(a, b, c, r, right):
+    # far from the support the log of a ratio of rounded distances has lost
+    # its digits; the closed form reads log1p of the length over a distance
+    assume(a < b)
+    f = make_step([((a, b), c)])
+    x = r if right else -r
+    want = c * (math.log1p((b - a) / (x - b)) if right else math.log1p((a - b) / (b - x))) / math.pi
+    assert abs(hilbert(f, x) - want) <= 1e-14 * abs(want)

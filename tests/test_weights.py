@@ -35,6 +35,7 @@ from llab.weights import (
     _ainf_probe_table,
     _ainf_scales_and_randoms,
     _log,
+    _log1p,
     _pow,
     a1_ratio,
     bp_ratio,
@@ -781,7 +782,7 @@ def test_log_is_math_log(xs):
 
 
 def test_log_is_math_log_in_bulk():
-    # the regimes of the weight kernel, the Hilbert pass and check_Ainf:
+    # the regimes of the weight kernel and check_Ainf:
     # near-1 ratios, moderate ones, 10^U(-300, 300), subnormals and floats
     # near the top of the range, at sizes 0, 1, 2 and 2^16, strided either
     # way and boolean-indexed
@@ -804,6 +805,65 @@ def test_log_is_math_log_in_bulk():
     assert x.size == 1 << 16
     for view in (x[:0], x[:1], x[:2], x, x[::3], x[::-1], x[::-7], x[x < 1.5]):
         assert _bits(_log(view)) == _bits([math.log(v) for v in view.tolist()])
+
+
+def _math_log1p(xs):
+    """math.log1p over xs in order: ("ok", values) or the error's (type, message)."""
+    try:
+        return "ok", [math.log1p(x) for x in xs]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _log1p_outcome(x):
+    try:
+        return "ok", _log1p(x).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+log1p_args = st.one_of(
+    st.floats(),  # NaN, the infinities and the values <= -1 that raise included
+    st.floats(1e-16, 1.0),  # the Hilbert pass's ratios of a fall to a distance
+    st.floats(0.0, 2.0**-1022, exclude_max=True),
+    st.sampled_from([-1.0, -0.0, -5e-324, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+)
+
+
+@given(st.lists(log1p_args, max_size=12))
+@example([2.0, -1.0, 3.0])
+@example([math.nan, 2.0, -2.0])
+@example([math.nan, 5e-324, math.inf])
+@settings(max_examples=500, deadline=None)
+def test_log1p_is_math_log1p(xs):
+    # every value bit for bit, NaN passing through, and math.log1p's error
+    # where an element is <= -1
+    want, got = _math_log1p(xs), _log1p_outcome(np.array(xs, dtype=float))
+    if want[0] == "ok" and got[0] == "ok":
+        assert _bits(got[1]) == _bits(want[1])
+    else:
+        assert got == want
+
+
+def test_log1p_is_math_log1p_in_bulk():
+    # the Hilbert pass's ratios: 10^U(-16, 0), U(0, 1) and 10^U(0, 300),
+    # and subnormals, at sizes 0, 1, 2 and 2^16, strided either way and
+    # boolean-indexed
+    rng = np.random.default_rng(41)
+    n = 1 << 14
+    x = np.concatenate(
+        [
+            10.0 ** rng.uniform(-16.0, 0.0, n),
+            rng.uniform(0.0, 1.0, n),
+            10.0 ** rng.uniform(0.0, 300.0, n),
+            rng.uniform(0.0, 2.0**-1022, n - 2),
+            [5e-324, math.inf],
+        ]
+    )
+    x = x[rng.permutation(x.size)]
+    assert x.size == 1 << 16
+    for view in (x[:0], x[:1], x[:2], x, x[::3], x[::-1], x[::-7], x[x < 0.5]):
+        assert _bits(_log1p(view)) == _bits([math.log1p(v) for v in view.tolist()])
 
 
 @st.composite
